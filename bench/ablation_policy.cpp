@@ -94,14 +94,17 @@ int main() {
     const pantompkins::PanTompkinsPipeline pipe;  // accurate front pipeline
     const auto res = pipe.run_filters(records[0].adu);
 
-    arith::ExactUnit u30, u32;
-    pantompkins::MwiStage w30(30, 5, u30);
-    pantompkins::MwiStage w32(32, 5, u32);
+    arith::ExactKernel k30, k32;
+    pantompkins::MwiStage w30(30, 5, k30);
+    pantompkins::MwiStage w32(32, 5, k32);
+    std::vector<i32> y30, y32;
+    w30.process_chunk(res.sqr, y30);
+    w32.process_chunk(res.sqr, y32);
     double num = 0.0, den = 0.0;
     double peak30 = 0.0, peak32 = 0.0;
-    for (const i32 x : res.sqr) {
-      const double a = w30.process(x);
-      const double b = w32.process(x);
+    for (std::size_t i = 0; i < res.sqr.size(); ++i) {
+      const double a = y30[i];
+      const double b = y32[i];
       num += (a - b) * (a - b);
       den += a * a;
       peak30 = std::max(peak30, a);

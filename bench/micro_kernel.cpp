@@ -24,7 +24,6 @@
 #include "xbs/arith/kernel.hpp"
 #include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
-#include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/pantompkins/stages.hpp"
 
 namespace {
@@ -60,16 +59,17 @@ u64 checksum_of(const std::vector<i64>& y) {
   return h;
 }
 
-/// Stream the signal through a scalar-unit-backed FIR stage sample by sample
-/// (the legacy per-sample virtual-dispatch datapath).
+/// Run the signal through the FIR stage over a scalar unit (the per-op
+/// virtual-dispatch datapath: every add and multiply is one unit call).
 PathResult run_scalar(arith::ArithmeticUnit& unit, const std::vector<i32>& x, int iters) {
   PathResult r;
   double best = 1e300;
-  std::vector<i32> y(x.size());
+  std::vector<i32> y;
   for (int it = 0; it < iters; ++it) {
-    pantompkins::FirStage fir(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, unit);
+    arith::UnitKernel kernel(unit);
+    pantompkins::FirStage fir(pantompkins::kLpfTaps, pantompkins::kLpfShift, kernel);
     const double t0 = now_s();
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = fir.process(x[i]);
+    fir.process_chunk(x, y);
     best = std::min(best, now_s() - t0);
   }
   r.samples_per_sec = static_cast<double>(x.size()) / best;
@@ -84,9 +84,9 @@ PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int ite
   double best = 1e300;
   std::vector<i32> y;
   for (int it = 0; it < iters; ++it) {
-    pantompkins::FirStage fir(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
+    pantompkins::FirStage fir(pantompkins::kLpfTaps, pantompkins::kLpfShift, kernel);
     const double t0 = now_s();
-    y = fir.process_block(x);
+    fir.process_chunk(x, y);
     best = std::min(best, now_s() - t0);
   }
   r.samples_per_sec = static_cast<double>(x.size()) / best;

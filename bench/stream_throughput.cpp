@@ -1,34 +1,34 @@
 // Streaming serving-layer throughput: N concurrent Sessions fed chunk by
-// chunk through a SessionPool (the ISSUE-2 acceptance bench), a zero-copy
-// loaned-buffer drive over the sharded StreamServer (the ISSUE-5 acceptance
-// bench: acquire_buffer -> fill in place -> commit, no per-chunk copy or
-// allocation anywhere), plus a session-churn scenario (the ISSUE-4
-// acceptance bench: slots closed, released and re-provisioned while every
-// other stream keeps flowing). Measures aggregate sessions x samples/sec and
-// per-chunk ingest latency percentiles on the exact datapath and on the
-// paper's B9 approximate configuration, and emits one JSON object so future
-// PRs have a machine-readable baseline (committed as BENCH_stream.json).
+// chunk through StreamServer::push (the copying ingest), a zero-copy
+// loaned-buffer drive over the sharded StreamServer (acquire_buffer -> fill
+// in place -> commit, no per-chunk copy or allocation anywhere), plus a
+// session-churn scenario (slots closed, released and re-provisioned while
+// every other stream keeps flowing). Measures aggregate sessions x
+// samples/sec and per-chunk ingest latency percentiles on the exact datapath
+// and on the paper's B9 approximate configuration, and emits one JSON object
+// so future PRs have a machine-readable baseline (committed as
+// BENCH_stream.json).
 //
 //   ./bench_stream_throughput [--sessions N] [--samples M] [--chunk C]
 //                             [--threads T] [--shards S] [--iters K]
 //                             [--rotations R]
 //
-// Each path reports the best of K drives (fresh sessions per drive; the
-// shared multiplier/coefficient LUTs are pre-warmed by the pool, as in any
-// long-running serving process). Beat counts are printed so the bench
-// doubles as an end-to-end sanity check of the online detector; the
-// zero-copy and churn scenarios additionally require zero faults/rejects
-// and a clean slot ledger.
+// Each path reports the best of K drives (fresh server and sessions per
+// drive; StreamServer::open pre-warms the shared multiplier/coefficient LUTs
+// outside the timed region, as in any long-running serving process). Beat
+// counts are printed so the bench doubles as an end-to-end sanity check of
+// the online detector; the zero-copy and churn scenarios additionally
+// require zero faults/rejects and a clean slot ledger.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "xbs/arith/isa.hpp"
 #include "xbs/ecg/dataset.hpp"
-#include "xbs/stream/pool.hpp"
 #include "xbs/stream/server.hpp"
 
 namespace {
@@ -42,14 +42,90 @@ int arg_int(int argc, char** argv, const char* name, int fallback) {
   return fallback;
 }
 
-stream::SessionPool::DriveStats best_of(const stream::SessionSpec& spec,
-                                        std::span<const std::vector<i32>> feeds,
-                                        std::size_t chunk, unsigned threads, int iters) {
-  stream::SessionPool::DriveStats best{};
+double percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
+  return sorted[idx];
+}
+
+struct DriveResult {
+  unsigned threads = 0;
+  u64 samples = 0;
+  u64 beats = 0;
+  double wall_s = 0.0;
+  double p50_chunk_s = 0.0;  ///< median per-chunk ingest latency (incl. backpressure)
+  double p99_chunk_s = 0.0;
+  double max_chunk_s = 0.0;
+
+  [[nodiscard]] double samples_per_sec() const noexcept {
+    return wall_s > 0.0 ? static_cast<double>(samples) / wall_s : 0.0;
+  }
+};
+
+/// Copying drive: one session per feed, each feed split into chunk-sized
+/// blocking pushes delivered round-robin, then every session closed. The
+/// timed region is ingest through close-completion; worker spawn and session
+/// construction stay outside it. threads == 0 picks hardware concurrency,
+/// clamped to the session count.
+DriveResult drive(const stream::SessionSpec& spec, std::span<const std::vector<i32>> feeds,
+                  std::size_t chunk, unsigned threads) {
+  using Clock = std::chrono::steady_clock;
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  threads = static_cast<unsigned>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(feeds.size(), 1)));
+  stream::StreamServer server({.max_sessions = std::max<std::size_t>(feeds.size(), 1),
+                               .queue_capacity_chunks = 64,
+                               .max_chunk_samples = 0,
+                               .workers = threads});
+  std::vector<stream::SessionId> ids;
+  ids.reserve(feeds.size());
+  for (std::size_t i = 0; i < feeds.size(); ++i) ids.push_back(server.open(spec));
+
+  DriveResult out;
+  out.threads = threads;
+  std::vector<double> lats;
+  const Clock::time_point t0 = Clock::now();
+  // Round-robin ingest across all sessions; a refused chunk (a quarantined
+  // session) ends that feed while every other stream keeps flowing.
+  std::vector<std::size_t> pos(ids.size(), 0);
+  bool any = true;
+  while (any) {
+    any = false;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const std::vector<i32>& feed = feeds[k];
+      if (pos[k] >= feed.size()) continue;
+      const std::size_t len = std::min(chunk, feed.size() - pos[k]);
+      const Clock::time_point c0 = Clock::now();
+      const stream::PushResult r =
+          server.push(ids[k], std::span<const i32>(feed).subspan(pos[k], len));
+      lats.push_back(std::chrono::duration<double>(Clock::now() - c0).count());
+      if (r == stream::PushResult::Ok) {
+        pos[k] += len;
+        any = true;
+      } else {
+        pos[k] = feed.size();
+      }
+    }
+  }
+  for (const stream::SessionId id : ids) (void)server.close(id);
+  out.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+
+  const stream::StreamServer::ServerStats st = server.stats();
+  out.samples = st.samples;
+  out.beats = st.beats;
+  std::sort(lats.begin(), lats.end());
+  out.p50_chunk_s = percentile(lats, 0.50);
+  out.p99_chunk_s = percentile(lats, 0.99);
+  out.max_chunk_s = lats.empty() ? 0.0 : lats.back();
+  return out;
+}
+
+DriveResult best_of(const stream::SessionSpec& spec, std::span<const std::vector<i32>> feeds,
+                    std::size_t chunk, unsigned threads, int iters) {
+  DriveResult best{};
   for (int it = 0; it < iters; ++it) {
-    stream::SessionPool pool(spec, feeds.size());
-    const auto stats = pool.drive(feeds, chunk, threads);
-    if (it == 0 || stats.samples_per_sec() > best.samples_per_sec()) best = stats;
+    const DriveResult r = drive(spec, feeds, chunk, threads);
+    if (it == 0 || r.samples_per_sec() > best.samples_per_sec()) best = r;
   }
   return best;
 }
@@ -133,8 +209,6 @@ ZeroCopyResult zerocopy_run(const stream::SessionSpec& spec,
 /// Session churn over a live server: every slot serves `rotations`
 /// consecutive connections — stream to end-of-record, close, release, open a
 /// fresh session on the freed slot — while all other slots keep streaming.
-/// This is the serving regime a fixed pool cannot express: lifecycle work on
-/// the control plane with the data plane hot.
 ChurnResult churn_run(const stream::SessionSpec& spec,
                       std::span<const std::vector<i32>> feeds, std::size_t chunk,
                       unsigned threads, unsigned shards, int rotations) {

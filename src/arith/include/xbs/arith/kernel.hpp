@@ -81,8 +81,8 @@ struct StageArithConfig {
 /// dispatch a single virtual call; the `*_impl` hooks run the tight loops.
 ///
 /// The uncounted scalar hooks (`add1/sub1/mul1`) exist for the ArithmeticUnit
-/// adapters and for streaming single-sample use; they compute exactly one
-/// element of the corresponding batched op.
+/// adapters (unit.hpp); they compute exactly one element of the
+/// corresponding batched op, written add/sub/mul below.
 class Kernel {
  public:
   virtual ~Kernel() = default;
@@ -91,20 +91,6 @@ class Kernel {
   [[nodiscard]] virtual i64 add1(i64 a, i64 b) const = 0;
   [[nodiscard]] virtual i64 sub1(i64 a, i64 b) const = 0;
   [[nodiscard]] virtual i64 mul1(i64 a, i64 b) const = 0;
-
-  // --- counted scalar ops (streaming use; 1 op each) ---
-  [[nodiscard]] i64 add(i64 a, i64 b) {
-    ++counts_.adds;
-    return add1(a, b);
-  }
-  [[nodiscard]] i64 sub(i64 a, i64 b) {
-    ++counts_.adds;
-    return sub1(a, b);
-  }
-  [[nodiscard]] i64 mul(i64 a, i64 b) {
-    ++counts_.mults;
-    return mul1(a, b);
-  }
 
   // --- counted batched ops ---
   /// out[i] = add(a[i], b[i]). Spans must be equally sized; aliasing with
@@ -216,8 +202,8 @@ class ExactKernel final : public Kernel {
 /// keyed by
 /// (MultiplierConfig, coefficient), matching the get_multiplier() cache
 /// idiom; the caches are internally synchronized and the published tables
-/// immutable, so kernels in different threads (one per stream::SessionPool
-/// session) share them safely. A Kernel instance itself is single-consumer
+/// immutable, so kernels in different threads (one per stream::Session)
+/// share them safely. A Kernel instance itself is single-consumer
 /// (mutable op counters and per-kernel table pointers) — give each session
 /// its own.
 class ApproxKernel final : public Kernel {
@@ -292,7 +278,7 @@ class ApproxKernel final : public Kernel {
 
 /// Process-wide cache of full signed per-coefficient product tables
 /// (see ApproxKernel): 2^width entries, `P[u] = mul1(c, sign_extend(u, w))`.
-/// Exposed so serving layers (stream::SessionPool) and benches can pre-warm
+/// Exposed so serving layers (stream::StreamServer) and benches can pre-warm
 /// tables outside timed regions — once warm, every kernel in the process
 /// walks them regardless of chunk size.
 [[nodiscard]] std::shared_ptr<const TableVec> get_signed_coeff_products(

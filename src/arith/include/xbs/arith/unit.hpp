@@ -7,9 +7,10 @@
 /// to any (k LSBs, adder kind, multiplier kind) configuration without
 /// touching the signal-processing code — the software analogue of swapping
 /// RTL arithmetic blocks. Block-oriented consumers (the pipeline, the
-/// explorers) use the Kernel API directly; this scalar view remains for
-/// streaming single-sample use, the netlist-level cross-validation and the
-/// existing tests, and is bit-identical to the kernels by construction.
+/// explorers) use the Kernel API directly; this scalar view remains as the
+/// per-sample test oracle (tests/pt_oracle.hpp), the netlist-level
+/// cross-validation and the micro benches' scalar path, and is bit-identical
+/// to the kernels by construction.
 #pragma once
 
 #include "xbs/arith/kernel.hpp"

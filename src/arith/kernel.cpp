@@ -13,7 +13,7 @@ namespace {
 /// Blocks shorter than this fall back to the scalar multiplier instead of
 /// building a per-coefficient product/square table (2^w multiplies to fill):
 /// below the threshold a *cold* build cannot pay for itself within one call.
-/// Warm tables (pre-built by stream::SessionPool / pantompkins::warm_* or by
+/// Warm tables (pre-built by stream::StreamServer / pantompkins::warm_* or by
 /// any earlier large block) are used at every size, so the threshold is moot
 /// for long-running streaming processes.
 constexpr std::size_t kCoeffTableThreshold = 512;
@@ -390,9 +390,9 @@ std::unique_ptr<Kernel> make_kernel(const StageArithConfig& cfg) {
 namespace {
 
 // Cache entries are cache-line aligned: the process-wide caches are walked
-// concurrently by every stream::SessionPool / StreamServer worker, and a
-// 64-byte entry stride keeps one worker's entry (and the vector growth that
-// publishes a neighbour) from false-sharing another's hot line.
+// concurrently by every stream::StreamServer worker, and a 64-byte entry
+// stride keeps one worker's entry (and the vector growth that publishes a
+// neighbour) from false-sharing another's hot line.
 
 /// Magnitude-indexed product rows M[m] = multiply_u(|c|, m) — the expensive
 /// build, shared between +c and -c (and reused for the square diagonal).
@@ -417,7 +417,7 @@ struct alignas(64) SquareCacheEntry {
 };
 
 // The caches are shared by every kernel in the process and are hit from the
-// concurrent sessions of a stream::SessionPool and the parallel exploration
+// concurrent sessions of a stream::StreamServer and the parallel exploration
 // workers, so reads and inserts are serialized. The tables themselves are
 // immutable once published; racing builders of the same table publish
 // equivalent duplicates (last one wins, both bit-identical). The build

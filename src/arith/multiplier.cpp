@@ -159,7 +159,7 @@ std::vector<MultCacheEntry>& mult_cache() XBS_REQUIRES(g_cache_mutex) {
 }  // namespace
 
 std::shared_ptr<const RecursiveMultiplier> get_multiplier(const MultiplierConfig& cfg) {
-  // Serialized: kernels are built concurrently by stream::SessionPool
+  // Serialized: kernels are built concurrently by stream::StreamServer
   // sessions. The models themselves are immutable once published.
   const common::MutexLock lock(g_cache_mutex);
   std::vector<MultCacheEntry>& cache = mult_cache();

@@ -2,10 +2,10 @@
 /// \brief Ring-buffer helpers shared by every streaming delay line, plus the
 /// bounded buffer ring behind the serving layer's loanable-chunk ingest.
 ///
-/// Convention (used by the fixed-point stages, the reference FirFilter, and
-/// any carry-over State struct): the ring holds the most recent |ring|
-/// samples, `head` is the next write slot and therefore always holds the
-/// oldest retained sample; a fresh state is all zeros with head == 0.
+/// Convention (used by the fixed-point stages' delay lines and window rings):
+/// the ring holds the most recent |ring| samples, `head` is the next write
+/// slot and therefore always holds the oldest retained sample; a fresh state
+/// is all zeros with head == 0.
 #pragma once
 
 #include <cassert>

@@ -3,11 +3,11 @@
 #include <cmath>
 #include <limits>
 
-#include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/hwmodel/block_cost.hpp"
 #include "xbs/netlist/builders.hpp"
 #include "xbs/netlist/optimizer.hpp"
 #include "xbs/netlist/synth_report.hpp"
+#include "xbs/pantompkins/stages.hpp"
 
 namespace xbs::explore {
 namespace {
@@ -16,19 +16,19 @@ using pantompkins::Stage;
 
 /// Live word width feeding the MWI adder tree: squared 16-bit slope values
 /// scaled by >> kSqrShift occupy up to 30 - kSqrShift bits.
-constexpr int kMwiInputBits = 30 - dsp::pt::kSqrShift;
+constexpr int kMwiInputBits = 30 - pantompkins::kSqrShift;
 
 std::vector<u32> coeff_magnitudes(Stage s) {
   std::vector<u32> mags;
   switch (s) {
     case Stage::Lpf:
-      for (const int t : dsp::pt::kLpfTaps) mags.push_back(static_cast<u32>(std::abs(t)));
+      for (const int t : pantompkins::kLpfTaps) mags.push_back(static_cast<u32>(std::abs(t)));
       break;
     case Stage::Hpf:
-      for (const int t : dsp::pt::kHpfTaps) mags.push_back(static_cast<u32>(std::abs(t)));
+      for (const int t : pantompkins::kHpfTaps) mags.push_back(static_cast<u32>(std::abs(t)));
       break;
     case Stage::Der:
-      for (const int t : dsp::pt::kDerTaps) mags.push_back(static_cast<u32>(std::abs(t)));
+      for (const int t : pantompkins::kDerTaps) mags.push_back(static_cast<u32>(std::abs(t)));
       break;
     default:
       break;
@@ -50,7 +50,7 @@ hwmodel::Cost StageEnergyModel::compute(Stage s, const arith::StageArithConfig& 
       case Stage::Sqr:
         return netlist::build_squarer_stage(cfg.mult);
       case Stage::Mwi:
-        return netlist::build_mwi_stage(dsp::pt::kMwiWindow, cfg.adder, kMwiInputBits);
+        return netlist::build_mwi_stage(pantompkins::kMwiWindow, cfg.adder, kMwiInputBits);
       default:
         return netlist::build_fir_stage(netlist::FirStageSpec{coeff_magnitudes(s), cfg});
     }

@@ -399,7 +399,11 @@ void NetServer::pump_loop(Conn& c) {
           evs.clear();
           (void)stream_.drain_events(sid, evs);  // the flush tail
           send_events(evs);
-          send_stats(StatsAck::Close, sid);
+          // The ack is built before the slot becomes evictable (eviction
+          // releases it) but sent only after: a client that OPENs on the
+          // ack must find the slot reclaimable.
+          frame.clear();
+          encode_stats(frame, make_stats(c, StatsAck::Close, sid));
           {
             const common::MutexLock lock(reg_mu_);
             auto it = registry_.find(token);
@@ -411,6 +415,7 @@ void NetServer::pump_loop(Conn& c) {
               it->second.lru_seq = ++lru_counter_;
             }
           }
+          send_frame(c, frame, 0);
           attached = false;
           break;
         }

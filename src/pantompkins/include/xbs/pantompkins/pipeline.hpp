@@ -73,8 +73,8 @@ struct PipelineResult {
 /// each non-zero FIR tap, and (for the squarer) the square table — so
 /// subsequent kernels walk warm tables at any chunk size. Streaming serving
 /// layers call this outside their timed/latency-sensitive regions
-/// (stream::SessionPool warms every stage of its spec before the first
-/// session is built), making the cold-build block-size threshold inside the
+/// (stream::StreamServer::open warms every stage of its spec before it
+/// builds the session), making the cold-build block-size threshold inside the
 /// kernels moot for streaming. The warmed tables are the layout every
 /// dispatched kernel tier walks — 64-byte-aligned i64 rows serve the scalar
 /// loads and the AVX2/AVX-512 gathers alike (arith::kernel_isa()), so a

@@ -1,37 +1,77 @@
 /// \file stages.hpp
 /// \brief The five Pan-Tompkins application stages as fixed-point datapaths
-/// over the batched kernel API.
+/// over the batched kernel API, and the integer coefficient sets they run.
 ///
-/// Each stage offers three bit-identical views of the same datapath:
-///  - `process(state, x)` — the streaming scalar path (one sample in, one out),
-///  - `process_chunk(state, xs)` — the resumable chunked transform: consumes
-///    a chunk of any size, carries the delay/window state across calls, and
-///    issues one batched kernel call per FIR tap / adder-tree level,
-///  - `process_block(xs)` — the whole-record transform (a fresh-state
-///    one-chunk wrapper over process_chunk).
-/// Every view performs exactly the same dataflow graph per output sample
-/// (same operands, same order, same operation counts), so outputs and
-/// OpCounts match bit for bit for any chunking (tests/test_kernel_equivalence,
-/// tests/test_stream).
+/// Each stage class is one resumable chunk transform: `process_chunk(x, y)`
+/// consumes a chunk of any size, carries the delay-line/window state across
+/// calls, and issues one batched kernel call per FIR / adder-tree level;
+/// `reset()` returns it to the fresh-record state. Every chunking performs
+/// exactly the dataflow graph of the per-sample scalar datapath (same
+/// operands, same order, same operation counts), so outputs and OpCounts
+/// match that scalar oracle bit for bit (tests/pt_oracle.hpp,
+/// tests/test_kernel_equivalence, tests/test_stream).
 ///
-/// The carry-over state of each stage is an explicit struct (FirState,
-/// MwiState) so long-lived streaming sessions can own per-session state while
-/// sharing the immutable stage wiring and kernels.
+/// Coefficients. The paper implements the five stages as FIR filters (its
+/// §5: "the five stages (FIR filters)"), with the per-stage adder/multiplier
+/// counts of §2 and §4.2. The tap sets below reproduce those counts exactly:
+///
+///  - **LPF** (fc = 12 Hz): H(z) = (1 - z^-6)^2 / (1 - z^-1)^2 expanded to
+///    its 11-tap triangular FIR [1,2,3,4,5,6,5,4,3,2,1] — a 10th-order,
+///    11-tap filter with 11 multipliers and 10 adders, matching the paper's
+///    "10 adders, 11 multipliers, and 10 registers". Gain 36, renormalized
+///    by >> 5.
+///  - **HPF** (fc = 5 Hz): all-pass minus moving average,
+///    y[n] = 32 x[n-16] - sum_{i=0..31} x[n-i], i.e. 32 non-zero taps
+///    (c_16 = +31, all others -1) — 32 multipliers and 31 adders, matching
+///    §4.2. Gain 32, renormalized by >> 5.
+///  - **Differentiator**: the classic 5-tap slope filter
+///    y[n] = (1/8)(2 x[n] + x[n-1] - x[n-3] - 2 x[n-4]); coefficient
+///    magnitudes 2 and 1, exactly as §4.2 notes.
+///  - **Squarer**: y[n] = x[n]^2 (one 16x16 multiplier).
+///  - **MWI**: 30-sample moving-window integral (150 ms at 200 Hz, the
+///    window Pan & Tompkins recommend), adder-only; the hardware divide is
+///    the shift-by-5 variant (gain 30/32).
+///
+/// Every consumer (fixed-point pipeline, netlist stage builders, cost model,
+/// the double-precision test reference) derives from these arrays, so stage
+/// structure can never diverge between the quality simulation and the energy
+/// model.
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <variant>
 #include <vector>
 
 #include "xbs/arith/kernel.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/common/types.hpp"
 
 namespace xbs::pantompkins {
+
+inline constexpr std::array<int, 11> kLpfTaps = {1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1};
+inline constexpr int kLpfShift = 5;  ///< output >> 5 (gain 36/32)
+
+/// HPF taps: c_16 = +31, all other 32 taps are -1.
+[[nodiscard]] constexpr std::array<int, 32> hpf_taps() noexcept {
+  std::array<int, 32> taps{};
+  for (auto& t : taps) t = -1;
+  taps[16] = 31;
+  return taps;
+}
+inline constexpr std::array<int, 32> kHpfTaps = hpf_taps();
+inline constexpr int kHpfShift = 5;  ///< output >> 5 (gain 32/32)
+
+inline constexpr std::array<int, 5> kDerTaps = {2, 1, 0, -1, -2};
+inline constexpr int kDerShift = 3;  ///< output >> 3 (gain 8/8)
+
+/// Squarer output scaling: with near-full-scale 16-bit inputs the squared
+/// slope reaches 2^30; dropping two LSBs keeps the 30-term MWI sum inside the
+/// 32-bit adder datapath in the worst case.
+inline constexpr int kSqrShift = 2;
+
+inline constexpr int kMwiWindow = 30;  ///< 150 ms at 200 Hz
+inline constexpr int kMwiShift = 5;    ///< output >> 5 (gain 30/32)
 
 /// The five stages, in pipeline order (paper Fig. 3).
 enum class Stage { Lpf, Hpf, Der, Sqr, Mwi };
@@ -65,119 +105,49 @@ struct StageInventory {
 /// DER 3+4 (4 non-zero taps), SQR 0+1, MWI 29+0 (30-input adder tree).
 [[nodiscard]] const StageInventory& stage_inventory(Stage s) noexcept;
 
-/// Carry-over state of a FIR stage: the delay-line ring. `head` is the next
-/// write slot, which always holds the oldest retained sample.
-struct FirState {
-  std::vector<i32> delay;
-  std::size_t head = 0;
-
-  /// Zero the delay line in place (no reallocation): the state of a fresh
-  /// record, reusable on the serving hot path (stream::Session::reset).
-  void reset() noexcept {
-    std::fill(delay.begin(), delay.end(), 0);
-    head = 0;
-  }
-};
-
-/// Carry-over state of the MWI stage: the window ring, same conventions.
-struct MwiState {
-  std::vector<i32> window;
-  std::size_t head = 0;
-
-  /// Zero the window in place (no reallocation).
-  void reset() noexcept {
-    std::fill(window.begin(), window.end(), 0);
-    head = 0;
-  }
-};
-
-/// The squarer is stateless; its state struct exists for API symmetry.
-struct SqrState {
-  void reset() noexcept {}
-};
-
 /// A fixed-point FIR stage: per-tap 16x16 multiplies by integer
 /// coefficients, a chain of 32-bit accumulations, then an arithmetic
 /// normalization shift and 16-bit saturation of the output (the inter-stage
-/// register width). All arithmetic flows through the given kernel; the
-/// chunked transform issues one mul_cn/mac_n per non-zero tap.
+/// register width). All arithmetic flows through the kernel, which must
+/// outlive the stage: one batched fir_n call per chunk.
 class FirStage {
  public:
-  /// Kernel-backed construction (the fast path; kernel outlives the stage).
+  /// Throws std::invalid_argument for an empty tap set.
   FirStage(std::span<const int> taps, int out_shift, arith::Kernel& kernel);
-  /// Scalar-unit construction: wraps the unit in a UnitKernel adapter so op
-  /// counts accrue on the caller's unit.
-  FirStage(std::span<const int> taps, int out_shift, arith::ArithmeticUnit& unit);
 
-  /// A zeroed delay line sized for this stage's taps.
-  [[nodiscard]] FirState make_state() const { return FirState{std::vector<i32>(taps_.size(), 0), 0}; }
+  /// Resumable chunked transform: continues from the carried delay line and
+  /// carries it forward. \p y is resized to the chunk length and must not
+  /// alias \p x (allocation-free once the scratch has grown).
+  void process_chunk(std::span<const i32> x, std::vector<i32>& y);
 
-  /// Streaming scalar path: push one sample through \p st, get the output.
-  [[nodiscard]] i32 process(FirState& st, i32 x);
-
-  /// Resumable chunked transform: continues from \p st and carries it
-  /// forward — bit-identical to streaming the chunk through process().
-  /// The write-into form is the allocation-free serving hot path; \p y is
-  /// resized to the chunk length and must not alias \p x.
-  void process_chunk(FirState& st, std::span<const i32> x, std::vector<i32>& y);
-  [[nodiscard]] std::vector<i32> process_chunk(FirState& st, std::span<const i32> x) {
-    std::vector<i32> y;
-    process_chunk(st, x, y);
-    return y;
-  }
-
-  // --- internal-state convenience view (single-consumer use) ---
-  [[nodiscard]] i32 process(i32 x) { return process(state_, x); }
-  void process_chunk(std::span<const i32> x, std::vector<i32>& y) {
-    process_chunk(state_, x, y);
-  }
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    return process_chunk(state_, x);
-  }
-  /// Whole-record transform: fresh state, then one chunk.
-  [[nodiscard]] std::vector<i32> process_block(std::span<const i32> x);
-  /// Reset the internal delay line to zeros.
+  /// Zero the delay line in place: the state of a fresh record.
   void reset();
 
  private:
   std::vector<i32> taps_;
-  FirState state_;  ///< internal state backing the convenience view
   int out_shift_;
-  std::unique_ptr<arith::Kernel> owned_;  ///< UnitKernel adapter, if any
   arith::Kernel* kernel_;
+  /// Carried delay-line ring (xbs/common/ring.hpp conventions).
+  std::vector<i32> delay_;
+  std::size_t head_ = 0;
   std::vector<i64> padded_;  ///< chunk scratch: history-prefixed input
   std::vector<i64> acc_;     ///< chunk scratch: accumulator chain
 };
 
 /// The squarer stage: y = (x * x) >> shift through the kernel's multiplier.
 /// The output keeps wide precision (it feeds the adder-only MWI stage); the
-/// shift keeps the downstream MWI sum inside its 32-bit adders.
+/// shift keeps the downstream MWI sum inside its 32-bit adders. Stateless.
 class SquarerStage {
  public:
-  SquarerStage(int out_shift, arith::Kernel& kernel)
-      : out_shift_(out_shift), kernel_(&kernel) {}
-  SquarerStage(int out_shift, arith::ArithmeticUnit& unit);
+  SquarerStage(int out_shift, arith::Kernel& kernel) : out_shift_(out_shift), kernel_(&kernel) {}
 
-  [[nodiscard]] static SqrState make_state() noexcept { return SqrState{}; }
-
-  [[nodiscard]] i32 process(i32 x);
-  /// Stateless: chunked and whole-record views coincide. \p y must not
-  /// alias \p x.
+  /// \p y must not alias \p x.
   void process_chunk(std::span<const i32> x, std::vector<i32>& y);
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    std::vector<i32> y;
-    process_chunk(x, y);
-    return y;
-  }
-  [[nodiscard]] std::vector<i32> process_block(std::span<const i32> x) {
-    return process_chunk(x);
-  }
   void reset() noexcept {}
 
  private:
   int out_shift_;
-  std::unique_ptr<arith::Kernel> owned_;
-  arith::Kernel* kernel_ = nullptr;
+  arith::Kernel* kernel_;
   std::vector<i64> in_;  ///< chunk scratch: clamped operands, then products
 };
 
@@ -187,42 +157,19 @@ class SquarerStage {
 /// transform issues one add_n per tree-level pair over the whole chunk.
 class MwiStage {
  public:
+  /// Throws std::invalid_argument for a window below 2.
   MwiStage(int window, int out_shift, arith::Kernel& kernel);
-  MwiStage(int window, int out_shift, arith::ArithmeticUnit& unit);
 
-  /// A zeroed window sized for this stage.
-  [[nodiscard]] MwiState make_state() const {
-    return MwiState{std::vector<i32>(window_, 0), 0};
-  }
-
-  [[nodiscard]] i32 process(MwiState& st, i32 x);
   /// \p y must not alias \p x.
-  void process_chunk(MwiState& st, std::span<const i32> x, std::vector<i32>& y);
-  [[nodiscard]] std::vector<i32> process_chunk(MwiState& st, std::span<const i32> x) {
-    std::vector<i32> y;
-    process_chunk(st, x, y);
-    return y;
-  }
-
-  // --- internal-state convenience view ---
-  [[nodiscard]] i32 process(i32 x) { return process(state_, x); }
-  void process_chunk(std::span<const i32> x, std::vector<i32>& y) {
-    process_chunk(state_, x, y);
-  }
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    return process_chunk(state_, x);
-  }
-  [[nodiscard]] std::vector<i32> process_block(std::span<const i32> x);
+  void process_chunk(std::span<const i32> x, std::vector<i32>& y);
   void reset();
 
  private:
-  void validate_window(int window);
-
-  std::size_t window_ = 0;
-  MwiState state_;  ///< internal state backing the convenience view
   int out_shift_;
-  std::unique_ptr<arith::Kernel> owned_;
-  arith::Kernel* kernel_ = nullptr;
+  arith::Kernel* kernel_;
+  /// Carried window ring (xbs/common/ring.hpp conventions).
+  std::vector<i32> window_;
+  std::size_t head_ = 0;
   std::vector<i64> padded_;  ///< chunk scratch
   /// Chunk scratch: tree-level output buffers, ping-ponged by level parity
   /// so a level recycles its grandparent level's buffers (levels strictly
@@ -232,8 +179,8 @@ class MwiStage {
   std::array<std::vector<std::vector<i64>>, 2> pool_;
 };
 
-/// One wired pipeline stage — taps/shift/window resolved from the paper's
-/// coefficient set for the given Stage — bound to a kernel, with its
+/// One wired pipeline stage — taps/shift/window resolved from the
+/// coefficient sets above for the given Stage — bound to a kernel, with its
 /// carry-over state held internally. This is the single source of stage
 /// wiring shared by the batch pipeline (`run_stage`, one chunk per record),
 /// the exploration stage cache, and the streaming `stream::Session`.
@@ -242,22 +189,14 @@ class StageProcessor {
   StageProcessor(Stage s, arith::Kernel& kernel);
 
   /// Resumable: consume a chunk of any size, carrying state across calls.
-  /// The write-into form reuses \p out across calls (allocation-free hot
-  /// path; must not alias \p x).
+  /// \p out is reused across calls (allocation-free hot path) and must not
+  /// alias \p x.
   void process_chunk(std::span<const i32> x, std::vector<i32>& out);
-  [[nodiscard]] std::vector<i32> process_chunk(std::span<const i32> x) {
-    std::vector<i32> out;
-    process_chunk(x, out);
-    return out;
-  }
 
   /// Drop the carried state (start of a fresh record).
   void reset();
 
-  [[nodiscard]] Stage stage() const noexcept { return stage_; }
-
  private:
-  Stage stage_;
   std::variant<FirStage, SquarerStage, MwiStage> impl_;
 };
 

@@ -1,7 +1,5 @@
 #include "xbs/pantompkins/pipeline.hpp"
 
-#include "xbs/dsp/pt_coeffs.hpp"
-
 namespace xbs::pantompkins {
 
 PipelineConfig PipelineConfig::from_lsbs(const LsbVector& lsbs, AdderKind add_kind,
@@ -37,17 +35,17 @@ void warm_stage_tables(Stage s, const arith::StageArithConfig& cfg) {
   (void)arith::get_multiplier(cfg.mult);
   switch (s) {
     case Stage::Lpf:
-      for (const int c : dsp::pt::kLpfTaps) {
+      for (const int c : kLpfTaps) {
         if (c != 0) (void)arith::get_signed_coeff_products(cfg.mult, c);
       }
       break;
     case Stage::Hpf:
-      for (const int c : dsp::pt::kHpfTaps) {
+      for (const int c : kHpfTaps) {
         if (c != 0) (void)arith::get_signed_coeff_products(cfg.mult, c);
       }
       break;
     case Stage::Der:
-      for (const int c : dsp::pt::kDerTaps) {
+      for (const int c : kDerTaps) {
         if (c != 0) (void)arith::get_signed_coeff_products(cfg.mult, c);
       }
       break;
@@ -70,7 +68,8 @@ std::vector<i32> run_stage(Stage s, const arith::StageArithConfig& cfg,
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
   // The whole record as a single chunk through the streaming core: the batch
   // path is a thin wrapper over the same resumable stage it serves.
-  std::vector<i32> out = StageProcessor(s, *kernel).process_chunk(input);
+  std::vector<i32> out;
+  StageProcessor(s, *kernel).process_chunk(input, out);
   if (ops != nullptr) *ops = kernel->counts();
   return out;
 }

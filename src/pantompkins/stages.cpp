@@ -1,10 +1,10 @@
 #include "xbs/pantompkins/stages.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "xbs/common/fixed.hpp"
 #include "xbs/common/ring.hpp"
-#include "xbs/dsp/pt_coeffs.hpp"
 
 namespace xbs::pantompkins {
 
@@ -14,7 +14,7 @@ const StageInventory& stage_inventory(Stage s) noexcept {
       {Stage::Hpf, "HPF", 31, 32, 31, 16},
       {Stage::Der, "DER", 3, 4, 4, 4},
       {Stage::Sqr, "SQR", 0, 1, 0, 8},
-      {Stage::Mwi, "MWI", dsp::pt::kMwiWindow - 1, 0, dsp::pt::kMwiWindow - 1, 16},
+      {Stage::Mwi, "MWI", kMwiWindow - 1, 0, kMwiWindow - 1, 16},
   }};
   return inv[static_cast<std::size_t>(s)];
 }
@@ -22,88 +22,46 @@ const StageInventory& stage_inventory(Stage s) noexcept {
 // ------------------------------------------------------------------- FirStage
 
 FirStage::FirStage(std::span<const int> taps, int out_shift, arith::Kernel& kernel)
-    : out_shift_(out_shift), kernel_(&kernel) {
+    : taps_(taps.begin(), taps.end()),
+      out_shift_(out_shift),
+      kernel_(&kernel),
+      delay_(taps.size(), 0) {
   if (taps.empty()) throw std::invalid_argument("FirStage: empty taps");
-  taps_.assign(taps.begin(), taps.end());
-  state_ = make_state();
 }
 
-FirStage::FirStage(std::span<const int> taps, int out_shift, arith::ArithmeticUnit& unit)
-    : out_shift_(out_shift),
-      owned_(std::make_unique<arith::UnitKernel>(unit)),
-      kernel_(owned_.get()) {
-  if (taps.empty()) throw std::invalid_argument("FirStage: empty taps");
-  taps_.assign(taps.begin(), taps.end());
-  state_ = make_state();
+void FirStage::reset() {
+  std::fill(delay_.begin(), delay_.end(), 0);
+  head_ = 0;
 }
 
-void FirStage::reset() { state_.reset(); }
-
-i32 FirStage::process(FirState& st, i32 x) {
-  st.delay[st.head] = x;
-  // Products in tap order (zero taps skipped), accumulated through a chain of
-  // 32-bit adds — the same structure the netlist stage builder emits.
-  i64 acc = 0;
-  bool first = true;
-  std::size_t idx = st.head;
-  for (const i32 c : taps_) {
-    if (c != 0) {
-      const i64 p = kernel_->mul(c, st.delay[idx]);
-      if (first) {
-        acc = p;
-        first = false;
-      } else {
-        acc = kernel_->add(acc, p);
-      }
-    }
-    idx = (idx == 0) ? st.delay.size() - 1 : idx - 1;
-  }
-  st.head = (st.head + 1) % st.delay.size();
-  // Normalization shift (wiring) and 16-bit inter-stage register.
-  return static_cast<i32>(saturate_to_bits(acc >> out_shift_, 16));
-}
-
-void FirStage::process_chunk(FirState& st, std::span<const i32> x, std::vector<i32>& y) {
+void FirStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
   const std::size_t taps = taps_.size();
   // History-prefixed copy of the input: the first T-1 elements are the last
   // T-1 carried samples oldest-first, element T-1+i is x[i]. Tap j of output
-  // i reads offset T-1-j+i — exactly the carried delay line of the streaming
-  // path (all zeros for a fresh state).
+  // i reads offset T-1-j+i — exactly the carried delay line of the per-sample
+  // datapath (all zeros for a fresh state).
   padded_.resize(n + taps - 1);
-  ring_history_prefix(st.delay, st.head, padded_);
+  ring_history_prefix(delay_, head_, padded_);
   for (std::size_t i = 0; i < n; ++i) padded_[taps - 1 + i] = x[i];
   acc_.resize(n);
 
   // One batched FIR call: the kernel runs the per-sample accumulation chain
-  // (operands and order identical to process()) and may hoist per-coefficient
+  // (products in tap order, zero taps skipped, chained 32-bit adds — the
+  // structure the netlist stage builder emits) and may hoist per-coefficient
   // product rows out of the tap loop.
   kernel_->fir_n(taps_, padded_, acc_);
 
+  // Normalization shift (wiring) and 16-bit inter-stage register.
   y.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = static_cast<i32>(saturate_to_bits(acc_[i] >> out_shift_, 16));
   }
 
-  ring_carry(st.delay, st.head, x);
-}
-
-std::vector<i32> FirStage::process_block(std::span<const i32> x) {
-  reset();
-  return process_chunk(state_, x);
+  ring_carry(delay_, head_, x);
 }
 
 // --------------------------------------------------------------- SquarerStage
-
-SquarerStage::SquarerStage(int out_shift, arith::ArithmeticUnit& unit)
-    : out_shift_(out_shift),
-      owned_(std::make_unique<arith::UnitKernel>(unit)),
-      kernel_(owned_.get()) {}
-
-i32 SquarerStage::process(i32 x) {
-  const i64 clamped = saturate_to_bits(x, 16);
-  return static_cast<i32>(kernel_->mul(clamped, clamped) >> out_shift_);
-}
 
 void SquarerStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
@@ -118,65 +76,31 @@ void SquarerStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
 
 // ------------------------------------------------------------------- MwiStage
 
-void MwiStage::validate_window(int window) {
-  if (window < 2) throw std::invalid_argument("MwiStage: window must be >= 2");
-  window_ = static_cast<std::size_t>(window);
-  state_ = make_state();
-}
-
 MwiStage::MwiStage(int window, int out_shift, arith::Kernel& kernel)
     : out_shift_(out_shift), kernel_(&kernel) {
-  validate_window(window);
+  if (window < 2) throw std::invalid_argument("MwiStage: window must be >= 2");
+  window_.assign(static_cast<std::size_t>(window), 0);
 }
 
-MwiStage::MwiStage(int window, int out_shift, arith::ArithmeticUnit& unit)
-    : out_shift_(out_shift),
-      owned_(std::make_unique<arith::UnitKernel>(unit)),
-      kernel_(owned_.get()) {
-  validate_window(window);
+void MwiStage::reset() {
+  std::fill(window_.begin(), window_.end(), 0);
+  head_ = 0;
 }
 
-void MwiStage::reset() { state_.reset(); }
-
-i32 MwiStage::process(MwiState& st, i32 x) {
-  st.window[st.head] = x;
-  st.head = (st.head + 1) % st.window.size();
-  // Balanced feed-forward adder tree over the window contents, oldest first;
-  // pairwise reduction order mirrors netlist::build_mwi_stage.
-  std::vector<i64> terms;
-  terms.reserve(st.window.size());
-  std::size_t idx = st.head;  // oldest element
-  for (std::size_t i = 0; i < st.window.size(); ++i) {
-    terms.push_back(st.window[idx]);
-    idx = (idx + 1) % st.window.size();
-  }
-  while (terms.size() > 1) {
-    std::vector<i64> next;
-    next.reserve(terms.size() / 2 + 1);
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-      next.push_back(kernel_->add(terms[i], terms[i + 1]));
-    }
-    if (terms.size() % 2 == 1) next.push_back(terms.back());
-    terms = std::move(next);
-  }
-  return static_cast<i32>(saturate_i32(terms[0] >> out_shift_));
-}
-
-void MwiStage::process_chunk(MwiState& st, std::span<const i32> x, std::vector<i32>& y) {
+void MwiStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
-  const std::size_t w = window_;
+  const std::size_t w = window_.size();
   // History-prefixed input: for output i the window contents oldest-first
   // are term k = padded[i + k] (k = 0..w-1); the first w-1 elements are the
-  // carried window samples oldest-first — the same window the streaming path
-  // continues from (all zeros for a fresh state).
+  // carried window samples oldest-first (all zeros for a fresh state).
   padded_.resize(n + w - 1);
-  ring_history_prefix(st.window, st.head, padded_);
+  ring_history_prefix(window_, head_, padded_);
   for (std::size_t i = 0; i < n; ++i) padded_[w - 1 + i] = x[i];
 
-  // The streaming path's pairwise tree, one add_n per pair per level. Terms
-  // are spans over either the padded input (level 0, leftovers) or buffers
-  // from the scratch pool; pairing order and odd-leftover placement mirror
-  // process() exactly.
+  // The balanced pairwise tree of netlist::build_mwi_stage, one add_n per
+  // pair per level. Terms are spans over either the padded input (level 0,
+  // leftovers) or buffers from the scratch pool; an odd leftover is carried
+  // to the end of the next level.
   std::vector<std::span<const i64>> terms;
   terms.reserve(w);
   for (std::size_t k = 0; k < w; ++k) {
@@ -211,12 +135,7 @@ void MwiStage::process_chunk(MwiState& st, std::span<const i32> x, std::vector<i
     y[i] = static_cast<i32>(saturate_i32(sum[i] >> out_shift_));
   }
 
-  ring_carry(st.window, st.head, x);
-}
-
-std::vector<i32> MwiStage::process_block(std::span<const i32> x) {
-  reset();
-  return process_chunk(state_, x);
+  ring_carry(window_, head_, x);
 }
 
 // ------------------------------------------------------------- StageProcessor
@@ -226,11 +145,11 @@ namespace {
 std::variant<FirStage, SquarerStage, MwiStage> make_stage_impl(Stage s,
                                                                arith::Kernel& kernel) {
   switch (s) {
-    case Stage::Lpf: return FirStage(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, kernel);
-    case Stage::Hpf: return FirStage(dsp::pt::kHpfTaps, dsp::pt::kHpfShift, kernel);
-    case Stage::Der: return FirStage(dsp::pt::kDerTaps, dsp::pt::kDerShift, kernel);
-    case Stage::Sqr: return SquarerStage(dsp::pt::kSqrShift, kernel);
-    case Stage::Mwi: return MwiStage(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, kernel);
+    case Stage::Lpf: return FirStage(kLpfTaps, kLpfShift, kernel);
+    case Stage::Hpf: return FirStage(kHpfTaps, kHpfShift, kernel);
+    case Stage::Der: return FirStage(kDerTaps, kDerShift, kernel);
+    case Stage::Sqr: return SquarerStage(kSqrShift, kernel);
+    case Stage::Mwi: return MwiStage(kMwiWindow, kMwiShift, kernel);
   }
   throw std::invalid_argument("StageProcessor: unknown stage");
 }
@@ -238,7 +157,7 @@ std::variant<FirStage, SquarerStage, MwiStage> make_stage_impl(Stage s,
 }  // namespace
 
 StageProcessor::StageProcessor(Stage s, arith::Kernel& kernel)
-    : stage_(s), impl_(make_stage_impl(s, kernel)) {}
+    : impl_(make_stage_impl(s, kernel)) {}
 
 void StageProcessor::process_chunk(std::span<const i32> x, std::vector<i32>& out) {
   std::visit([&](auto& stage) { stage.process_chunk(x, out); }, impl_);

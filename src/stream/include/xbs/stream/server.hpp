@@ -53,25 +53,24 @@
 /// addresses nothing instead of the slot's new tenant.
 ///
 /// Accounting contract (the "clean ledger"): all SessionStats counters are
-/// cumulative over the slot's provisioning generation — open()/adopt()
-/// zeroes them, reset() carries them (and increments `resets`). chunks_in
-/// counts chunks accepted into the queue; rejected_chunks counts ingest
-/// refusals that never entered it (try_push at the high-water mark, protocol
-/// violations); dropped_chunks counts accepted chunks discarded before
-/// processing (fault/reset queue drops). Whenever a slot is quiescent (no
-/// worker mid-batch): chunks_in == chunks_processed + queued_chunks +
+/// cumulative over the slot's provisioning generation — open() zeroes them,
+/// reset() carries them (and increments `resets`). chunks_in counts chunks
+/// accepted into the queue; rejected_chunks counts ingest refusals that
+/// never entered it (try_push at the high-water mark, protocol violations);
+/// dropped_chunks counts accepted chunks discarded before processing
+/// (fault/reset queue drops). Whenever a slot is quiescent (no worker
+/// mid-batch): chunks_in == chunks_processed + queued_chunks +
 /// dropped_chunks.
 ///
-/// Error isolation: anything a session throws inside a worker — a throwing
-/// user sink, a push on an adopted already-flushed session — and any
-/// protocol violation detected at ingest (a chunk over max_chunk_samples)
-/// quarantines *that* session: state becomes Faulted, the error text is
-/// captured in its stats, its queue is dropped, and pushes are refused until
-/// reset() re-arms or release() retires it. Workers never re-throw, so one
-/// bad stream can neither kill the process nor wedge its worker. A push()
-/// blocked at the high-water mark wakes and returns the refusal reason the
-/// moment its session closes, faults or is released — it never blocks on a
-/// session that can no longer accept.
+/// Error isolation: anything a session throws inside a worker (a throwing
+/// user sink) and any protocol violation detected at ingest (a chunk over
+/// max_chunk_samples) quarantines *that* session: state becomes Faulted, the
+/// error text is captured in its stats, its queue is dropped, and pushes are
+/// refused until reset() re-arms or release() retires it. Workers never
+/// re-throw, so one bad stream can neither kill the process nor wedge its
+/// worker. A push() blocked at the high-water mark wakes and returns the
+/// refusal reason the moment its session closes, faults or is released — it
+/// never blocks on a session that can no longer accept.
 ///
 /// Thread safety: all public methods are safe to call concurrently from any
 /// thread. Per-session event order is preserved (a session is drained by at
@@ -229,7 +228,7 @@ class StreamServer {
     u64 open = 0;      ///< slots currently Open or Draining
     u64 closed = 0;    ///< slots currently Closed (awaiting release)
     u64 faulted = 0;   ///< slots currently quarantined
-    /// Lifetime open()/adopt() count. Counts admissions, not completions:
+    /// Lifetime open() count. Counts admissions, not completions:
     /// an open() that passed admission but then failed slot allocation
     /// (OOM) is included — the value is the generation counter, which must
     /// never run backwards or stale ids could alias a later session.
@@ -258,12 +257,6 @@ class StreamServer {
   /// max_sessions ceiling and propagates Session construction failures
   /// (e.g. invalid DetectorParams) without consuming a slot.
   SessionId open(SessionSpec spec);
-
-  /// Provision a slot with an existing Session (the SessionPool
-  /// compatibility path). The server takes ownership; the session's
-  /// accumulated state is kept as-is (an already-flushed adoptee will fault
-  /// on its first pushed chunk — that is the push-after-flush quarantine).
-  SessionId adopt(std::unique_ptr<Session> session);
 
   /// Borrow a chunk buffer of \p n_samples from the session's ring, blocking
   /// while the queue (plus outstanding loans) sits at the high-water mark.

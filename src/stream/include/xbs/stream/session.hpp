@@ -41,8 +41,7 @@ struct Event {
 };
 
 /// Declarative description of a session: what to compute, what to retain,
-/// where to deliver events. Copyable — a SessionPool stamps N sessions out
-/// of one spec.
+/// where to deliver events. Copyable — one spec can open many sessions.
 struct SessionSpec {
   /// Per-stage arithmetic + detector constants (as for the batch pipeline).
   pantompkins::PipelineConfig config{};
@@ -61,10 +60,10 @@ struct SessionSpec {
 
   /// Optional push-time event sink, invoked for every finalized decision (in
   /// addition to the events returned by push/flush). Called on whichever
-  /// thread drives the session — under a StreamServer/SessionPool that is a
-  /// worker thread, and a sink sharing state across sessions must
-  /// synchronize internally (see server.hpp and README "Serving"). A sink
-  /// that throws quarantines its session when driven by the server.
+  /// thread drives the session — under a StreamServer that is a worker
+  /// thread, and a sink sharing state across sessions must synchronize
+  /// internally (see server.hpp and README "Serving"). A sink that throws
+  /// quarantines its session when driven by the server.
   std::function<void(const Event&)> sink;
 };
 
@@ -80,7 +79,7 @@ struct SessionSpec {
 ///
 /// Sessions are single-consumer objects (one stream each); many sessions run
 /// concurrently on different threads, sharing only the immutable process-wide
-/// multiplier/coefficient LUTs (see SessionPool).
+/// multiplier/coefficient LUTs (see pantompkins::warm_pipeline_tables).
 class Session {
  public:
   explicit Session(SessionSpec spec);

@@ -411,11 +411,6 @@ SessionId StreamServer::open(SessionSpec spec) {
   return provision(std::move(session));
 }
 
-SessionId StreamServer::adopt(std::unique_ptr<Session> session) {
-  if (!session) throw std::invalid_argument("StreamServer::adopt: null session");
-  return provision(std::move(session));
-}
-
 PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, ChunkLoan& out,
                                       bool blocking) {
   const bool oversize =

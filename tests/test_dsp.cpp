@@ -1,28 +1,25 @@
-// Tests for the double-precision DSP reference: FIR engine, frequency
-// responses of the Pan-Tompkins tap sets, reference chain sanity.
+// Tests for the double-precision Pan-Tompkins reference (tests/pt_oracle.hpp):
+// FIR engine, the structure and frequency responses of the integer tap sets,
+// reference chain sanity.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
-#include "xbs/dsp/fir.hpp"
-#include "xbs/dsp/pt_coeffs.hpp"
-#include "xbs/dsp/pt_recursive.hpp"
-#include "xbs/dsp/pt_reference.hpp"
+#include "pt_oracle.hpp"
+#include "xbs/pantompkins/stages.hpp"
 
-namespace xbs::dsp {
+namespace xbs::oracle {
 namespace {
 
-std::vector<double> norm_taps(std::span<const int> taps, double gain) {
-  std::vector<double> out;
-  for (const int t : taps) out.push_back(t / gain);
-  return out;
-}
+using pantompkins::kDerTaps;
+using pantompkins::kHpfTaps;
+using pantompkins::kLpfTaps;
 
 TEST(Fir, ImpulseResponseIsTaps) {
-  FirFilter f({0.5, -0.25, 0.125});
-  std::vector<double> x = {1, 0, 0, 0};
-  const auto y = f.filter(x);
+  const std::vector<double> taps = {0.5, -0.25, 0.125};
+  const std::vector<double> x = {1, 0, 0, 0};
+  const auto y = fir_filter(taps, x);
   EXPECT_DOUBLE_EQ(y[0], 0.5);
   EXPECT_DOUBLE_EQ(y[1], -0.25);
   EXPECT_DOUBLE_EQ(y[2], 0.125);
@@ -30,55 +27,45 @@ TEST(Fir, ImpulseResponseIsTaps) {
 }
 
 TEST(Fir, StepResponseConvergesToTapSum) {
-  FirFilter f({0.2, 0.2, 0.2, 0.2, 0.2});
-  double y = 0;
-  for (int i = 0; i < 10; ++i) y = f.process(1.0);
-  EXPECT_NEAR(y, 1.0, 1e-12);
+  const std::vector<double> taps(5, 0.2);
+  const auto y = fir_filter(taps, std::vector<double>(10, 1.0));
+  EXPECT_NEAR(y.back(), 1.0, 1e-12);
 }
-
-TEST(Fir, ResetClearsState) {
-  FirFilter f({1.0, 1.0});
-  (void)f.process(5.0);
-  f.reset();
-  EXPECT_DOUBLE_EQ(f.process(1.0), 1.0);
-}
-
-TEST(Fir, EmptyTapsThrow) { EXPECT_THROW(FirFilter({}), std::invalid_argument); }
 
 TEST(PtCoeffs, LpfStructureMatchesPaper) {
   // 11 taps, triangular, 10 adders / 11 multipliers / 10 registers (§2).
-  EXPECT_EQ(pt::kLpfTaps.size(), 11u);
+  EXPECT_EQ(kLpfTaps.size(), 11u);
   int sum = 0;
-  for (const int t : pt::kLpfTaps) sum += t;
+  for (const int t : kLpfTaps) sum += t;
   EXPECT_EQ(sum, 36);  // DC gain before the >>5 normalization
   // Triangular symmetry.
-  for (std::size_t i = 0; i < pt::kLpfTaps.size(); ++i) {
-    EXPECT_EQ(pt::kLpfTaps[i], pt::kLpfTaps[pt::kLpfTaps.size() - 1 - i]);
+  for (std::size_t i = 0; i < kLpfTaps.size(); ++i) {
+    EXPECT_EQ(kLpfTaps[i], kLpfTaps[kLpfTaps.size() - 1 - i]);
   }
 }
 
 TEST(PtCoeffs, HpfStructureMatchesPaper) {
   // 32 non-zero taps -> 32 multipliers, 31 adders (§4.2); zero DC gain.
-  EXPECT_EQ(pt::kHpfTaps.size(), 32u);
+  EXPECT_EQ(kHpfTaps.size(), 32u);
   int nonzero = 0, sum = 0;
-  for (const int t : pt::kHpfTaps) {
+  for (const int t : kHpfTaps) {
     nonzero += (t != 0) ? 1 : 0;
     sum += t;
   }
   EXPECT_EQ(nonzero, 32);
   EXPECT_EQ(sum, 0);  // perfect DC rejection
-  EXPECT_EQ(pt::kHpfTaps[16], 31);
+  EXPECT_EQ(kHpfTaps[16], 31);
 }
 
 TEST(PtCoeffs, DerCoefficientMagnitudes) {
   // Magnitudes 2 and 1 only (§4.2).
-  for (const int t : pt::kDerTaps) EXPECT_LE(std::abs(t), 2);
-  EXPECT_EQ(pt::kDerTaps[0], 2);
-  EXPECT_EQ(pt::kDerTaps[4], -2);
+  for (const int t : kDerTaps) EXPECT_LE(std::abs(t), 2);
+  EXPECT_EQ(kDerTaps[0], 2);
+  EXPECT_EQ(kDerTaps[4], -2);
 }
 
 TEST(FrequencyResponse, LpfPassesLowBlocksHigh) {
-  const auto taps = norm_taps(pt::kLpfTaps, 36.0);
+  const auto taps = normalized_taps(kLpfTaps, 36.0);
   const double dc = magnitude_response(taps, 0.0, 200.0);
   const double at5 = magnitude_response(taps, 5.0, 200.0);
   const double at40 = magnitude_response(taps, 40.0, 200.0);
@@ -88,14 +75,14 @@ TEST(FrequencyResponse, LpfPassesLowBlocksHigh) {
 }
 
 TEST(FrequencyResponse, HpfBlocksDcAndBaselineWander) {
-  const auto taps = norm_taps(pt::kHpfTaps, 32.0);
+  const auto taps = normalized_taps(kHpfTaps, 32.0);
   EXPECT_NEAR(magnitude_response(taps, 0.0, 200.0), 0.0, 1e-12);
   EXPECT_LT(magnitude_response(taps, 0.3, 200.0), 0.12);  // baseline wander
   EXPECT_GT(magnitude_response(taps, 8.0, 200.0), 0.8);   // QRS band
 }
 
 TEST(FrequencyResponse, DifferentiatorIsLinearInLowBand) {
-  const auto taps = norm_taps(pt::kDerTaps, 8.0);
+  const auto taps = normalized_taps(kDerTaps, 8.0);
   // |H(f)| approximately proportional to f in the low band (the response
   // flattens toward 30 Hz, so test well inside the linear region).
   const double h5 = magnitude_response(taps, 5.0, 200.0);
@@ -121,57 +108,5 @@ TEST(Reference, ChainShapesSane) {
   EXPECT_GT(lpf_rms, 10.0 * hpf_rms);  // HPF attenuates 2 Hz strongly
 }
 
-TEST(Reference, PipelineDelayConstant) {
-  EXPECT_DOUBLE_EQ(pt::kPipelineDelay, 5.0 + 15.5 + 2.0 + 14.5);
-}
-
-TEST(FirStreaming, ChunkedFilterBitIdenticalToBatchAndScalar) {
-  FirFilter f(norm_taps(pt::kLpfTaps, 36.0));
-  std::vector<double> x;
-  for (int i = 0; i < 500; ++i) {
-    x.push_back(std::sin(2.0 * std::numbers::pi * 7.0 * i / 200.0) + 0.2 * std::cos(0.11 * i));
-  }
-  const auto batch = f.filter(x);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{13}, std::size_t{128}}) {
-    FirFilterState st = f.make_state();
-    std::vector<double> streamed;
-    for (std::size_t at = 0; at < x.size(); at += chunk) {
-      const auto len = std::min(chunk, x.size() - at);
-      const auto y = f.filter_chunk(st, std::span<const double>(x).subspan(at, len));
-      streamed.insert(streamed.end(), y.begin(), y.end());
-    }
-    EXPECT_EQ(streamed, batch) << "chunk " << chunk;
-  }
-  // Scalar streaming via the same explicit state matches too.
-  FirFilterState st = f.make_state();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_DOUBLE_EQ(f.process(st, x[i]), batch[i]) << i;
-  }
-}
-
-TEST(PtRecursiveStreaming, ChunkedRecursiveFiltersMatchWholeRecord) {
-  std::vector<double> x;
-  for (int i = 0; i < 400; ++i) {
-    x.push_back(std::sin(2.0 * std::numbers::pi * 5.0 * i / 200.0) + 0.1 * i / 400.0);
-  }
-  const auto lpf_batch = pt_recursive_lpf(x);
-  const auto hpf_batch = pt_recursive_hpf(x);
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{17}, std::size_t{100}}) {
-    PtRecursiveLpf::State lst = PtRecursiveLpf::make_state();
-    PtRecursiveHpf::State hst = PtRecursiveHpf::make_state();
-    std::vector<double> lpf, hpf;
-    for (std::size_t at = 0; at < x.size(); at += chunk) {
-      const auto len = std::min(chunk, x.size() - at);
-      const auto span = std::span<const double>(x).subspan(at, len);
-      const auto l = PtRecursiveLpf::process_chunk(lst, span);
-      const auto h = PtRecursiveHpf::process_chunk(hst, span);
-      lpf.insert(lpf.end(), l.begin(), l.end());
-      hpf.insert(hpf.end(), h.begin(), h.end());
-    }
-    EXPECT_EQ(lpf, lpf_batch) << "chunk " << chunk;
-    EXPECT_EQ(hpf, hpf_batch) << "chunk " << chunk;
-  }
-}
-
 }  // namespace
-}  // namespace xbs::dsp
+}  // namespace xbs::oracle

@@ -1,17 +1,20 @@
 // Property tests: the batched kernels (exact and approximate backends) are
 // bit-identical to the legacy scalar ExactUnit/ApproxUnit datapath across
 // random operands and every (AdderKind, MultKind, approx_lsbs) combination,
-// and the stage block transforms are bit-identical to streaming the same
-// samples through the scalar path — including operation counts.
+// and the stage chunk transforms are bit-identical to streaming the same
+// samples through the per-sample scalar oracle (pt_oracle.hpp) — including
+// operation counts.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "pt_oracle.hpp"
 #include "xbs/arith/kernel.hpp"
 #include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
-#include "xbs/dsp/pt_coeffs.hpp"
+#include "xbs/core/paper_configs.hpp"
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
 #include "xbs/pantompkins/stages.hpp"
@@ -151,50 +154,63 @@ std::vector<i32> sample_signal(std::size_t n, u64 seed) {
   return x;
 }
 
+/// Continue \p stage one sample per chunk over \p tail: its outputs.
+template <typename StageT>
+std::vector<i32> continue_per_sample(StageT& stage, std::span<const i32> tail) {
+  std::vector<i32> out, y;
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    stage.process_chunk(tail.subspan(i, 1), y);
+    out.push_back(y.front());
+  }
+  return out;
+}
+
 class StageBlockEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(StageBlockEquivalence, FirBlockMatchesStreaming) {
   const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(GetParam());
   const std::vector<i32> x = sample_signal(900, 3);
+  const std::vector<i32> tail = {1000, -2000, 3000};
 
   arith::ApproxUnit scalar_unit(cfg);
-  FirStage scalar(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, scalar_unit);
-  std::vector<i32> want;
+  oracle::ScalarFirStage scalar(kLpfTaps, kLpfShift, scalar_unit);
+  std::vector<i32> want, want_tail;
   for (const i32 v : x) want.push_back(scalar.process(v));
 
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
-  FirStage block(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, *kernel);
-  const std::vector<i32> got = block.process_block(x);
+  FirStage block(kLpfTaps, kLpfShift, *kernel);
+  std::vector<i32> got;
+  block.process_chunk(x, got);
 
   EXPECT_EQ(got, want);
   EXPECT_EQ(kernel->counts(), scalar_unit.counts());
 
   // The block transform leaves the stage in streaming state: continuing
-  // sample-by-sample must agree with the pure streaming run.
-  for (const i32 v : {1000, -2000, 3000}) {
-    EXPECT_EQ(block.process(v), scalar.process(v));
-  }
+  // sample by sample must agree with the pure streaming run.
+  for (const i32 v : tail) want_tail.push_back(scalar.process(v));
+  EXPECT_EQ(continue_per_sample(block, tail), want_tail);
 }
 
 TEST_P(StageBlockEquivalence, MwiBlockMatchesStreaming) {
   const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(GetParam());
   std::vector<i32> x = sample_signal(500, 4);
   for (i32& v : x) v = v < 0 ? -v : v;  // MWI input (squared signal) is non-negative
+  const std::vector<i32> tail = {500, 700, 900};
 
   arith::ApproxUnit scalar_unit(cfg);
-  MwiStage scalar(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, scalar_unit);
-  std::vector<i32> want;
+  oracle::ScalarMwiStage scalar(kMwiWindow, kMwiShift, scalar_unit);
+  std::vector<i32> want, want_tail;
   for (const i32 v : x) want.push_back(scalar.process(v));
 
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
-  MwiStage block(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, *kernel);
-  const std::vector<i32> got = block.process_block(x);
+  MwiStage block(kMwiWindow, kMwiShift, *kernel);
+  std::vector<i32> got;
+  block.process_chunk(x, got);
 
   EXPECT_EQ(got, want);
   EXPECT_EQ(kernel->counts(), scalar_unit.counts());
-  for (const i32 v : {500, 700, 900}) {
-    EXPECT_EQ(block.process(v), scalar.process(v));
-  }
+  for (const i32 v : tail) want_tail.push_back(scalar.process(v));
+  EXPECT_EQ(continue_per_sample(block, tail), want_tail);
 }
 
 TEST_P(StageBlockEquivalence, SquarerBlockMatchesStreaming) {
@@ -202,23 +218,27 @@ TEST_P(StageBlockEquivalence, SquarerBlockMatchesStreaming) {
   const std::vector<i32> x = sample_signal(600, 5);
 
   arith::ApproxUnit scalar_unit(cfg);
-  SquarerStage scalar(dsp::pt::kSqrShift, scalar_unit);
+  oracle::ScalarSquarerStage scalar(kSqrShift, scalar_unit);
   std::vector<i32> want;
   for (const i32 v : x) want.push_back(scalar.process(v));
 
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
-  SquarerStage block(dsp::pt::kSqrShift, *kernel);
-  EXPECT_EQ(block.process_block(x), want);
+  SquarerStage block(kSqrShift, *kernel);
+  std::vector<i32> got;
+  block.process_chunk(x, got);
+  EXPECT_EQ(got, want);
   EXPECT_EQ(kernel->counts(), scalar_unit.counts());
 }
 
 INSTANTIATE_TEST_SUITE_P(Lsbs, StageBlockEquivalence, ::testing::Values(0, 4, 10));
 
-TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
+class PipelineBlockEquivalence : public ::testing::TestWithParam<core::NamedConfig> {};
+
+TEST_P(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
   // End-to-end: the block pipeline must equal streaming every stage sample
-  // by sample through scalar units — the legacy datapath, reconstructed.
+  // by sample through the scalar oracle — the legacy datapath, reconstructed.
   const auto rec = ecg::nsrdb_like_digitized(0, 4000);
-  const auto cfg = PipelineConfig::from_lsbs({10, 12, 2, 8, 16});
+  const auto cfg = PipelineConfig::from_lsbs(GetParam().lsbs);
 
   const PanTompkinsPipeline pipe(cfg);
   const PipelineResult block = pipe.run_filters(rec.adu);
@@ -232,11 +252,11 @@ TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
       units[static_cast<std::size_t>(s)] = std::make_unique<arith::ApproxUnit>(sc);
     }
   }
-  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, *units[0]);
-  FirStage hpf(dsp::pt::kHpfTaps, dsp::pt::kHpfShift, *units[1]);
-  FirStage der(dsp::pt::kDerTaps, dsp::pt::kDerShift, *units[2]);
-  SquarerStage sqr(dsp::pt::kSqrShift, *units[3]);
-  MwiStage mwi(dsp::pt::kMwiWindow, dsp::pt::kMwiShift, *units[4]);
+  oracle::ScalarFirStage lpf(kLpfTaps, kLpfShift, *units[0]);
+  oracle::ScalarFirStage hpf(kHpfTaps, kHpfShift, *units[1]);
+  oracle::ScalarFirStage der(kDerTaps, kDerShift, *units[2]);
+  oracle::ScalarSquarerStage sqr(kSqrShift, *units[3]);
+  oracle::ScalarMwiStage mwi(kMwiWindow, kMwiShift, *units[4]);
 
   for (std::size_t i = 0; i < rec.adu.size(); ++i) {
     const i32 a = lpf.process(rec.adu[i]);
@@ -256,6 +276,12 @@ TEST(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
         << to_string(kAllStages[static_cast<std::size_t>(s)]);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Fig12, PipelineBlockEquivalence,
+                         ::testing::ValuesIn(core::fig12_b_configs()),
+                         [](const ::testing::TestParamInfo<core::NamedConfig>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace xbs::pantompkins

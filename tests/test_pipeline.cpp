@@ -2,7 +2,6 @@
 // approximate arithmetic.
 #include <gtest/gtest.h>
 
-#include "xbs/dsp/pt_coeffs.hpp"
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/metrics/peaks.hpp"
 #include "xbs/pantompkins/pipeline.hpp"

@@ -1,18 +1,17 @@
 // Equivalence tests: the original recursive (IIR) Pan & Tompkins 1985 filter
 // forms vs the FIR expansions the paper's hardware implements. This pins the
-// FIR tap derivation (pt_coeffs.hpp) to the original publication.
+// FIR tap derivation (xbs/pantompkins/stages.hpp) to the original publication.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 #include <vector>
 
+#include "pt_oracle.hpp"
 #include "xbs/common/rng.hpp"
-#include "xbs/dsp/fir.hpp"
-#include "xbs/dsp/pt_coeffs.hpp"
-#include "xbs/dsp/pt_recursive.hpp"
+#include "xbs/pantompkins/stages.hpp"
 
-namespace xbs::dsp {
+namespace xbs::oracle {
 namespace {
 
 std::vector<double> random_signal(std::size_t n, u64 seed) {
@@ -34,8 +33,7 @@ TEST(PtRecursive, LpfEquivalentToTriangularFir) {
   // H(z) = (1 - z^-6)^2 / (1 - z^-1)^2 == [1,2,3,4,5,6,5,4,3,2,1].
   const auto x = random_signal(2000, 11);
   const auto iir = pt_recursive_lpf(x);
-  FirFilter fir(unnormalized_taps(pt::kLpfTaps));
-  const auto fir_y = fir.filter(x);
+  const auto fir_y = fir_filter(unnormalized_taps(pantompkins::kLpfTaps), x);
   ASSERT_EQ(iir.size(), fir_y.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(iir[i], fir_y[i], 1e-6 * std::max(1.0, std::abs(fir_y[i]))) << i;
@@ -47,8 +45,7 @@ TEST(PtRecursive, HpfEquivalentToAllpassMinusMa) {
   //   == 32 x[n-16] - sum_{i=0..31} x[n-i]  (the kHpfTaps FIR).
   const auto x = random_signal(2000, 12);
   const auto iir = pt_recursive_hpf(x);
-  FirFilter fir(unnormalized_taps(pt::kHpfTaps));
-  const auto fir_y = fir.filter(x);
+  const auto fir_y = fir_filter(unnormalized_taps(pantompkins::kHpfTaps), x);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(iir[i], fir_y[i], 1e-5 * std::max(1.0, std::abs(fir_y[i]))) << i;
   }
@@ -67,4 +64,4 @@ TEST(PtRecursive, HpfRejectsDc) {
 }
 
 }  // namespace
-}  // namespace xbs::dsp
+}  // namespace xbs::oracle

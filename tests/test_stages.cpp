@@ -4,13 +4,21 @@
 #include <cmath>
 #include <numbers>
 
+#include "pt_oracle.hpp"
+#include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
-#include "xbs/dsp/pt_coeffs.hpp"
-#include "xbs/dsp/pt_reference.hpp"
 #include "xbs/pantompkins/stages.hpp"
 
 namespace xbs::pantompkins {
 namespace {
+
+/// One chunk through \p stage: the outputs for \p x.
+template <typename StageT>
+std::vector<i32> run(StageT& stage, std::vector<i32> x) {
+  std::vector<i32> y;
+  stage.process_chunk(x, y);
+  return y;
+}
 
 TEST(Inventory, MatchesPaperCounts) {
   EXPECT_EQ(stage_inventory(Stage::Lpf).n_adders, 10);
@@ -32,84 +40,81 @@ TEST(Inventory, MatchesPaperCounts) {
 TEST(FirStage, MatchesDoubleReferenceWithinQuantization) {
   // Exact-datapath LPF vs the double-precision reference (gain 36 vs >>5):
   // outputs must track within integer truncation error of the shift.
-  arith::ExactUnit unit;
-  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, unit);
+  arith::ExactKernel kernel;
+  FirStage lpf(kLpfTaps, kLpfShift, kernel);
   std::vector<double> x;
+  std::vector<i32> adu;
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
     x.push_back(8000.0 * std::sin(2.0 * std::numbers::pi * 3.0 * i / 200.0) +
                 rng.gaussian(0.0, 500.0));
+    adu.push_back(static_cast<i32>(std::lround(x.back())));
   }
-  const auto ref = dsp::pt_reference_chain(x);
+  const auto ref = oracle::pt_reference_chain(x);
+  const std::vector<i32> fixed = run(lpf, adu);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const i32 fixed = lpf.process(static_cast<i32>(std::lround(x[i])));
     const double expect = ref.lpf[i] * 36.0 / 32.0;  // reference uses /36, hw >>5
-    EXPECT_NEAR(fixed, expect, 2.0) << i;
+    EXPECT_NEAR(fixed[i], expect, 2.0) << i;
   }
 }
 
 TEST(FirStage, OutputSaturatesTo16Bit) {
-  arith::ExactUnit unit;
-  FirStage lpf(dsp::pt::kLpfTaps, dsp::pt::kLpfShift, unit);
-  i32 y = 0;
-  for (int i = 0; i < 30; ++i) y = lpf.process(32767);  // step of full-scale
-  EXPECT_EQ(y, 32767);  // 36*32767>>5 would exceed: must clamp
+  arith::ExactKernel kernel;
+  FirStage lpf(kLpfTaps, kLpfShift, kernel);
+  // A full-scale step: 36*32767>>5 would exceed the register, so it clamps.
+  EXPECT_EQ(run(lpf, std::vector<i32>(30, 32767)).back(), 32767);
 }
 
 TEST(FirStage, ZeroTapsSkipped) {
-  arith::ExactUnit unit;
-  FirStage der(dsp::pt::kDerTaps, dsp::pt::kDerShift, unit);
-  for (int i = 0; i < 100; ++i) (void)der.process(1000);
+  arith::ExactKernel kernel;
+  FirStage der(kDerTaps, kDerShift, kernel);
+  (void)run(der, std::vector<i32>(100, 1000));
   // 4 non-zero taps -> 4 multiplies, 3 adds per sample.
-  EXPECT_EQ(unit.counts().mults, 400u);
-  EXPECT_EQ(unit.counts().adds, 300u);
+  EXPECT_EQ(kernel.counts().mults, 400u);
+  EXPECT_EQ(kernel.counts().adds, 300u);
 }
 
 TEST(FirStage, ResetRestoresInitialState) {
-  arith::ExactUnit unit;
-  FirStage f(dsp::pt::kDerTaps, dsp::pt::kDerShift, unit);
-  const i32 first = f.process(5000);
-  (void)f.process(-3000);
+  arith::ExactKernel kernel;
+  FirStage f(kDerTaps, kDerShift, kernel);
+  const std::vector<i32> first = run(f, {5000, -3000});
+  (void)run(f, {700, 800});
   f.reset();
-  EXPECT_EQ(f.process(5000), first);
+  EXPECT_EQ(run(f, {5000, -3000}), first);
+}
+
+TEST(FirStage, EmptyTapsThrow) {
+  arith::ExactKernel kernel;
+  EXPECT_THROW(FirStage({}, 0, kernel), std::invalid_argument);
 }
 
 TEST(Squarer, SquaresAndShifts) {
-  arith::ExactUnit unit;
-  SquarerStage sqr(dsp::pt::kSqrShift, unit);
-  EXPECT_EQ(sqr.process(100), (100 * 100) >> dsp::pt::kSqrShift);
-  EXPECT_EQ(sqr.process(-100), (100 * 100) >> dsp::pt::kSqrShift);  // always positive
-  EXPECT_EQ(sqr.process(0), 0);
-  // Saturating clamp on the 16-bit input port.
-  EXPECT_EQ(sqr.process(100000), (i64{32767} * 32767) >> dsp::pt::kSqrShift);
+  arith::ExactKernel kernel;
+  SquarerStage sqr(kSqrShift, kernel);
+  // Always positive, with a saturating clamp on the 16-bit input port.
+  const std::vector<i32> want = {(100 * 100) >> kSqrShift, (100 * 100) >> kSqrShift, 0,
+                                 static_cast<i32>((i64{32767} * 32767) >> kSqrShift)};
+  EXPECT_EQ(run(sqr, {100, -100, 0, 100000}), want);
 }
 
 TEST(Mwi, MatchesRunningSumShifted) {
-  arith::ExactUnit unit;
-  MwiStage mwi(4, 2, unit);  // window 4, >>2 == /4 exactly
-  const std::vector<i32> xs = {4, 8, 12, 16, 20, 24};
-  std::vector<i32> got;
-  for (const i32 x : xs) got.push_back(mwi.process(x));
+  arith::ExactKernel kernel;
+  MwiStage mwi(4, 2, kernel);  // window 4, >>2 == /4 exactly
   // Window contents: {4}, {4,8}, {4,8,12}, {4..16}, {8..20}, {12..24}.
-  EXPECT_EQ(got[0], 1);
-  EXPECT_EQ(got[1], 3);
-  EXPECT_EQ(got[2], 6);
-  EXPECT_EQ(got[3], 10);
-  EXPECT_EQ(got[4], 14);
-  EXPECT_EQ(got[5], 18);
+  EXPECT_EQ(run(mwi, {4, 8, 12, 16, 20, 24}), (std::vector<i32>{1, 3, 6, 10, 14, 18}));
 }
 
 TEST(Mwi, AdderOnlyOpCounts) {
-  arith::ExactUnit unit;
-  MwiStage mwi(30, dsp::pt::kMwiShift, unit);
-  for (int i = 0; i < 10; ++i) (void)mwi.process(100);
-  EXPECT_EQ(unit.counts().mults, 0u);
-  EXPECT_EQ(unit.counts().adds, 290u);  // 29 adds per sample
+  arith::ExactKernel kernel;
+  MwiStage mwi(kMwiWindow, kMwiShift, kernel);
+  (void)run(mwi, std::vector<i32>(10, 100));
+  EXPECT_EQ(kernel.counts().mults, 0u);
+  EXPECT_EQ(kernel.counts().adds, 290u);  // 29 adds per sample
 }
 
 TEST(Mwi, InvalidWindowThrows) {
-  arith::ExactUnit unit;
-  EXPECT_THROW(MwiStage(1, 0, unit), std::invalid_argument);
+  arith::ExactKernel kernel;
+  EXPECT_THROW(MwiStage(1, 0, kernel), std::invalid_argument);
 }
 
 TEST(ApproxUnitVsExact, IdenticalAtZeroLsbs) {

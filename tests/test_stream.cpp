@@ -1,8 +1,8 @@
 // Streaming session API tests: chunk invariance (any chunking of a record
 // through stream::Session is bit-identical to the whole-record batch
-// pipeline), online event semantics, parameter validation, the multi-session
-// SessionPool drive, and the StreamServer serving layer (session lifecycle,
-// backpressure, fault isolation / quarantine).
+// pipeline), online event semantics, parameter validation, and the
+// StreamServer serving layer (session lifecycle, backpressure, fault
+// isolation / quarantine).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,7 +20,6 @@
 #include "xbs/core/paper_configs.hpp"
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
-#include "xbs/stream/pool.hpp"
 #include "xbs/stream/server.hpp"
 #include "xbs/stream/session.hpp"
 
@@ -274,38 +273,6 @@ TEST(StreamSession, OpsAccountingMatchesBatch) {
   EXPECT_EQ(s.total_ops(), batch.total_ops());
   EXPECT_GT(s.total_ops().adds, 0u);
   EXPECT_GT(s.total_ops().mults, 0u);
-}
-
-TEST(SessionPool, ConcurrentSessionsBitIdenticalToBatch) {
-  constexpr std::size_t kSessions = 6;
-  std::vector<std::vector<i32>> feeds;
-  std::vector<std::vector<std::size_t>> expected_peaks;
-  SessionSpec spec;
-  spec.config = PipelineConfig::from_lsbs({10, 12, 2, 8, 16});
-  const PanTompkinsPipeline batch(spec.config);
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    auto rec = ecg::nsrdb_like_digitized(static_cast<int>(i), 4000);
-    expected_peaks.push_back(batch.run(rec.adu).detection.peaks);
-    feeds.push_back(std::move(rec.adu));
-  }
-
-  SessionPool pool(spec, kSessions);
-  const auto stats = pool.drive(feeds, /*chunk_size=*/64, /*threads=*/3);
-
-  EXPECT_EQ(stats.sessions, kSessions);
-  EXPECT_EQ(stats.threads, 3u);
-  u64 total_samples = 0;
-  for (const auto& f : feeds) total_samples += f.size();
-  EXPECT_EQ(stats.samples, total_samples);
-  EXPECT_GT(stats.beats, 0u);
-  EXPECT_GE(stats.p99_chunk_s, stats.p50_chunk_s);
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    EXPECT_EQ(pool.session(i).detection().peaks, expected_peaks[i]) << "session " << i;
-  }
-
-  // drive() is one-shot: a second call must refuse cleanly (not terminate
-  // inside a worker thread).
-  EXPECT_THROW((void)pool.drive(feeds, 64, 3), std::logic_error);
 }
 
 TEST(StreamSession, ResetBehavesLikeAFreshSession) {
@@ -625,27 +592,41 @@ TEST(StreamServer, StaleIdsAndSlotReuse) {
   EXPECT_EQ(server.close(second), SessionState::Closed);
 }
 
-TEST(StreamServer, PushAfterFlushOnAdoptedSessionQuarantines) {
-  // An adopted session that was already flushed is the push-after-flush
-  // hazard: pre-server, Session::push would throw std::logic_error straight
-  // through a worker thread (std::terminate). Now it must quarantine.
-  auto session = std::make_unique<Session>(SessionSpec{});
-  (void)session->push(std::vector<i32>(64, 0));
-  (void)session->flush();
+TEST(StreamServer, ResetReleasesQuarantine) {
+  // reset() re-arms a Faulted slot: after a protocol violation (a chunk over
+  // max_chunk_samples) quarantines the session, the same slot returns to
+  // Open, streams a clean record bit-identical to an undisturbed run, and
+  // carries no error.
+  constexpr std::size_t kChunk = 64;
+  const auto rec = ecg::nsrdb_like_digitized(2, 3000);
+  const std::vector<Event> want = one_shot_events(SessionSpec{}, rec.adu, kChunk);
+  ASSERT_FALSE(want.empty());
 
-  StreamServer server({.max_sessions = 1, .workers = 1});
-  const SessionId id = server.adopt(std::move(session));
-  EXPECT_EQ(server.push(id, std::vector<i32>(16, 0)), PushResult::Ok);  // queued
-  EXPECT_EQ(server.close(id), SessionState::Faulted);
-  const auto st = server.session_stats(id);
-  EXPECT_NE(st.error.find("push after flush"), std::string::npos) << st.error;
+  StreamServer server({.max_sessions = 1,
+                       .max_chunk_samples = kChunk,
+                       .workers = 1,
+                       .event_queue_capacity = 1024});
+  const SessionId id = server.open(SessionSpec{});
+  EXPECT_EQ(server.push(id, std::vector<i32>(kChunk, 0)), PushResult::Ok);
+  EXPECT_EQ(server.push(id, std::vector<i32>(kChunk + 1, 0)), PushResult::Faulted);
+  auto st = server.session_stats(id);
+  EXPECT_EQ(st.state, SessionState::Faulted);
+  EXPECT_NE(st.error.find("max_chunk_samples"), std::string::npos) << st.error;
+  EXPECT_EQ(server.push(id, std::vector<i32>(kChunk, 0)), PushResult::Faulted);
 
-  // reset() releases the quarantine: the same slot streams a fresh record.
   ASSERT_TRUE(server.reset(id));
-  EXPECT_EQ(server.session_stats(id).state, SessionState::Open);
-  EXPECT_EQ(server.push(id, std::vector<i32>(64, 1)), PushResult::Ok);
+  st = server.session_stats(id);
+  EXPECT_EQ(st.state, SessionState::Open);
+  EXPECT_TRUE(st.error.empty()) << st.error;
+  for (std::size_t at = 0; at < rec.adu.size(); at += kChunk) {
+    const std::size_t len = std::min(kChunk, rec.adu.size() - at);
+    ASSERT_EQ(server.push(id, std::span<const i32>(rec.adu).subspan(at, len)), PushResult::Ok);
+  }
   EXPECT_EQ(server.close(id), SessionState::Closed);
   EXPECT_TRUE(server.session_stats(id).error.empty());
+  std::vector<Event> got;
+  (void)server.drain_events(id, got);
+  expect_same_events(got, want, "after quarantine reset");
 }
 
 TEST(StreamServer, ChurnReprovisionsSlotsWhileOthersStream) {
@@ -1344,30 +1325,6 @@ TEST(StreamSession, WarmStartVsColdResetAtTheSessionLevel) {
     cold_beats += ev.is_beat() ? 1 : 0;
   }
   EXPECT_EQ(cold_beats, 0u);  // back in the training window
-}
-
-TEST(SessionPool, DriveSurvivesAThrowingSinkEverywhere) {
-  // Pre-server, a throwing sink inside drive()'s workers was
-  // std::terminate. Now every session quarantines individually and drive()
-  // still returns with honest stats.
-  constexpr std::size_t kSessions = 3;
-  std::vector<std::vector<i32>> feeds;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    feeds.push_back(ecg::nsrdb_like_digitized(static_cast<int>(i), 3000).adu);
-  }
-  SessionSpec spec;
-  spec.sink = [](const Event&) { throw std::runtime_error("sink boom"); };
-  SessionPool pool(spec, kSessions);
-  const auto stats = pool.drive(feeds, /*chunk_size=*/64, /*threads=*/2);
-  EXPECT_EQ(stats.faulted_sessions, kSessions);
-  EXPECT_EQ(stats.closed_sessions, 0u);
-  EXPECT_GT(stats.dropped_chunks, 0u);
-  EXPECT_LT(stats.samples, 3u * 3000u);  // every feed was cut short
-
-  // The one-shot guard must hold even though no session ever flushed
-  // (faulted sessions don't): a second drive refuses instead of
-  // re-quarantining everything with push-after-flush noise.
-  EXPECT_THROW((void)pool.drive(feeds, 64, 2), std::logic_error);
 }
 
 TEST(DetectorParamsValidation, RejectsNonPositiveRatesAndNegativeWindows) {
