@@ -12,8 +12,8 @@
 //   ./bench_net_throughput [--clients N] [--samples M] [--chunk C]
 //                          [--shards S] [--workers W]
 //
-// Fork-before-threads is load-bearing: the NetServer (epoll loop + pump
-// threads) is constructed only after every fork, so no child ever inherits a
+// Fork-before-threads is load-bearing: the NetServer (epoll loop + stream
+// workers) is constructed only after every fork, so no child ever inherits a
 // half-alive thread's state. The children connect before the server exists —
 // the already-listening socket's backlog holds them until the loop starts.
 //

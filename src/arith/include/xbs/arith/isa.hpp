@@ -94,7 +94,7 @@ IsaSelection force_kernel_isa_auto();
 /// kernel construction (see ApproxKernel::AddFastPath in kernel.hpp).
 struct WiredAddParams {
   int width = 32;        ///< adder width w
-  int approx_bits = 0;   ///< k: approximate LSB region, in [1, w]
+  int approx_bits = 0;   ///< k: approximate LSB region, in [0, w] (0 = exact add)
   bool sum_is_b = true;  ///< AMA5 low sum = B; AMA4 low sum = NOT A
   bool negate_b = false; ///< subtract path: B arrives one's-complemented
 };

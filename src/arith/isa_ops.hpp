@@ -26,7 +26,8 @@ XBS_NO_SANITIZE_INTEGER [[nodiscard]] inline i64 wired_add_one(
     return static_cast<i64>((low ^ sbit) - sbit);
   }
   const u64 low = (sum_is_b ? ub : ~ua) & low_mask(k);
-  const u64 carry = (ua >> (k - 1)) & 1u;
+  // k = 0: no approximate region, so no carry out of it (carry-in 0).
+  const u64 carry = k > 0 ? (ua >> (k - 1)) & 1u : 0u;
   const u64 hi = ((ua >> k) + (ub >> k) + carry) & low_mask(w - k);
   const u64 r = (hi << k) | low;
   return static_cast<i64>((r ^ sbit) - sbit);

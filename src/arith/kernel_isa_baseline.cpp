@@ -46,12 +46,16 @@ XBS_NO_SANITIZE_INTEGER void wired_add_loop(const i64* a, const i64* b, i64* out
   }
   const u64 kmask = low_mask(k);
   const u64 himask = low_mask(w - k);
+  // k = 0 has no approximate region and so no carry out of it: carry-in 0,
+  // what the vector tiers' out-of-range shift count yields.
+  const int cshift = k > 0 ? k - 1 : 0;
+  const u64 cmask = k > 0 ? 1u : 0u;
   for (std::size_t i = 0; i < n; ++i) {
     const u64 ua = static_cast<u64>(a[i]) & wmask;
     u64 ub = static_cast<u64>(b[i]) & wmask;
     if (kNegateB) ub = ~ub & wmask;
     const u64 low = (kSumIsB ? ub : ~ua) & kmask;
-    const u64 carry = (ua >> (k - 1)) & 1u;
+    const u64 carry = (ua >> cshift) & cmask;
     const u64 hi = ((ua >> k) + (ub >> k) + carry) & himask;
     const u64 r = (hi << k) | low;
     out[i] = static_cast<i64>((r ^ sbit) - sbit);
@@ -92,11 +96,13 @@ XBS_NO_SANITIZE_INTEGER void wired_mac_loop(const i64* XBS_RESTRICT table, u64 m
   }
   const u64 kmask = low_mask(k);
   const u64 himask = low_mask(w - k);
+  const int cshift = k > 0 ? k - 1 : 0;  // k = 0: carry-in 0, as in wired_add_loop
+  const u64 cmask = k > 0 ? 1u : 0u;
   for (std::size_t i = 0; i < n; ++i) {
     const u64 ua = static_cast<u64>(acc[i]) & wmask;
     const u64 ub = static_cast<u64>(table[static_cast<u64>(x[i]) & mask]) & wmask;
     const u64 low = (kSumIsB ? ub : ~ua) & kmask;
-    const u64 carry = (ua >> (k - 1)) & 1u;
+    const u64 carry = (ua >> cshift) & cmask;
     const u64 hi = ((ua >> k) + (ub >> k) + carry) & himask;
     const u64 r = (hi << k) | low;
     acc[i] = static_cast<i64>((r ^ sbit) - sbit);

@@ -25,8 +25,8 @@
 ///
 ///   | rank | level        | locks at this level                              |
 ///   |-----:|--------------|--------------------------------------------------|
-///   |   10 | net-conn     | `net::NetServer` registry + per-connection
-///   |      |              | egress/command locks                             |
+///   |   10 | net-conn     | `net::NetServer` registry + completion-notify
+///   |      |              | list locks                                       |
 ///   |   20 | shard        | `stream::StreamServer` shard locks, the explore
 ///   |      |              | `WorkerPool` coordination lock                   |
 ///   |   30 | slot         | explore per-worker work-stealing queue locks     |
@@ -102,7 +102,7 @@ namespace xbs::common {
 /// future level can slot in between without renumbering.
 enum class LockRank : int {
   kUnranked = -1,   ///< exempt from ordering (leaf locks in tests/tools only)
-  kNetConn = 10,    ///< net front door: registry + per-connection locks
+  kNetConn = 10,    ///< net front door: registry + completion-notify list
   kShard = 20,      ///< stream shard locks, explore pool coordination
   kSlot = 30,       ///< explore per-worker stealing-queue locks
   kTableCache = 40, ///< process-wide LUT/model/dispatch caches

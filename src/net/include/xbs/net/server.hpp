@@ -6,21 +6,29 @@
 /// without giving up its zero-copy contract: a CHUNK frame's samples are
 /// read off the socket *directly into* a StreamServer buffer loan
 /// (socket -> loan.data() -> commit — no intermediate copy anywhere), and
-/// finalized detector events stream back to the client as EVENT frames fed
-/// by the blocking drain_events() overload, so the egress path sleeps
-/// instead of polling.
+/// finalized detector events stream back to the client as EVENT frames as
+/// soon as the stream layer names their session, so egress neither polls
+/// nor sleeps on a timer.
 ///
-/// Threading model (one listener, C connections):
-///   - one *event-loop* thread owns the listening socket, every connection
-///     fd, all epoll state and all socket reads/writes. It never blocks:
-///     chunk ingest uses try_acquire_buffer, and a session at its high-water
-///     mark parks the connection (EPOLLIN off — TCP backpressure reaches the
-///     client) and retries on a millisecond tick;
-///   - one *egress pump* thread per connection idles in the stream layer's
-///     blocking drain, encodes EVENT frames into the connection's bounded
-///     out-buffer and wakes the loop via an eventfd to flush them. DRAIN /
-///     CLOSE / RESET commands also execute on the pump (they can legally
-///     wait on the stream layer), keeping the loop wait-free.
+/// Threading model (one listener, C connections): one *event-loop* thread
+/// owns the listening socket, every connection fd, all epoll state, every
+/// out-buffer and all socket reads/writes; the front door runs no other
+/// thread. The loop never blocks:
+///   - chunk ingest uses try_acquire_buffer; a session at its high-water
+///     mark parks the connection (EPOLLIN off — TCP backpressure reaches
+///     the client) and retries on a millisecond tick;
+///   - DRAIN, CLOSE, RESET and the disconnect park use only non-blocking
+///     stream calls (drain_events, close_start, reset_start). The stream
+///     workers' completion hook (StreamServer::Options::notify) appends the
+///     session to one pending list and writes an eventfd; the loop then
+///     sends the session's EVENT frames and the pending reply in the same
+///     wake-up. A DRAIN that waits for its first event is a deadline folded
+///     into the epoll_wait timeout;
+///   - each connection has at most one control operation in flight. A
+///     further control frame pauses reading that connection until it
+///     completes, so replies keep request order; CHUNKs keep flowing while
+///     a DRAIN or RESET waits. A connection that drops mid-operation still
+///     completes the operation's registry transition.
 ///
 /// The front door owns serving policy, not the stream layer:
 ///   - *admission with LRU eviction*: where StreamServer::open() throws at
@@ -48,6 +56,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "xbs/common/sync.hpp"
 #include "xbs/net/protocol.hpp"
@@ -76,6 +85,7 @@ class NetServer {
     /// The embedded stream layer's configuration. event_queue_capacity must
     /// be > 0 (the egress path needs pull-model events); the constructor
     /// raises a zero to a default rather than serving an event-less wire.
+    /// The notify hook is the front door's own: one set here is replaced.
     stream::StreamServer::Options stream{};
   };
 
@@ -109,13 +119,13 @@ class NetServer {
 
   [[nodiscard]] Stats stats() const noexcept;
 
-  /// Stop accepting, close every connection (their sessions park warm), join
-  /// all threads. Idempotent; the destructor calls it.
+  /// Stop accepting, close every connection (their sessions park warm) and
+  /// join the loop thread. Idempotent; the destructor calls it.
   void stop();
 
  private:
   struct Conn;
-  struct Cmd;
+  using SessionStats = stream::StreamServer::SessionStats;
 
   // --- event-loop thread ---
   void loop();
@@ -129,20 +139,38 @@ class NetServer {
   bool start_discard(Conn& c);
   void finish_chunk(Conn& c);
   bool protocol_fatal(Conn& c, WireError code, std::string_view message);
-  void push_cmd(Conn& c, Cmd cmd);
+  // Control operations: start, then finish inline or when the stream layer
+  // names the session (service) or a DRAIN deadline passes (serve_timers).
+  void start_drain(Conn& c, u32 timeout_ms);
+  void start_close(Conn& c);
+  void start_reset(Conn& c, bool warm);
+  void start_park(Conn& c);
+  void finish_drain(Conn& c);
+  void finish_close(Conn& c);
+  void finish_reset(Conn& c, const SessionStats& ss);
+  void finish_park(Conn& c, bool alive);
+  void serve_notified();
+  void service(Conn& c);
+  void settle(Conn& c);
+  void serve_timers();
+  [[nodiscard]] int next_timeout_ms() const;
+  void arm_timer(Conn& c);
+  std::size_t forward_events(Conn& c);
+  void send_stats(Conn& c, StatsAck ack, const SessionStats& ss);
+  void send_error(Conn& c, WireError code, std::string_view message);
+  void queued_control(Conn& c, std::size_t mark);
+  void mark_dirty(Conn& c);
   void flush_out(Conn& c);
+  void set_reading(Conn& c);
   void update_epoll(Conn& c);
   void kill_conn(Conn& c, bool flush_first);
-  void reap_graveyard(bool wait_all);
+  void unmap(Conn& c);
+  void retire(Conn& c);
+  void end_iteration();
+  [[nodiscard]] Conn* live(u64 key) const;
+  [[nodiscard]] StatsFrame make_stats(const Conn& c, StatsAck ack, const SessionStats& ss) const;
 
-  // --- pump thread (one per connection) ---
-  void pump_loop(Conn& c);
-  void pump_park(Conn& c, u64 token, stream::SessionId sid);
-  StatsFrame make_stats(const Conn& c, StatsAck ack, stream::SessionId sid) const;
-
-  // --- either thread ---
-  void send_frame(Conn& c, const std::vector<u8>& bytes, std::size_t n_events);
-  void send_error(Conn& c, WireError code, std::string_view message);
+  // --- any thread ---
   void wake_loop();
 
   // --- registry (reg_mu_) ---
@@ -156,17 +184,41 @@ class NetServer {
       XBS_EXCLUDES(reg_mu_);
   bool evict_one_locked() XBS_REQUIRES(reg_mu_);
 
+  /// Where the stream layer's completion hook lands, from worker (and
+  /// producer) threads: one pending list the loop takes on each wake-up.
+  /// Rank kNetConn; never held with reg_mu_. Declared before stream_ so it
+  /// outlives the workers that call it.
+  struct Notify {
+    common::Mutex mu{common::LockRank::kNetConn};
+    std::vector<stream::SessionId> ids XBS_GUARDED_BY(mu);
+    int fd XBS_GUARDED_BY(mu) = -1;  ///< the loop's eventfd; -1 = disarmed
+    /// Append \p id; write the eventfd only when the list was empty.
+    void post(stream::SessionId id) XBS_EXCLUDES(mu);
+  };
+
   Options opts_;
+  Notify notify_;
   stream::StreamServer stream_;
   u16 port_ = 0;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: pumps (and stop()) nudge the loop
+  int wake_fd_ = -1;  ///< eventfd: the completion hook (and stop()) nudge the loop
   std::atomic<bool> stop_{false};
   std::thread loop_thread_;
 
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;   ///< loop thread only
-  std::vector<std::unique_ptr<Conn>> graveyard_;           ///< loop thread only
+  // Loop thread only.
+  /// By epoll key (never reused, unlike fd numbers). Includes closed
+  /// connections whose control operation has not landed yet.
+  std::unordered_map<u64, std::unique_ptr<Conn>> conns_;
+  /// Session slot -> the connection it serves (its CLOSE or park may still
+  /// be landing).
+  std::unordered_map<std::size_t, Conn*> by_slot_;
+  std::vector<u64> timed_;    ///< stalled connections and DRAIN deadlines
+  std::vector<u64> dirty_;    ///< connections with output to flush this wake-up
+  std::vector<u64> retired_;  ///< connections to destroy at the end of this wake-up
+  std::vector<stream::SessionId> notified_;
+  std::vector<stream::Event> evs_;
+  u64 next_key_ = 2;  ///< 0 and 1 key the listener and the eventfd
 
   /// Rank kNetConn: the front door's locks sit at the bottom of the
   /// hierarchy — admit() calls into the stream layer (shard locks, rank

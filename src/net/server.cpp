@@ -13,15 +13,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
 namespace xbs::net {
 
-using namespace std::chrono_literals;
-
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /// Control (non-CHUNK) payloads are all tiny fixed layouts; anything bigger
 /// than this is hostile even when it fits the frame bound.
@@ -30,13 +29,24 @@ constexpr std::size_t kMaxControlPayload = 4096;
 /// frame bound (1024 * 72B + 8B header comfortably under 1 MiB).
 constexpr std::size_t kMaxEventsPerFrame = 1024;
 /// Upper bound the server enforces on DRAIN waits, so a hostile timeout
-/// cannot wedge a pump thread for minutes.
+/// cannot hold a connection's replies for minutes.
 constexpr u32 kMaxDrainTimeoutMs = 5000;
+/// epoll keys of the listener and the eventfd; connections count up from 2.
+constexpr u64 kListenKey = 0;
+constexpr u64 kWakeKey = 1;
 
-stream::StreamServer::Options normalize(stream::StreamServer::Options so) {
+stream::StreamServer::Options normalize(stream::StreamServer::Options so,
+                                        std::function<void(stream::SessionId)> notify) {
   // The wire has no event path without pull-model egress: raise a zero.
   if (so.event_queue_capacity == 0) so.event_queue_capacity = 1024;
+  so.notify = std::move(notify);  // the egress path: the front door owns the hook
   return so;
+}
+
+/// A state in which the session can land nothing more.
+bool terminal(stream::SessionState st) {
+  return st == stream::SessionState::Closed || st == stream::SessionState::Faulted ||
+         st == stream::SessionState::Empty;
 }
 
 void set_nonblocking(int fd) {
@@ -60,21 +70,12 @@ struct NetServer::StatsAtomics {
   std::atomic<u64> bytes_out{0};
 };
 
-/// Loop -> pump commands (executed in arrival order, so an Attach from a
-/// re-OPEN always lands after the Close/Park of the previous record).
-struct NetServer::Cmd {
-  enum class Kind { Attach, Drain, Close, Reset, Park };
-  Kind kind = Kind::Attach;
-  stream::SessionId sid{};
-  u64 token = 0;
-  u32 timeout_ms = 0;
-  bool warm = false;
-};
-
+/// One client connection. Event-loop thread only.
 struct NetServer::Conn {
+  u64 key = 0;  ///< epoll key
   int fd = -1;
 
-  // Receive state machine — event-loop thread only.
+  // Receive state machine.
   enum class Rx { Header, Payload, Chunk, Discard };
   Rx rx = Rx::Header;
   std::array<u8, kHeaderBytes> hdr_raw{};
@@ -86,42 +87,45 @@ struct NetServer::Conn {
   std::size_t chunk_samples = 0;
   stream::ChunkLoan loan;  ///< armed while a CHUNK payload lands in place
   bool hello_done = false;
-  bool has_session = false;
+  bool has_session = false;  ///< CHUNK/DRAIN/RESET address `sid`
   u64 token = 0;
-  stream::SessionId sid{};
-  bool stalled = false;  ///< session at its high-water mark: EPOLLIN off
-  bool dead = false;
+  stream::SessionId sid{};  ///< the session served (still set while its CLOSE lands)
+  bool stalled = false;     ///< session at its high-water mark: reading paused
+  bool held = false;        ///< a control frame waits for `op`: reading paused
+  bool dead = false;        ///< socket shut; kept only until `op` lands
   bool epoll_in = true;
   bool epoll_out = false;
+  bool timed = false;  ///< listed in timed_
+  bool dirty = false;  ///< listed in dirty_
 
-  // Egress buffer — shared between the loop (flush) and the pump (append).
-  // Rank kNetConn, like every front-door lock; out_mu, cmd_mu and the
-  // registry lock are never held together (same-rank nesting asserts in
-  // Debug), they just all sit below the stream layer's shard locks.
-  common::Mutex out_mu{common::LockRank::kNetConn};
-  std::vector<u8> out XBS_GUARDED_BY(out_mu);
-  std::size_t out_off XBS_GUARDED_BY(out_mu) = 0;
-  std::atomic<bool> kill_requested{false};
+  // The one control operation in flight.
+  enum class Op { None, Drain, Close, Reset, Park };
+  Op op = Op::None;
+  u64 op_resets = 0;             ///< Reset/Park: SessionStats::resets before the start
+  Clock::time_point deadline{};  ///< Drain: when it acks without an event
 
-  // Command queue + pump lifecycle.
-  common::Mutex cmd_mu{common::LockRank::kNetConn};
-  common::CondVar cmd_cv;
-  std::deque<Cmd> cmds XBS_GUARDED_BY(cmd_mu);
-  std::atomic<bool> pump_stop{false};
-  std::atomic<bool> pump_done{false};
-  std::thread pump;
+  std::vector<u8> out;  ///< egress bytes not yet taken by the socket
+  std::size_t out_off = 0;
 
   // Per-connection counters (surfaced in STATS frames).
-  std::atomic<u64> n_events_sent{0};
-  std::atomic<u64> n_events_shed{0};
-  std::atomic<u64> n_bytes_in{0};
-  std::atomic<u64> n_bytes_out{0};
+  u64 events_sent = 0;
+  u64 events_shed = 0;
+  u64 bytes_in = 0;
+  u64 bytes_out = 0;
+
+  Conn() = default;
+  Conn(const Conn&) = delete;
+  Conn& operator=(const Conn&) = delete;
+  ~Conn() {
+    if (fd >= 0) ::close(fd);
+  }
 };
 
 // ------------------------------------------------------------- construction
 
 NetServer::NetServer(Options opts)
-    : opts_(std::move(opts)), stream_(normalize(opts_.stream)) {
+    : opts_(std::move(opts)),
+      stream_(normalize(opts_.stream, [n = &notify_](stream::SessionId id) { n->post(id); })) {
   stats_ = std::make_unique<StatsAtomics>();
   auto fail = [&](const char* what) {
     if (listen_fd_ >= 0) ::close(listen_fd_);
@@ -163,10 +167,14 @@ NetServer::NetServer(Options opts)
   if (wake_fd_ < 0) fail("eventfd");
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
+  ev.data.u64 = kListenKey;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) fail("epoll add");
-  ev.data.fd = wake_fd_;
+  ev.data.u64 = kWakeKey;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) fail("epoll add");
+  {
+    const common::MutexLock lock(notify_.mu);
+    notify_.fd = wake_fd_;  // armed: completions now reach the loop
+  }
 
   loop_thread_ = std::thread([this] { loop(); });
 }
@@ -177,8 +185,14 @@ void NetServer::stop() {
   // Owner-thread lifecycle call (the destructor path); not for concurrent use.
   if (!stop_.exchange(true)) wake_loop();
   if (loop_thread_.joinable()) loop_thread_.join();
-  // Post-join: every thread that could write wake_fd_ (the loop, the pumps
-  // it joined before exiting, the wake in this call) happens-before here.
+  // The stream workers outlive this call (they stop with stream_) and may
+  // still fire the hook: disarm it before the eventfd closes, so the hook
+  // never writes to a closed — or recycled — descriptor.
+  {
+    const common::MutexLock lock(notify_.mu);
+    notify_.fd = -1;
+    notify_.ids.clear();
+  }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -188,6 +202,17 @@ void NetServer::stop() {
 void NetServer::wake_loop() {
   const u64 one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
+}
+
+void NetServer::Notify::post(stream::SessionId id) {
+  const common::MutexLock lock(mu);
+  if (fd < 0) return;  // not serving (yet, or any more)
+  ids.push_back(id);
+  if (ids.size() == 1) {
+    // Written under the lock: stop() cannot close the fd in between.
+    const u64 one = 1;
+    [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof one);
+  }
 }
 
 NetServer::Stats NetServer::stats() const noexcept {
@@ -277,278 +302,69 @@ bool NetServer::evict_one_locked() {
   return true;
 }
 
-// -------------------------------------------------------------------- egress
-
-void NetServer::send_frame(Conn& c, const std::vector<u8>& bytes, std::size_t n_events) {
-  bool kill = false;
-  {
-    const common::MutexLock lock(c.out_mu);
-    const std::size_t pending = c.out.size() - c.out_off;
-    if (n_events > 0 && pending + bytes.size() > opts_.egress_buffer_bytes) {
-      // Slow-reader shedding: whole EVENT frames drop (frames must never
-      // tear), counted instead of growing the buffer without bound.
-      c.n_events_shed.fetch_add(n_events, std::memory_order_relaxed);
-      stats_->events_shed.fetch_add(n_events, std::memory_order_relaxed);
-      return;
-    }
-    if (n_events == 0 && pending + bytes.size() > 2 * opts_.egress_buffer_bytes) {
-      kill = true;  // cannot even absorb control replies: broken reader
-    } else {
-      c.out.insert(c.out.end(), bytes.begin(), bytes.end());
-      if (n_events > 0) {
-        c.n_events_sent.fetch_add(n_events, std::memory_order_relaxed);
-        stats_->events_sent.fetch_add(n_events, std::memory_order_relaxed);
-      }
-    }
-  }
-  if (kill) c.kill_requested.store(true, std::memory_order_relaxed);
-  wake_loop();
-}
-
-void NetServer::send_error(Conn& c, WireError code, std::string_view message) {
-  std::vector<u8> buf;
-  encode_error(buf, code, message);
-  send_frame(c, buf, 0);
-}
-
-StatsFrame NetServer::make_stats(const Conn& c, StatsAck ack, stream::SessionId sid) const {
-  StatsFrame f;
-  f.ack = ack;
-  const auto ss = stream_.session_stats(sid);  // Empty defaults for a stale id
-  f.session_state = static_cast<u8>(ss.state);
-  f.chunks_in = ss.chunks_in;
-  f.chunks_processed = ss.chunks_processed;
-  f.rejected_chunks = ss.rejected_chunks;
-  f.dropped_chunks = ss.dropped_chunks;
-  f.samples = ss.samples;
-  f.events = ss.events;
-  f.beats = ss.beats;
-  f.events_queued = ss.events_queued;
-  f.events_dropped = ss.events_dropped;
-  f.resets = ss.resets;
-  f.net_events_sent = c.n_events_sent.load(std::memory_order_relaxed);
-  f.net_events_shed = c.n_events_shed.load(std::memory_order_relaxed);
-  f.net_bytes_in = c.n_bytes_in.load(std::memory_order_relaxed);
-  f.net_bytes_out = c.n_bytes_out.load(std::memory_order_relaxed);
-  return f;
-}
-
-// ---------------------------------------------------------------- pump thread
-
-void NetServer::pump_loop(Conn& c) {
-  bool attached = false;
-  bool idle = false;  // session terminal: stop draining until a command
-  stream::SessionId sid{};
-  u64 token = 0;
-  std::vector<stream::Event> evs;
-  std::vector<u8> frame;
-  auto send_events = [&](std::vector<stream::Event>& batch) {
-    for (std::size_t i = 0; i < batch.size(); i += kMaxEventsPerFrame) {
-      const std::size_t n = std::min(kMaxEventsPerFrame, batch.size() - i);
-      frame.clear();
-      encode_events(frame, std::span<const stream::Event>(batch).subspan(i, n));
-      send_frame(c, frame, n);
-    }
-  };
-  auto send_stats = [&](StatsAck ack, stream::SessionId id) {
-    frame.clear();
-    encode_stats(frame, make_stats(c, ack, id));
-    send_frame(c, frame, 0);
-  };
-  while (true) {
-    Cmd cmd;
-    bool have = false;
-    {
-      common::MutexLock lock(c.cmd_mu);
-      if (!c.cmds.empty()) {
-        cmd = c.cmds.front();
-        c.cmds.pop_front();
-        have = true;
-      } else if (c.pump_stop.load(std::memory_order_relaxed)) {
-        break;
-      } else if (!attached || idle) {
-        c.cmd_cv.wait_for(lock, 50ms);
-        continue;
-      }
-    }
-    if (have) {
-      switch (cmd.kind) {
-        case Cmd::Kind::Attach:
-          attached = true;
-          idle = false;
-          sid = cmd.sid;
-          token = cmd.token;
-          break;
-        case Cmd::Kind::Drain: {
-          if (!attached) break;
-          evs.clear();
-          if (cmd.timeout_ms > 0) {
-            (void)stream_.drain_events(
-                sid, evs,
-                std::chrono::milliseconds(std::min(cmd.timeout_ms, kMaxDrainTimeoutMs)));
-          } else {
-            (void)stream_.drain_events(sid, evs);
-          }
-          send_events(evs);
-          send_stats(StatsAck::Drain, sid);
-          break;
-        }
-        case Cmd::Kind::Close: {
-          if (!attached) break;
-          (void)stream_.close(sid);  // waits for the drain + flush to land
-          evs.clear();
-          (void)stream_.drain_events(sid, evs);  // the flush tail
-          send_events(evs);
-          // The ack is built before the slot becomes evictable (eviction
-          // releases it) but sent only after: a client that OPENs on the
-          // ack must find the slot reclaimable.
-          frame.clear();
-          encode_stats(frame, make_stats(c, StatsAck::Close, sid));
-          {
-            const common::MutexLock lock(reg_mu_);
-            auto it = registry_.find(token);
-            if (it != registry_.end() && it->second.st == TokenState::Attached &&
-                it->second.sid == sid) {
-              // Closed-but-unreleased: inspectable/evictable until an OPEN
-              // reuses the token or LRU admission reclaims the slot.
-              it->second.st = TokenState::ClosedKept;
-              it->second.lru_seq = ++lru_counter_;
-            }
-          }
-          send_frame(c, frame, 0);
-          attached = false;
-          break;
-        }
-        case Cmd::Kind::Reset: {
-          if (!attached) break;
-          const bool ok = stream_.reset(sid, cmd.warm
-                                                 ? pantompkins::WarmStart::KeepThresholds
-                                                 : pantompkins::WarmStart::Cold);
-          if (ok) {
-            idle = false;
-            send_stats(StatsAck::Reset, sid);
-          } else {
-            send_error(c, WireError::Refused, "RESET: session no longer exists");
-          }
-          break;
-        }
-        case Cmd::Kind::Park:
-          if (attached) {
-            pump_park(c, token, sid);
-            attached = false;
-          }
-          break;
-      }
-      continue;
-    }
-    // Attached and live: sleep in the stream layer until events arrive (the
-    // blocking drain — no spin-polling), then stream them out.
-    evs.clear();
-    if (stream_.drain_events(sid, evs, 20ms) > 0) {
-      send_events(evs);
-      continue;
-    }
-    // Timed out — or the session went terminal, which returns 0 immediately
-    // and would otherwise busy-spin this thread.
-    const auto st = stream_.session_stats(sid).state;
-    if (st == stream::SessionState::Closed || st == stream::SessionState::Faulted ||
-        st == stream::SessionState::Empty) {
-      idle = true;
-    }
-  }
-  c.pump_done.store(true, std::memory_order_release);
-  wake_loop();  // the reaper notices promptly
-}
-
-void NetServer::pump_park(Conn& c, u64 token, stream::SessionId sid) {
-  (void)c;
-  // Disconnect -> warm park: the detector's trained thresholds survive for
-  // the client's reconnect (OPEN with the same token resumes them).
-  const bool ok = stream_.reset(sid, pantompkins::WarmStart::KeepThresholds);
-  const common::MutexLock lock(reg_mu_);
-  auto it = registry_.find(token);
-  if (it == registry_.end() || it->second.st != TokenState::Attached ||
-      !(it->second.sid == sid)) {
-    return;
-  }
-  if (ok) {
-    it->second.st = TokenState::Parked;
-    it->second.lru_seq = ++lru_counter_;
-    stats_->parked.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    registry_.erase(it);  // released under us: nothing left to resume
-  }
-}
-
-// ----------------------------------------------------------- event-loop thread
+// ----------------------------------------------------------------- event loop
 
 void NetServer::loop() {
   std::array<epoll_event, 64> events{};
   while (!stop_.load(std::memory_order_relaxed)) {
-    bool any_stalled = false;
-    for (const auto& [fd, c] : conns_) {
-      if (c->stalled) {
-        any_stalled = true;
-        break;
-      }
-    }
-    // A stalled connection retries its acquire on a millisecond tick; the
-    // graveyard is swept on a slower one; otherwise sleep long (every state
-    // change that matters also writes the eventfd).
-    const int timeout_ms = any_stalled ? 1 : (graveyard_.empty() ? 200 : 10);
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
+    const int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
+                               next_timeout_ms());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
+      const u64 key = events[i].data.u64;
       const u32 flags = events[i].events;
-      if (fd == listen_fd_) {
+      if (key == kListenKey) {
         accept_ready();
         continue;
       }
-      if (fd == wake_fd_) {
+      if (key == kWakeKey) {
         u64 v = 0;
         while (::read(wake_fd_, &v, sizeof v) > 0) {
         }
+        serve_notified();
         continue;
       }
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // killed earlier in this batch
-      Conn& c = *it->second;
-      if ((flags & EPOLLIN) != 0) read_ready(c);
-      if (!c.dead && (flags & EPOLLOUT) != 0) flush_out(c);
-      if (!c.dead && (flags & (EPOLLHUP | EPOLLERR)) != 0) kill_conn(c, false);
+      Conn* c = live(key);
+      if (c == nullptr) continue;  // killed earlier in this batch
+      if ((flags & EPOLLIN) != 0) read_ready(*c);
+      if (!c->dead && (flags & EPOLLOUT) != 0) flush_out(*c);
+      if (!c->dead && (flags & (EPOLLHUP | EPOLLERR)) != 0) kill_conn(*c, false);
     }
-    // Housekeeping sweep: pump-requested kills, pending egress, stall
-    // retries. Connection counts are small; the scan is cheaper than
-    // tracking dirtiness per wakeup source.
-    std::vector<Conn*> sweep;
-    sweep.reserve(conns_.size());
-    for (const auto& [fd, c] : conns_) sweep.push_back(c.get());
-    for (Conn* c : sweep) {
-      if (c->dead) continue;
-      if (c->kill_requested.load(std::memory_order_relaxed)) {
-        kill_conn(*c, true);
-        continue;
-      }
-      if (c->stalled) (void)try_start_chunk(*c);
-      if (!c->dead) flush_out(*c);
-    }
-    reap_graveyard(false);
+    serve_timers();
+    end_iteration();
   }
-  // Shutdown: every connection closes (sessions park warm) and every pump
-  // joins before the embedded StreamServer is torn down.
-  std::vector<Conn*> all;
-  all.reserve(conns_.size());
-  for (const auto& [fd, c] : conns_) all.push_back(c.get());
-  for (Conn* c : all) kill_conn(*c, false);
-  reap_graveyard(true);
-  // The fds are closed by stop() after this thread joins: wake_loop() may
-  // still be mid-write on another thread, and closing under it would race
-  // (worse, the fd number could be recycled).
+  // Shutdown: every connection closes and its session starts parking warm.
+  // Operations still landing are abandoned with the server.
+  for (const auto& [key, c] : conns_) {
+    if (!c->dead) kill_conn(*c, false);
+  }
+  conns_.clear();
+  by_slot_.clear();
+  timed_.clear();
+  dirty_.clear();
+  retired_.clear();
+}
+
+NetServer::Conn* NetServer::live(u64 key) const {
+  const auto it = conns_.find(key);
+  return it == conns_.end() || it->second->dead ? nullptr : it->second.get();
+}
+
+void NetServer::end_iteration() {
+  // One send per connection per wake-up: the EVENT frames and the control
+  // reply that completed in it leave together.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    if (Conn* c = live(dirty_[i])) {
+      c->dirty = false;
+      flush_out(*c);
+    }
+  }
+  dirty_.clear();
+  for (const u64 key : retired_) conns_.erase(key);  // closes the fd
+  retired_.clear();
 }
 
 void NetServer::accept_ready() {
@@ -558,17 +374,13 @@ void NetServer::accept_ready() {
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto conn = std::make_unique<Conn>();
-    Conn& c = *conn;
-    c.fd = fd;
+    conn->key = next_key_++;
+    conn->fd = fd;
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    c.pump = std::thread([this, &c] { pump_loop(c); });
-    conns_.emplace(fd, std::move(conn));
+    ev.data.u64 = conn->key;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) continue;  // ~Conn closes fd
+    conns_.emplace(conn->key, std::move(conn));
     stats_->accepted.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -577,16 +389,26 @@ void NetServer::update_epoll(Conn& c) {
   if (c.dead) return;
   epoll_event ev{};
   ev.events = (c.epoll_in ? EPOLLIN : 0u) | (c.epoll_out ? EPOLLOUT : 0u);
-  ev.data.fd = c.fd;
+  ev.data.u64 = c.key;
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
 }
+
+void NetServer::set_reading(Conn& c) {
+  const bool want = !c.stalled && !c.held;
+  if (want != c.epoll_in) {
+    c.epoll_in = want;
+    update_epoll(c);
+  }
+}
+
+// ------------------------------------------------------------------- ingest
 
 void NetServer::read_ready(Conn& c) {
   // Budgeted so one flooding connection cannot starve the others; the
   // level-triggered EPOLLIN re-fires for the remainder.
   std::size_t budget = 256 * 1024;
   u8 scratch[4096];
-  while (!c.dead && !c.stalled && budget > 0) {
+  while (!c.dead && !c.stalled && !c.held && budget > 0) {
     ssize_t r = 0;
     switch (c.rx) {
       case Conn::Rx::Header:
@@ -658,7 +480,7 @@ void NetServer::read_ready(Conn& c) {
 }
 
 void NetServer::count_in(Conn& c, std::size_t n) {
-  c.n_bytes_in.fetch_add(n, std::memory_order_relaxed);
+  c.bytes_in += n;
   stats_->bytes_in.fetch_add(n, std::memory_order_relaxed);
 }
 
@@ -721,21 +543,16 @@ bool NetServer::try_start_chunk(Conn& c) {
   stream::ChunkLoan loan;
   const stream::PushResult r = stream_.try_acquire_buffer(c.sid, c.chunk_samples, loan);
   if (r == stream::PushResult::QueueFull) {
-    // High-water mark: park the connection (EPOLLIN off, so TCP backpressure
+    // High-water mark: stop reading the connection (so TCP backpressure
     // reaches the client) and retry on the loop's millisecond tick. Each
     // failed attempt counts in the session's rejected_chunks — documented.
-    if (!c.stalled) {
-      c.stalled = true;
-      c.epoll_in = false;
-      update_epoll(c);
-    }
+    c.stalled = true;
+    set_reading(c);
+    arm_timer(c);
     return true;
   }
-  if (c.stalled) {
-    c.stalled = false;
-    c.epoll_in = true;
-    update_epoll(c);
-  }
+  c.stalled = false;
+  set_reading(c);
   if (r == stream::PushResult::Ok) {
     c.loan = std::move(loan);
     if (c.hdr.payload_len == 0) {
@@ -748,7 +565,7 @@ bool NetServer::try_start_chunk(Conn& c) {
   }
   send_error(c, WireError::Refused,
              std::string("chunk refused: ") + stream::to_string(r));
-  return start_discard(c);
+  return !c.dead && start_discard(c);
 }
 
 bool NetServer::start_discard(Conn& c) {
@@ -764,24 +581,24 @@ bool NetServer::start_discard(Conn& c) {
 void NetServer::finish_chunk(Conn& c) {
   chunk_payload_to_samples(c.loan.data());  // no-op on little-endian hosts
   const stream::PushResult r = stream_.commit(c.loan);
+  c.rx = Conn::Rx::Header;
   if (r != stream::PushResult::Ok) {
     // The session closed/faulted/reset between acquire and commit: the
     // samples were discarded by the stream layer; tell the client once.
     send_error(c, WireError::Refused,
                std::string("chunk discarded: ") + stream::to_string(r));
   }
-  c.rx = Conn::Rx::Header;
-}
-
-void NetServer::push_cmd(Conn& c, Cmd cmd) {
-  {
-    const common::MutexLock lock(c.cmd_mu);
-    c.cmds.push_back(cmd);
-  }
-  c.cmd_cv.notify_all();
 }
 
 bool NetServer::handle_frame(Conn& c) {
+  if (c.op != Conn::Op::None) {
+    // One control operation in flight per connection: this frame — and
+    // everything behind it — waits until that one completes, so replies
+    // keep request order without a command queue.
+    c.held = true;
+    set_reading(c);
+    return true;
+  }
   const std::span<const u8> p(c.payload);
   switch (c.hdr.type) {
     case FrameType::Hello: {
@@ -789,11 +606,8 @@ bool NetServer::handle_frame(Conn& c) {
       const WireError e = decode_hello(p, h);
       if (e != WireError::None) return protocol_fatal(c, e, "bad HELLO");
       c.hello_done = true;
-      std::vector<u8> buf;
-      encode_stats(buf, make_stats(c, StatsAck::Hello,
-                                   c.has_session ? c.sid : stream::SessionId{}));
-      send_frame(c, buf, 0);
-      return true;
+      send_stats(c, StatsAck::Hello, c.has_session ? stream_.session_stats(c.sid) : SessionStats{});
+      break;
     }
     case FrameType::Open: {
       OpenFrame f;
@@ -801,23 +615,21 @@ bool NetServer::handle_frame(Conn& c) {
       if (e != WireError::None) return protocol_fatal(c, e, "bad OPEN");
       if (c.has_session) {
         send_error(c, WireError::SessionExists, "connection already has a session");
-        return true;
+        break;
       }
       stream::SessionId sid{};
       StatsAck ack = StatsAck::Open;
       const WireError ae = admit(f, sid, ack);
       if (ae != WireError::None) {
         send_error(c, ae, "OPEN refused");
-        return true;
+        break;
       }
       c.has_session = true;
       c.token = f.token;
       c.sid = sid;
-      push_cmd(c, Cmd{Cmd::Kind::Attach, sid, f.token, 0, false});
-      std::vector<u8> buf;
-      encode_stats(buf, make_stats(c, ack, sid));
-      send_frame(c, buf, 0);
-      return true;
+      by_slot_[sid.slot] = &c;
+      send_stats(c, ack, stream_.session_stats(sid));
+      break;
     }
     case FrameType::Drain: {
       DrainFrame f;
@@ -825,22 +637,19 @@ bool NetServer::handle_frame(Conn& c) {
       if (e != WireError::None) return protocol_fatal(c, e, "bad DRAIN");
       if (!c.has_session) {
         send_error(c, WireError::NoSession, "DRAIN without an open session");
-        return true;
+        break;
       }
-      push_cmd(c, Cmd{Cmd::Kind::Drain, c.sid, c.token, f.timeout_ms, false});
-      return true;
+      start_drain(c, f.timeout_ms);
+      break;
     }
     case FrameType::Close: {
       if (!p.empty()) return protocol_fatal(c, WireError::Malformed, "bad CLOSE");
       if (!c.has_session) {
         send_error(c, WireError::NoSession, "CLOSE without an open session");
-        return true;
+        break;
       }
-      push_cmd(c, Cmd{Cmd::Kind::Close, c.sid, c.token, 0, false});
-      // The connection can OPEN a fresh session right away; the pump's
-      // command order keeps the records serialized.
-      c.has_session = false;
-      return true;
+      start_close(c);
+      break;
     }
     case FrameType::Reset: {
       ResetFrame f;
@@ -848,62 +657,327 @@ bool NetServer::handle_frame(Conn& c) {
       if (e != WireError::None) return protocol_fatal(c, e, "bad RESET");
       if (!c.has_session) {
         send_error(c, WireError::NoSession, "RESET without an open session");
-        return true;
+        break;
       }
-      push_cmd(c, Cmd{Cmd::Kind::Reset, c.sid, c.token, 0, f.warm});
-      return true;
+      start_reset(c, f.warm);
+      break;
     }
     default:
       return protocol_fatal(c, WireError::UnknownType, "unexpected frame");
   }
+  return !c.dead;
+}
+
+// -------------------------------------------------------- control operations
+
+void NetServer::start_drain(Conn& c, u32 timeout_ms) {
+  if (timeout_ms > 0 && forward_events(c) == 0 && !terminal(stream_.session_stats(c.sid).state)) {
+    // Nothing yet: the first event to land (or the deadline) completes it.
+    c.op = Conn::Op::Drain;
+    c.deadline = Clock::now() + std::chrono::milliseconds(std::min(timeout_ms, kMaxDrainTimeoutMs));
+    arm_timer(c);
+    return;
+  }
+  finish_drain(c);
+}
+
+void NetServer::finish_drain(Conn& c) {
+  (void)forward_events(c);
+  send_stats(c, StatsAck::Drain, stream_.session_stats(c.sid));
+}
+
+void NetServer::start_close(Conn& c) {
+  c.has_session = false;  // the connection may OPEN again once this lands
+  if (stream_.close_start(c.sid) == stream::StartResult::Pending) {
+    c.op = Conn::Op::Close;
+    return;
+  }
+  finish_close(c);
+}
+
+void NetServer::finish_close(Conn& c) {
+  (void)forward_events(c);  // the flush tail goes out before the ack
+  // The ack's ledger is read before the slot becomes evictable (eviction
+  // releases it), and the ack leaves only after: a client that OPENs on the
+  // ack must find the slot reclaimable.
+  send_stats(c, StatsAck::Close, stream_.session_stats(c.sid));
+  {
+    const common::MutexLock lock(reg_mu_);
+    auto it = registry_.find(c.token);
+    if (it != registry_.end() && it->second.st == TokenState::Attached && it->second.sid == c.sid) {
+      // Closed-but-unreleased: inspectable/evictable until an OPEN reuses
+      // the token or LRU admission reclaims the slot.
+      it->second.st = TokenState::ClosedKept;
+      it->second.lru_seq = ++lru_counter_;
+    }
+  }
+  unmap(c);
+}
+
+void NetServer::start_reset(Conn& c, bool warm) {
+  c.op_resets = stream_.session_stats(c.sid).resets;
+  const stream::StartResult r = stream_.reset_start(
+      c.sid, warm ? pantompkins::WarmStart::KeepThresholds : pantompkins::WarmStart::Cold);
+  if (r == stream::StartResult::Pending) {
+    c.op = Conn::Op::Reset;
+    return;
+  }
+  finish_reset(c, stream_.session_stats(c.sid));
+}
+
+void NetServer::finish_reset(Conn& c, const SessionStats& ss) {
+  if (ss.state == stream::SessionState::Empty) {
+    send_error(c, WireError::Refused, "RESET: session no longer exists");
+    return;
+  }
+  send_stats(c, StatsAck::Reset, ss);
+}
+
+void NetServer::start_park(Conn& c) {
+  // Disconnect -> warm park: the detector's trained thresholds survive for
+  // the client's reconnect (OPEN with the same token resumes them).
+  c.op_resets = stream_.session_stats(c.sid).resets;
+  const stream::StartResult r = stream_.reset_start(c.sid, pantompkins::WarmStart::KeepThresholds);
+  if (r == stream::StartResult::Pending) {
+    c.op = Conn::Op::Park;
+    return;
+  }
+  finish_park(c, r == stream::StartResult::Done);
+}
+
+void NetServer::finish_park(Conn& c, bool alive) {
+  c.has_session = false;
+  unmap(c);
+  const common::MutexLock lock(reg_mu_);
+  auto it = registry_.find(c.token);
+  if (it == registry_.end() || it->second.st != TokenState::Attached ||
+      !(it->second.sid == c.sid)) {
+    return;
+  }
+  if (alive) {
+    it->second.st = TokenState::Parked;
+    it->second.lru_seq = ++lru_counter_;
+    stats_->parked.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    registry_.erase(it);  // released under us: nothing left to resume
+  }
+}
+
+void NetServer::serve_notified() {
+  {
+    const common::MutexLock lock(notify_.mu);
+    notified_.swap(notify_.ids);
+  }
+  for (const stream::SessionId id : notified_) {
+    const auto it = by_slot_.find(id.slot);
+    if (it != by_slot_.end() && it->second->sid == id) service(*it->second);
+  }
+  notified_.clear();
+}
+
+void NetServer::service(Conn& c) {
+  using Op = Conn::Op;
+  switch (c.op) {
+    case Op::None:
+      (void)forward_events(c);
+      return;
+    case Op::Drain:
+      if (forward_events(c) == 0 && !terminal(stream_.session_stats(c.sid).state)) return;
+      finish_drain(c);
+      break;
+    case Op::Close:
+      (void)forward_events(c);
+      if (!terminal(stream_.session_stats(c.sid).state)) return;
+      finish_close(c);
+      break;
+    case Op::Reset:
+    case Op::Park: {
+      // Nothing is forwarded before the re-arm lands: what the egress queue
+      // holds until then is the abandoned episode's, and dies with it.
+      const SessionStats ss = stream_.session_stats(c.sid);
+      const bool alive = ss.state != stream::SessionState::Empty;
+      if (alive && ss.resets == c.op_resets) return;
+      if (c.op == Op::Reset) {
+        finish_reset(c, ss);
+      } else {
+        finish_park(c, alive);
+      }
+      break;
+    }
+  }
+  c.op = Op::None;
+  settle(c);
+}
+
+void NetServer::settle(Conn& c) {
+  if (c.dead) {
+    // A closed connection's session parks once nothing else is landing.
+    if (c.op == Conn::Op::None && c.has_session) start_park(c);
+    if (c.op == Conn::Op::None) retire(c);
+    return;
+  }
+  if (!c.held) return;
+  c.held = false;
+  if (!handle_frame(c)) return;
+  set_reading(c);
+  read_ready(c);  // whatever the client pipelined behind it, in this wake-up
+}
+
+void NetServer::arm_timer(Conn& c) {
+  if (c.timed) return;
+  c.timed = true;
+  timed_.push_back(c.key);
+}
+
+void NetServer::serve_timers() {
+  if (timed_.empty()) return;
+  const auto now = Clock::now();
+  std::vector<u64> due;
+  due.swap(timed_);
+  for (const u64 key : due) {
+    Conn* c = live(key);
+    if (c == nullptr) continue;
+    c->timed = false;
+    if (c->stalled) (void)try_start_chunk(*c);
+    if (!c->dead && c->op == Conn::Op::Drain && now >= c->deadline) {
+      finish_drain(*c);
+      c->op = Conn::Op::None;
+      settle(*c);
+    }
+    if (!c->dead && (c->stalled || c->op == Conn::Op::Drain)) arm_timer(*c);
+  }
+}
+
+int NetServer::next_timeout_ms() const {
+  int timeout = -1;  // nothing timed: every other wake-up source is an fd
+  const auto now = Clock::now();
+  for (const u64 key : timed_) {
+    const Conn* c = live(key);
+    if (c == nullptr) continue;
+    if (c->stalled) return 1;  // retry the acquire on a millisecond tick
+    if (c->op == Conn::Op::Drain) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(c->deadline - now).count();
+      const int ms = static_cast<int>(std::clamp<std::int64_t>(left, 0, kMaxDrainTimeoutMs));
+      timeout = timeout < 0 ? ms : std::min(timeout, ms);
+    }
+  }
+  return timeout;
+}
+
+// -------------------------------------------------------------------- egress
+
+std::size_t NetServer::forward_events(Conn& c) {
+  if (c.dead) return 0;
+  evs_.clear();
+  const std::size_t n = stream_.drain_events(c.sid, evs_);
+  for (std::size_t i = 0; i < n; i += kMaxEventsPerFrame) {
+    const std::size_t k = std::min(kMaxEventsPerFrame, n - i);
+    const std::size_t mark = c.out.size();
+    encode_events(c.out, std::span<const stream::Event>(evs_).subspan(i, k));
+    if (c.out.size() - c.out_off > opts_.egress_buffer_bytes) {
+      // Slow-reader shedding: whole EVENT frames drop (frames must never
+      // tear), counted instead of growing the buffer without bound.
+      c.out.resize(mark);
+      c.events_shed += k;
+      stats_->events_shed.fetch_add(k, std::memory_order_relaxed);
+      continue;
+    }
+    c.events_sent += k;
+    stats_->events_sent.fetch_add(k, std::memory_order_relaxed);
+  }
+  if (n > 0) mark_dirty(c);
+  return n;
+}
+
+StatsFrame NetServer::make_stats(const Conn& c, StatsAck ack, const SessionStats& ss) const {
+  StatsFrame f;
+  f.ack = ack;
+  f.session_state = static_cast<u8>(ss.state);
+  f.chunks_in = ss.chunks_in;
+  f.chunks_processed = ss.chunks_processed;
+  f.rejected_chunks = ss.rejected_chunks;
+  f.dropped_chunks = ss.dropped_chunks;
+  f.samples = ss.samples;
+  f.events = ss.events;
+  f.beats = ss.beats;
+  f.events_queued = ss.events_queued;
+  f.events_dropped = ss.events_dropped;
+  f.resets = ss.resets;
+  f.net_events_sent = c.events_sent;
+  f.net_events_shed = c.events_shed;
+  f.net_bytes_in = c.bytes_in;
+  f.net_bytes_out = c.bytes_out;
+  return f;
+}
+
+void NetServer::send_stats(Conn& c, StatsAck ack, const SessionStats& ss) {
+  if (c.dead) return;
+  const std::size_t mark = c.out.size();
+  encode_stats(c.out, make_stats(c, ack, ss));
+  queued_control(c, mark);
+}
+
+void NetServer::send_error(Conn& c, WireError code, std::string_view message) {
+  if (c.dead) return;
+  const std::size_t mark = c.out.size();
+  encode_error(c.out, code, message);
+  queued_control(c, mark);
+}
+
+void NetServer::queued_control(Conn& c, std::size_t mark) {
+  // Control replies are never shed; a connection that cannot absorb even
+  // those is a broken reader and is closed.
+  if (c.out.size() - c.out_off > 2 * opts_.egress_buffer_bytes) {
+    c.out.resize(mark);
+    kill_conn(c, true);
+    return;
+  }
+  mark_dirty(c);
+}
+
+void NetServer::mark_dirty(Conn& c) {
+  if (c.dirty) return;
+  c.dirty = true;
+  dirty_.push_back(c.key);
 }
 
 void NetServer::flush_out(Conn& c) {
   if (c.dead) return;
-  bool failed = false;
-  bool want_write = false;
-  {
-    const common::MutexLock lock(c.out_mu);
-    while (c.out_off < c.out.size()) {
-      const ssize_t w = ::send(c.fd, c.out.data() + c.out_off,
-                               c.out.size() - c.out_off, MSG_NOSIGNAL);
-      if (w > 0) {
-        c.out_off += static_cast<std::size_t>(w);
-        c.n_bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
-        stats_->bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
-        continue;
-      }
-      if (w < 0 && errno == EINTR) continue;
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      failed = true;
-      break;
+  while (c.out_off < c.out.size()) {
+    const ssize_t w = ::send(c.fd, c.out.data() + c.out_off,
+                             c.out.size() - c.out_off, MSG_NOSIGNAL);
+    if (w > 0) {
+      c.out_off += static_cast<std::size_t>(w);
+      c.bytes_out += static_cast<u64>(w);
+      stats_->bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
+      continue;
     }
-    if (c.out_off == c.out.size()) {
-      c.out.clear();
-      c.out_off = 0;
-    } else if (c.out_off > (1u << 16)) {
-      c.out.erase(c.out.begin(), c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off));
-      c.out_off = 0;
-    }
-    want_write = c.out_off < c.out.size();
-  }
-  if (failed) {
+    if (w < 0 && errno == EINTR) continue;
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     kill_conn(c, false);
     return;
   }
+  if (c.out_off == c.out.size()) {
+    c.out.clear();
+    c.out_off = 0;
+  } else if (c.out_off > (1u << 16)) {
+    c.out.erase(c.out.begin(), c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off));
+    c.out_off = 0;
+  }
+  const bool want_write = c.out_off < c.out.size();
   if (want_write != c.epoll_out) {
     c.epoll_out = want_write;
     update_epoll(c);
   }
 }
 
+// --------------------------------------------------------------- teardown
+
 void NetServer::kill_conn(Conn& c, bool flush_first) {
   if (c.dead) return;
-  c.dead = true;
   if (flush_first) {
     // Best-effort: push the pending bytes (typically the fatal ERROR reply)
-    // out before the reset, so the peer learns why it was dropped.
-    const common::MutexLock lock(c.out_mu);
+    // out before the shutdown, so the peer learns why it was dropped.
     while (c.out_off < c.out.size()) {
       const ssize_t w = ::send(c.fd, c.out.data() + c.out_off,
                                c.out.size() - c.out_off, MSG_NOSIGNAL);
@@ -912,39 +986,28 @@ void NetServer::kill_conn(Conn& c, bool flush_first) {
       stats_->bytes_out.fetch_add(static_cast<u64>(w), std::memory_order_relaxed);
     }
   }
+  c.dead = true;
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
-  (void)::shutdown(c.fd, SHUT_RDWR);
+  (void)::shutdown(c.fd, SHUT_RDWR);  // the fd itself closes when the Conn is destroyed
+  c.loan = stream::ChunkLoan{};        // abandon: the reserved queue slot returns
+  c.out = {};
+  c.out_off = 0;
   c.stalled = false;
-  // An armed loan dies with the Conn (destructor = abandon: the reserved
-  // queue slot returns). Tell the pump to park the session and exit.
-  {
-    const common::MutexLock lock(c.cmd_mu);
-    if (c.has_session) {
-      c.cmds.push_back(Cmd{Cmd::Kind::Park, c.sid, c.token, 0, false});
-    }
-    c.pump_stop.store(true, std::memory_order_relaxed);
-  }
-  c.cmd_cv.notify_all();
-  c.has_session = false;
+  c.held = false;
   stats_->closed.fetch_add(1, std::memory_order_relaxed);
-  auto it = conns_.find(c.fd);
-  if (it != conns_.end()) {
-    graveyard_.push_back(std::move(it->second));
-    conns_.erase(it);
-  }
+  if (c.op == Conn::Op::Drain) c.op = Conn::Op::None;  // its reply has nowhere to go
+  // A CLOSE or RESET still landing finishes first; then settle() parks.
+  if (c.op == Conn::Op::None) settle(c);
 }
 
-void NetServer::reap_graveyard(bool wait_all) {
-  for (auto it = graveyard_.begin(); it != graveyard_.end();) {
-    Conn& c = **it;
-    if (wait_all || c.pump_done.load(std::memory_order_acquire)) {
-      if (c.pump.joinable()) c.pump.join();
-      ::close(c.fd);
-      it = graveyard_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void NetServer::unmap(Conn& c) {
+  const auto it = by_slot_.find(c.sid.slot);
+  if (it != by_slot_.end() && it->second == &c) by_slot_.erase(it);
+}
+
+void NetServer::retire(Conn& c) {
+  unmap(c);
+  retired_.push_back(c.key);
 }
 
 }  // namespace xbs::net

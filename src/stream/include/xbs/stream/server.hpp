@@ -42,13 +42,20 @@
 /// SessionStats::events_dropped). reset() discards undrained events of the
 /// abandoned episode the same way. On a fault, the egress queue holds the
 /// events of fully processed chunks; a sink may additionally have observed
-/// part of the chunk that faulted.
+/// part of the chunk that faulted. drain_events() never blocks: a consumer
+/// that must not poll (one thread serving many sessions, like the network
+/// front door) sets Options::notify and drains a session when it is named —
+/// the hook fires when the session's egress queue turns non-empty, when it
+/// lands Closed or Faulted, and when a deferred reset completes.
 ///
 /// Lifecycle: open() provisions a slot (re-using released ones),
 /// close() drains + flushes, reset() re-arms a slot mid-flight for a fresh
 /// record (dropping whatever was queued; optionally warm-starting the
 /// detector — see pantompkins::WarmStart), release() hands the quiescent
-/// Session object back and frees the slot for the next tenant. Ids carry a
+/// Session object back and frees the slot for the next tenant. close() and
+/// reset() are each a non-blocking start (close_start()/reset_start()) plus
+/// a wait for the worker to land it; a caller that cannot wait uses the
+/// start alone and learns of the landing from Options::notify. Ids carry a
 /// provisioning generation, so a stale id held across release()/open()
 /// addresses nothing instead of the slot's new tenant.
 ///
@@ -80,9 +87,9 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -116,6 +123,13 @@ enum class PushResult {
 };
 
 [[nodiscard]] const char* to_string(PushResult r) noexcept;
+
+/// Outcome of a non-blocking control start (close_start / reset_start).
+enum class StartResult {
+  Done,           ///< completed inside the call: no notification follows
+  Pending,        ///< a worker completes it, then fires Options::notify
+  NoSuchSession,  ///< unknown or stale id
+};
 
 /// Opaque session address: slot index + provisioning generation. The shard
 /// a session lives on is a pure function of the id (consistent hash), so no
@@ -196,6 +210,18 @@ class StreamServer {
     /// lags by more than this many events, the oldest undrained ones are
     /// dropped and counted in SessionStats::events_dropped.
     std::size_t event_queue_capacity = 0;
+
+    /// Completion notification (unset = none). Names a session that has
+    /// something for its consumer: its egress queue went from empty to
+    /// non-empty, it landed Closed or Faulted (on a worker, or on an ingest
+    /// call that faulted it), or a reset_start() that returned Pending
+    /// completed. A worker fires it at most once per batch. It is always
+    /// called outside every shard lock — it may call back into the server —
+    /// and never for a completion the caller already learns from a return
+    /// value (close()/reset() returning, a start returning Done). It runs on
+    /// worker and producer threads, so it must be thread-safe and short.
+    /// Unset, the workers pay nothing for it.
+    std::function<void(SessionId)> notify{};
   };
 
   /// Per-session live statistics (a consistent snapshot; cumulative over the
@@ -298,16 +324,6 @@ class StreamServer {
   /// record stays drainable until reset()/release()). 0 for a stale id.
   std::size_t drain_events(SessionId id, std::vector<Event>& out);
 
-  /// Blocking drain: sleeps until at least one event is available (then
-  /// drains everything queued at that instant), the session reaches a state
-  /// that can produce no more events (Closed/Faulted with an empty queue,
-  /// released, server shutdown), or \p timeout expires — whichever comes
-  /// first. Returns how many events were appended (0 on timeout/terminal).
-  /// This is what sleeping consumers — and the network egress path — use
-  /// instead of spin-polling the non-blocking overload.
-  std::size_t drain_events(SessionId id, std::vector<Event>& out,
-                           std::chrono::milliseconds timeout);
-
   /// Graceful end-of-stream: stops admitting pushes, lets the queue drain,
   /// flushes the session, and waits for that to finish. Returns the final
   /// state (Closed, or Faulted if the tail faulted; Empty for a stale id).
@@ -316,6 +332,13 @@ class StreamServer {
   /// lands; close() still returns the state that drain reached (it observes
   /// the completion itself, not just the slot's current state).
   SessionState close(SessionId id);
+
+  /// The non-blocking half of close(): stops admitting pushes and hands the
+  /// slot to a worker to drain and flush. Pending while that flush is
+  /// outstanding (Options::notify fires when it lands; SessionStats::state
+  /// then reads Closed or Faulted), Done when the session was already
+  /// Closed or Faulted.
+  StartResult close_start(SessionId id);
 
   /// Re-arm a slot mid-flight for a fresh record: drops whatever is queued
   /// (counted in dropped_chunks) and any undrained egress events (counted in
@@ -328,6 +351,17 @@ class StreamServer {
   /// the abandoned episode's samples into the fresh record. False for a
   /// stale id. Other sessions stream on, undisturbed, the whole time.
   bool reset(SessionId id, pantompkins::WarmStart warm = pantompkins::WarmStart::Cold);
+
+  /// The non-blocking half of reset(). The queue is dropped and outstanding
+  /// loans go stale at once; chunks committed after the call belong to the
+  /// fresh record. Done when the slot was quiescent and re-armed inside the
+  /// call. Pending while a worker holds the slot (it re-arms once its batch
+  /// lands, then processes the fresh chunks) or a close is in flight (that
+  /// record flushes first; pushes stay refused until the re-arm). Pending
+  /// starts that overlap re-arm once, with the same result as applying them
+  /// in turn; SessionStats::resets advances at the re-arm, after which
+  /// Options::notify fires.
+  StartResult reset_start(SessionId id, pantompkins::WarmStart warm = pantompkins::WarmStart::Cold);
 
   /// Retire a slot and hand its quiescent Session back (closing it first if
   /// still streaming). The slot returns to Empty and becomes reusable by the
@@ -353,6 +387,13 @@ class StreamServer {
  private:
   friend class ChunkLoan;
 
+  /// Reset starts a worker still has to apply; overlapping starts merge.
+  struct PendingReset {
+    u64 epoch = 0;   ///< reset_epoch of the latest merged start (0 = none)
+    u64 starts = 0;  ///< merged starts, all counted in resets at the re-arm
+    pantompkins::WarmStart warm = pantompkins::WarmStart::KeepThresholds;
+  };
+
   struct Slot {
     std::unique_ptr<Session> session;
     SessionState state = SessionState::Empty;
@@ -373,7 +414,10 @@ class StreamServer {
     u64 dropped_chunks = 0;
     u64 peak_queued = 0;
     u64 resets = 0;
-    u64 reset_epoch = 0;  ///< bumped by reset(): outstanding loans go stale
+    u64 reset_epoch = 0;        ///< bumped by every reset start: outstanding loans go stale
+    u64 rearmed_epoch = 0;      ///< reset_epoch of the last re-arm (reset() waits on it)
+    PendingReset reset_next;    ///< re-arms when the in-flight batch lands
+    PendingReset reset_landed;  ///< re-arms when the in-flight close lands
     u64 samples = 0;
     u64 events = 0;
     u64 beats = 0;
@@ -395,14 +439,13 @@ class StreamServer {
     common::CondVar work_cv;    ///< workers: ready list / stop / resume
     common::CondVar space_cv;   ///< blocking acquire: queue space / state change
     common::CondVar state_cv;   ///< close/reset/release: state changes
-    common::CondVar egress_cv;  ///< blocking drain_events: events / state
+    unsigned index = 0;         ///< position in shards_ (ctor-only)
     std::vector<Slot> slots XBS_GUARDED_BY(mu);
     std::deque<std::size_t> ready XBS_GUARDED_BY(mu);  ///< local slot indices with runnable work
     u64 ready_seq XBS_GUARDED_BY(mu) = 0;              ///< monotonic ready_stamp source
     bool stop XBS_GUARDED_BY(mu) = false;
     bool paused XBS_GUARDED_BY(mu) = false;
     int space_waiters XBS_GUARDED_BY(mu) = 0;   ///< gates space_cv notifies off the hot path
-    int egress_waiters XBS_GUARDED_BY(mu) = 0;  ///< gates egress_cv notifies off the hot path
     /// Currently provisioned (non-Empty) slots on this shard: the
     /// least-loaded placement signal read lock-free at open(). A hint, not
     /// an invariant — a stale read just places one session suboptimally.
@@ -437,6 +480,10 @@ class StreamServer {
   void drop_queue(Shard& sh, Slot& s) XBS_REQUIRES(sh.mu);
   void fault(Shard& sh, Slot& s, std::string why) XBS_REQUIRES(sh.mu);
   void append_egress(Shard& sh, Slot& s, std::vector<Event>& evs) XBS_REQUIRES(sh.mu);
+  void begin_close(Shard& sh, Slot& s, std::size_t local) XBS_REQUIRES(sh.mu);
+  /// True when the slot re-armed inside the call; false when a worker will.
+  bool begin_reset(Shard& sh, Slot& s, pantompkins::WarmStart warm) XBS_REQUIRES(sh.mu);
+  void rearm(Shard& sh, Slot& s, const PendingReset& r) XBS_REQUIRES(sh.mu);
   PushResult acquire_impl(SessionId id, std::size_t n_samples, ChunkLoan& out, bool blocking);
   void cancel_loan(SessionId id, std::vector<i32>&& buf) noexcept;
   void worker_loop(Shard& sh);

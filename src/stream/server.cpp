@@ -67,6 +67,7 @@ StreamServer::StreamServer(Options opts) : opts_(opts) {
   shards_.reserve(n_shards_);
   for (unsigned i = 0; i < n_shards_; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->index = i;
   }
   // Spread the worker budget; every shard gets at least one (a worker-less
   // shard would never drain), so the spawned total can exceed the request.
@@ -93,7 +94,6 @@ StreamServer::~StreamServer() {
     shp->work_cv.notify_all();
     shp->space_cv.notify_all();
     shp->state_cv.notify_all();
-    shp->egress_cv.notify_all();
   }
   for (auto& shp : shards_) {
     for (std::thread& t : shp->threads) t.join();
@@ -177,6 +177,9 @@ SessionId StreamServer::provision(std::unique_ptr<Session> session) {
   s.peak_queued = 0;
   s.resets = 0;
   s.reset_epoch = 0;  // stale cross-tenant loans already die on the generation check
+  s.rearmed_epoch = 0;
+  s.reset_next = {};
+  s.reset_landed = {};
   s.samples = 0;
   s.events = 0;
   s.beats = 0;
@@ -226,11 +229,9 @@ void StreamServer::fault(Shard& sh, Slot& s, std::string why) {
   s.final_state = SessionState::Faulted;
   drop_queue(sh, s);  // also wakes blocked producers: they surface Faulted
   sh.state_cv.notify_all();
-  // Terminal state: a blocking drain_events must wake and observe it.
-  if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
 }
 
-void StreamServer::append_egress(Shard& sh, Slot& s, std::vector<Event>& evs) {
+void StreamServer::append_egress([[maybe_unused]] Shard& sh, Slot& s, std::vector<Event>& evs) {
   if (opts_.event_queue_capacity == 0 || evs.empty()) return;
   for (Event& e : evs) s.egress.push_back(std::move(e));
   while (s.egress.size() > opts_.event_queue_capacity) {
@@ -238,7 +239,58 @@ void StreamServer::append_egress(Shard& sh, Slot& s, std::vector<Event>& evs) {
     ++s.events_dropped;
   }
   evs.clear();
-  if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
+}
+
+void StreamServer::begin_close(Shard& sh, Slot& s, std::size_t local) {
+  if (s.state != SessionState::Open) return;
+  s.state = SessionState::Draining;
+  enqueue_ready(sh, local);  // even on an empty queue: a worker flushes
+  // Producers blocked at the high-water mark must not wait out the drain:
+  // wake them now so they surface Closed immediately.
+  if (sh.space_waiters > 0) sh.space_cv.notify_all();
+}
+
+bool StreamServer::begin_reset(Shard& sh, Slot& s, pantompkins::WarmStart warm) {
+  ++s.reset_epoch;  // outstanding loans now commit as Closed, not into the fresh record
+  // Overlapping starts merge into one re-arm. Applying them in turn would
+  // leave cold thresholds if any of them was cold (a warm reset of a cold
+  // detector keeps nothing), and nothing runs between them: each start
+  // drops the queue.
+  auto merge = [&](PendingReset& p) {
+    const bool keep = warm == pantompkins::WarmStart::KeepThresholds &&
+                      (p.starts == 0 || p.warm == pantompkins::WarmStart::KeepThresholds);
+    p.warm = keep ? pantompkins::WarmStart::KeepThresholds : pantompkins::WarmStart::Cold;
+    p.epoch = s.reset_epoch;
+    ++p.starts;
+  };
+  if (s.state == SessionState::Draining) {
+    // A close is in flight: its record flushes whole first (its waiters
+    // observe that landing), then the worker re-arms the slot.
+    merge(s.reset_landed);
+    return false;
+  }
+  drop_queue(sh, s);
+  if (s.busy) {
+    merge(s.reset_next);  // the in-flight batch belongs to the abandoned episode
+    return false;
+  }
+  PendingReset now;
+  merge(now);
+  rearm(sh, s, now);  // quiescent: no worker owns the slot, the queue is empty
+  return true;
+}
+
+void StreamServer::rearm(Shard& sh, Slot& s, const PendingReset& r) {
+  s.session->reset(r.warm);
+  s.events_dropped += s.egress.size();  // the old episode's undrained tail
+  s.egress.clear();
+  s.resets += r.starts;
+  s.rearmed_epoch = r.epoch;
+  // A close requested after the reset started closes the fresh record.
+  if (s.state != SessionState::Draining) s.state = SessionState::Open;
+  s.error.clear();
+  sh.state_cv.notify_all();
+  if (sh.space_waiters > 0) sh.space_cv.notify_all();
 }
 
 // ------------------------------------------------------------------- workers
@@ -280,17 +332,25 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
   std::vector<std::vector<i32>> batch;
   std::vector<Event> evbuf;
   const bool egress_on = opts_.event_queue_capacity > 0;
+  // Options::notify is raised while publishing under the lock and fired
+  // right after the next unlock, so it runs outside the shard lock at most
+  // once per batch; with no hook set nothing here costs a thing.
+  const bool hook = static_cast<bool>(opts_.notify);
+  const SessionId self{local * n_shards_ + sh.index, sh.slots[local].generation};
+  bool notify = false;
+  auto fire = [&] {
+    if (notify) {
+      notify = false;
+      opts_.notify(self);
+    }
+  };
+  bool requeue = false;
   while (true) {
     Slot& s = sh.slots[local];  // re-fetch: slots may have grown while unlocked
     if (sh.stop || sh.paused) {
       // Hand the remainder back to the ready list so resume() (or another
       // worker) picks it up; nothing is lost.
-      if (s.state == SessionState::Open || s.state == SessionState::Draining) {
-        s.busy = false;
-        enqueue_ready(sh, local);
-        sh.state_cv.notify_all();
-        return;
-      }
+      requeue = s.state == SessionState::Open || s.state == SessionState::Draining;
       break;
     }
     if (s.state != SessionState::Open && s.state != SessionState::Draining) break;
@@ -299,6 +359,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
       // close() requested and the queue is dry: flush outside the lock.
       Session* sess = s.session.get();
       lock.unlock();
+      fire();
       std::string err;
       u64 events = 0, beats = 0;
       evbuf.clear();
@@ -326,9 +387,12 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
         sl.final_state = SessionState::Closed;
         sh.state_cv.notify_all();
         if (sh.space_waiters > 0) sh.space_cv.notify_all();
-        // Closed + dry queue can produce no more events: wake blocked drains.
-        if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
       }
+      if (sl.reset_landed.epoch != 0) {
+        rearm(sh, sl, sl.reset_landed);
+        sl.reset_landed = {};
+      }
+      notify = hook;
       break;
     }
     batch.clear();
@@ -346,6 +410,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
     s.inflight = batch.size();
     Session* sess = s.session.get();
     lock.unlock();
+    fire();
     std::string err;
     u64 events = 0, beats = 0, samples = 0;
     std::size_t done = 0;
@@ -377,28 +442,46 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
     sl.samples += samples;
     sl.events += events;
     sl.beats += beats;
+    const bool was_empty = sl.egress.empty();
     append_egress(sh, sl, evbuf);
-    if (!err.empty()) {
-      // The chunk that threw (and anything behind it in the batch) was
-      // accepted but never fully processed: dropped, so the ledger closes.
-      sl.dropped_chunks += not_processed;
+    // The chunk that threw (and anything behind it in the batch) was
+    // accepted but never fully processed: dropped, so the ledger closes.
+    if (!err.empty()) sl.dropped_chunks += not_processed;
+    bool landed = false;
+    if (sl.reset_next.epoch != 0) {
+      // A reset started while this batch ran: the batch belonged to the
+      // abandoned episode (its events and any error die with it), and the
+      // chunks queued behind it are the fresh record's.
+      rearm(sh, sl, sl.reset_next);
+      sl.reset_next = {};
+      landed = true;
+    } else if (!err.empty()) {
       fault(sh, sl, std::move(err));
-      break;
+      if (sl.reset_landed.epoch != 0) {
+        rearm(sh, sl, sl.reset_landed);
+        sl.reset_landed = {};
+      }
+      landed = true;
     }
+    if (hook && (landed || (was_empty && !sl.egress.empty()))) notify = true;
+    if (sl.state != SessionState::Open && sl.state != SessionState::Draining) break;
     // Fairness yield: a deep session must not hold this worker for its whole
     // backlog while other sessions wait. If anyone else is ready, hand the
     // remainder back (fresh stamp: behind every current waiter) and return
     // to the pop loop instead of taking another batch.
-    if (!sh.ready.empty() && !sl.queue.empty() &&
-        (sl.state == SessionState::Open || sl.state == SessionState::Draining)) {
-      sl.busy = false;
-      enqueue_ready(sh, local);
-      sh.state_cv.notify_all();
-      return;
+    if (!sh.ready.empty() && !sl.queue.empty()) {
+      requeue = true;
+      break;
     }
   }
   sh.slots[local].busy = false;
+  if (requeue) enqueue_ready(sh, local);
   sh.state_cv.notify_all();
+  if (notify) {
+    lock.unlock();
+    fire();
+    lock.lock();
+  }
 }
 
 // --------------------------------------------------------------- public API
@@ -418,6 +501,7 @@ PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, Chunk
   Shard& sh = shard_of(id);
   std::vector<i32> buf;
   u64 epoch = 0;
+  bool faulted = false;
   {
     common::MutexLock lock(sh.mu);
     while (true) {
@@ -431,7 +515,8 @@ PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, Chunk
               "protocol violation: chunk of " + std::to_string(n_samples) +
                   " samples exceeds max_chunk_samples = " +
                   std::to_string(opts_.max_chunk_samples));
-        return PushResult::Faulted;
+        faulted = true;
+        break;
       }
       if (s->queue.size() + s->loaned + s->inflight < opts_.queue_capacity_chunks) {
         (void)s->ring.take(buf);  // recycled when available, fresh otherwise
@@ -447,6 +532,12 @@ PushResult StreamServer::acquire_impl(SessionId id, std::size_t n_samples, Chunk
       sh.space_cv.wait(lock);
       --sh.space_waiters;
     }
+  }
+  if (faulted) {
+    // The producer learns of the fault from the return value; the session's
+    // consumer learns of the Faulted landing from the hook.
+    if (opts_.notify) opts_.notify(id);
+    return PushResult::Faulted;
   }
   // The (possible) allocation and the loan handoff stay off the shard lock.
   // The loan handle is armed *before* the resize: if the resize throws
@@ -549,55 +640,16 @@ std::size_t StreamServer::drain_events(SessionId id, std::vector<Event>& out) {
   return n;
 }
 
-std::size_t StreamServer::drain_events(SessionId id, std::vector<Event>& out,
-                                       std::chrono::milliseconds timeout) {
-  if (opts_.event_queue_capacity == 0) return 0;  // egress disabled: never waits
-  Shard& sh = shard_of(id);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  common::MutexLock lock(sh.mu);
-  while (true) {
-    if (sh.stop) return 0;
-    Slot* s = find(sh, id);
-    if (s == nullptr) return 0;  // released/stale: nothing will ever arrive
-    if (!s->egress.empty()) {
-      const std::size_t n = s->egress.size();
-      out.insert(out.end(), std::make_move_iterator(s->egress.begin()),
-                 std::make_move_iterator(s->egress.end()));
-      s->egress.clear();
-      return n;
-    }
-    // Terminal with a dry queue: no worker will ever append again (a reset()
-    // re-arms the slot and wakes this waiter, which then just keeps waiting
-    // on the fresh episode).
-    if (s->state == SessionState::Closed || s->state == SessionState::Faulted) {
-      return 0;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return 0;
-    ++sh.egress_waiters;
-    sh.egress_cv.wait_until(lock, deadline);
-    --sh.egress_waiters;
-  }
-}
-
 SessionState StreamServer::close(SessionId id) {
   Shard& sh = shard_of(id);
   common::MutexLock lock(sh.mu);
-  u64 seq0 = 0;
-  {
-    Slot* s = find(sh, id);
-    if (s == nullptr) return SessionState::Empty;
-    seq0 = s->final_seq;
-    if (s->state == SessionState::Open) {
-      s->state = SessionState::Draining;
-      enqueue_ready(sh, local_index(id));  // even on an empty queue: a worker flushes
-      // Producers blocked at the high-water mark must not wait out the drain:
-      // wake them now so they surface Closed immediately.
-      if (sh.space_waiters > 0) sh.space_cv.notify_all();
-    }
-  }
+  Slot* s = find(sh, id);
+  if (s == nullptr) return SessionState::Empty;
+  const u64 seq0 = s->final_seq;
+  begin_close(sh, *s, local_index(id));
   while (true) {
     if (sh.stop) return SessionState::Empty;
-    Slot* s = find(sh, id);
+    s = find(sh, id);
     if (s == nullptr) return SessionState::Empty;
     if (s->state == SessionState::Closed || s->state == SessionState::Faulted) {
       return s->state;
@@ -609,38 +661,41 @@ SessionState StreamServer::close(SessionId id) {
   }
 }
 
+StartResult StreamServer::close_start(SessionId id) {
+  Shard& sh = shard_of(id);
+  const common::MutexLock lock(sh.mu);
+  Slot* s = find(sh, id);
+  if (s == nullptr) return StartResult::NoSuchSession;
+  begin_close(sh, *s, local_index(id));
+  return s->state == SessionState::Draining ? StartResult::Pending : StartResult::Done;
+}
+
 bool StreamServer::reset(SessionId id, pantompkins::WarmStart warm) {
   Shard& sh = shard_of(id);
   common::MutexLock lock(sh.mu);
+  if (sh.stop) return false;
+  Slot* s = find(sh, id);
+  if (s == nullptr) return false;
+  if (begin_reset(sh, *s, warm)) return true;
+  // Deferred: wait for the worker's re-arm of this start (or a later one
+  // merged into it).
+  const u64 target = s->reset_epoch;
   while (true) {
+    sh.state_cv.wait(lock);
     if (sh.stop) return false;
-    Slot* s = find(sh, id);
+    s = find(sh, id);
     if (s == nullptr) return false;
-    if (s->state == SessionState::Draining) {
-      // A close() is in flight; let it finish (the slot lands Closed or
-      // Faulted, both re-armable) instead of yanking its state from under it.
-      sh.state_cv.wait(lock);
-      continue;
-    }
-    drop_queue(sh, *s);  // re-dropped each wait iteration: pushers may still land
-    if (s->busy) {
-      sh.state_cv.wait(lock);  // let the in-flight batch / flush finish
-      continue;
-    }
-    // Quiescent: no worker owns the slot and the queue is empty. Re-arm.
-    s->session->reset(warm);
-    s->events_dropped += s->egress.size();  // the old episode's undrained tail
-    s->egress.clear();
-    ++s->resets;
-    ++s->reset_epoch;  // outstanding loans now commit as Closed, not into the fresh record
-    s->state = SessionState::Open;
-    s->error.clear();
-    sh.state_cv.notify_all();
-    if (sh.space_waiters > 0) sh.space_cv.notify_all();
-    // Blocked drains re-evaluate: the episode they were waiting on is gone.
-    if (sh.egress_waiters > 0) sh.egress_cv.notify_all();
-    return true;
+    if (s->rearmed_epoch >= target) return true;
   }
+}
+
+StartResult StreamServer::reset_start(SessionId id, pantompkins::WarmStart warm) {
+  Shard& sh = shard_of(id);
+  const common::MutexLock lock(sh.mu);
+  if (sh.stop) return StartResult::NoSuchSession;
+  Slot* s = find(sh, id);
+  if (s == nullptr) return StartResult::NoSuchSession;
+  return begin_reset(sh, *s, warm) ? StartResult::Done : StartResult::Pending;
 }
 
 std::unique_ptr<Session> StreamServer::release(SessionId id) {
@@ -650,14 +705,10 @@ std::unique_ptr<Session> StreamServer::release(SessionId id) {
     if (sh.stop) return nullptr;
     Slot* s = find(sh, id);
     if (s == nullptr) return nullptr;
-    if (s->state == SessionState::Open) {
-      // First iteration, or a racing reset() re-armed the slot while we
-      // waited. Retirement is final: (re-)issue the drain so release()
-      // always makes progress, and wake blocked producers as in close().
-      s->state = SessionState::Draining;
-      enqueue_ready(sh, local_index(id));
-      if (sh.space_waiters > 0) sh.space_cv.notify_all();
-    }
+    // First iteration, or a racing reset() re-armed the slot while we
+    // waited. Retirement is final: (re-)issue the drain so release() always
+    // makes progress, and wake blocked producers as in close().
+    begin_close(sh, *s, local_index(id));
     if ((s->state == SessionState::Closed || s->state == SessionState::Faulted) &&
         !s->busy) {
       // Undrained egress events die with the slot: counted, as everywhere
@@ -691,9 +742,6 @@ std::unique_ptr<Session> StreamServer::release(SessionId id) {
       sh.state_cv.notify_all();
       if (sh.space_waiters > 0) {
         sh.space_cv.notify_all();  // blocked pushers wake to NoSuchSession
-      }
-      if (sh.egress_waiters > 0) {
-        sh.egress_cv.notify_all();  // blocked drains wake to "session gone"
       }
       return out;
     }

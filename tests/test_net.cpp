@@ -11,9 +11,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -339,6 +342,49 @@ NetDrive drive_over_net(NetServer& server, u64 token,
   return out;
 }
 
+/// The in-process reference: one record through a StreamServer, closed
+/// (the same spec shape as NetServer's admit()).
+struct RefRecord {
+  std::vector<stream::Event> events;
+  stream::StreamServer::SessionStats stats;
+};
+
+RefRecord reference_record(const stream::StreamServer::Options& so,
+                           const std::array<i32, pantompkins::kNumStages>& lsbs,
+                           std::span<const i32> adu, const std::vector<std::size_t>& plan) {
+  RefRecord out;
+  stream::StreamServer ref(so);
+  OpenFrame f;
+  f.lsbs = lsbs;
+  stream::SessionSpec spec;
+  spec.config = f.config();
+  spec.keep_detection = false;
+  const auto id = ref.open(spec);
+  std::size_t at = 0;
+  for (const std::size_t len : plan) {
+    EXPECT_EQ(ref.push(id, adu.subspan(at, len)), stream::PushResult::Ok);
+    at += len;
+  }
+  EXPECT_EQ(ref.close(id), stream::SessionState::Closed);
+  (void)ref.drain_events(id, out.events);
+  out.stats = ref.session_stats(id);
+  return out;
+}
+
+void expect_ledger_equal(const stream::StreamServer::SessionStats& want, const StatsFrame& got,
+                         const std::string& what) {
+  EXPECT_EQ(got.session_state, static_cast<u8>(want.state)) << what;
+  EXPECT_EQ(got.chunks_in, want.chunks_in) << what;
+  EXPECT_EQ(got.chunks_processed, want.chunks_processed) << what;
+  EXPECT_EQ(got.rejected_chunks, want.rejected_chunks) << what;
+  EXPECT_EQ(got.dropped_chunks, want.dropped_chunks) << what;
+  EXPECT_EQ(got.samples, want.samples) << what;
+  EXPECT_EQ(got.events, want.events) << what;
+  EXPECT_EQ(got.beats, want.beats) << what;
+  EXPECT_EQ(got.events_dropped, want.events_dropped) << what;
+  EXPECT_EQ(got.resets, want.resets) << what;
+}
+
 TEST(NetLoopback, BitIdenticalToInProcessServingAcrossShardsAndConfigs) {
   const auto rec = ecg::nsrdb_like_digitized(0, 6000);
   const auto plan = ragged_plan(rec.adu.size(), 77);
@@ -356,27 +402,9 @@ TEST(NetLoopback, BitIdenticalToInProcessServingAcrossShardsAndConfigs) {
       so.event_queue_capacity = 1 << 16;
 
       // In-process reference: same options, same spec shape as admit().
-      std::vector<stream::Event> ref_events;
-      stream::StreamServer::SessionStats ref_stats;
-      {
-        stream::StreamServer ref(so);
-        OpenFrame f;
-        f.lsbs = lsbs;
-        stream::SessionSpec spec;
-        spec.config = f.config();
-        spec.keep_detection = false;
-        const auto id = ref.open(spec);
-        std::size_t at = 0;
-        for (const std::size_t len : plan) {
-          ASSERT_EQ(ref.push(id, std::span<const i32>(rec.adu).subspan(at, len)),
-                    stream::PushResult::Ok)
-              << what;
-          at += len;
-        }
-        EXPECT_EQ(ref.close(id), stream::SessionState::Closed) << what;
-        (void)ref.drain_events(id, ref_events);
-        ref_stats = ref.session_stats(id);
-      }
+      const RefRecord ref = reference_record(so, lsbs, rec.adu, plan);
+      const std::vector<stream::Event>& ref_events = ref.events;
+      const stream::StreamServer::SessionStats& ref_stats = ref.stats;
 
       NetServer::Options no;
       no.stream = so;
@@ -666,6 +694,453 @@ TEST(NetHostile, OversizeChunkClosesConnectionWithoutFaultingSession) {
   const auto ack = cli2.open(f, /*busy_retry_for=*/2s);
   EXPECT_EQ(ack.ack, StatsAck::Resumed);
   EXPECT_EQ(server.stream().stats().faulted, 0u);
+}
+
+// ------------------------------------------------------ one event loop
+//
+// The loop serves every connection; control replies complete on the stream
+// layer's completion hook. These pin the ordering and threading contract.
+
+/// A raw XBSP connection: pipelined sends, frame-by-frame reads.
+class RawConn {
+ public:
+  explicit RawConn(u16 port) : fd_(raw_connect(port)) {
+    timeval tv{};
+    tv.tv_sec = 10;  // a lost reply fails the test instead of hanging it
+    (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
+  ~RawConn() { hang_up(); }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  void send_bytes(const std::vector<u8>& bytes) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t w = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      ASSERT_GT(w, 0) << "send failed";
+      off += static_cast<std::size_t>(w);
+    }
+  }
+
+  struct Frame {
+    FrameType type = FrameType::Error;
+    std::vector<u8> payload;
+  };
+
+  /// Block until the next whole frame arrives.
+  Frame next() {
+    Frame f;
+    FrameHeader h;
+    WireError e = WireError::None;
+    u8 buf[16384];
+    while (true) {
+      const FrameDecoder::Next nx = dec_.next(h, f.payload, e);
+      if (nx == FrameDecoder::Next::Frame) {
+        f.type = h.type;
+        return f;
+      }
+      if (nx == FrameDecoder::Next::Error) {
+        ADD_FAILURE() << "framing error: " << to_string(e);
+        return f;
+      }
+      const ssize_t r = ::recv(fd_, buf, sizeof buf, 0);
+      if (r <= 0) {
+        ADD_FAILURE() << "connection closed or timed out before the next frame";
+        return f;
+      }
+      dec_.feed(std::span<const u8>(buf, static_cast<std::size_t>(r)));
+    }
+  }
+
+  /// Read up to the next STATS frame, collecting the EVENTs before it.
+  StatsFrame stats(std::vector<stream::Event>* events = nullptr) {
+    while (true) {
+      const Frame f = next();
+      if (f.type == FrameType::Event) {
+        std::vector<stream::Event> evs;
+        EXPECT_EQ(decode_events(f.payload, evs), WireError::None);
+        if (events != nullptr) events->insert(events->end(), evs.begin(), evs.end());
+        continue;
+      }
+      StatsFrame st;
+      EXPECT_EQ(f.type, FrameType::Stats) << "expected STATS";
+      if (f.type == FrameType::Error) {
+        ErrorFrame ef;
+        (void)decode_error(f.payload, ef);
+        ADD_FAILURE() << "ERROR " << to_string(ef.code) << ": " << ef.message;
+      }
+      if (f.type == FrameType::Stats) {
+        EXPECT_EQ(decode_stats(f.payload, st), WireError::None);
+      }
+      return st;
+    }
+  }
+
+  void hang_up() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+  FrameDecoder dec_{};
+};
+
+std::vector<u8> hello_open(u64 token, const std::array<i32, pantompkins::kNumStages>& lsbs) {
+  std::vector<u8> wire;
+  encode_hello(wire);
+  OpenFrame f;
+  f.token = token;
+  f.lsbs = lsbs;
+  encode_open(wire, f);
+  return wire;
+}
+
+void encode_chunks(std::vector<u8>& wire, std::span<const i32> adu,
+                   const std::vector<std::size_t>& plan) {
+  std::size_t at = 0;
+  for (const std::size_t len : plan) {
+    encode_chunk(wire, adu.subspan(at, len));
+    at += len;
+  }
+}
+
+stream::StreamServer::Options loop_options() {
+  stream::StreamServer::Options so;
+  so.shards = 1;
+  so.workers = 2;
+  so.queue_capacity_chunks = 4096;  // >= chunk count: the stall path never fires
+  so.event_queue_capacity = 1 << 16;
+  return so;
+}
+
+TEST(NetLoopback, PipelinedCloseThenOpenAnswersInRequestOrder) {
+  // CLOSE; OPEN; CHUNK x k; CLOSE in one send: the first record's flush
+  // tail and CLOSE ack come before the second OPEN's ack, and both records
+  // match the in-process close() path bit for bit, events and ledger.
+  const auto rec_a = ecg::nsrdb_like_digitized(0, 6000);
+  const auto rec_b = ecg::nsrdb_like_digitized(3, 5000);
+  const auto plan_a = ragged_plan(rec_a.adu.size(), 41);
+  const auto plan_b = ragged_plan(rec_b.adu.size(), 42);
+  const auto so = loop_options();
+  const RefRecord ref_a = reference_record(so, {}, rec_a.adu, plan_a);
+  const RefRecord ref_b = reference_record(so, kB9Lsbs, rec_b.adu, plan_b);
+  ASSERT_GT(ref_a.events.size(), 0u);
+  ASSERT_GT(ref_b.events.size(), 0u);
+
+  NetServer::Options no;
+  no.stream = so;
+  NetServer server(no);
+  RawConn conn(server.port());
+  conn.send_bytes(hello_open(0xA1, {}));
+  EXPECT_EQ(conn.stats().ack, StatsAck::Hello);
+  EXPECT_EQ(conn.stats().ack, StatsAck::Open);
+  std::vector<u8> wire;
+  encode_chunks(wire, rec_a.adu, plan_a);
+  conn.send_bytes(wire);
+
+  wire.clear();
+  encode_close(wire);
+  OpenFrame open_b;
+  open_b.token = 0xB2;
+  open_b.lsbs = kB9Lsbs;
+  encode_open(wire, open_b);
+  encode_chunks(wire, rec_b.adu, plan_b);
+  encode_close(wire);
+  conn.send_bytes(wire);
+
+  std::vector<stream::Event> got_a;
+  const StatsFrame close_a = conn.stats(&got_a);
+  EXPECT_EQ(close_a.ack, StatsAck::Close);
+  std::vector<stream::Event> between;
+  const StatsFrame open_ack = conn.stats(&between);
+  EXPECT_EQ(open_ack.ack, StatsAck::Open);
+  EXPECT_TRUE(between.empty()) << "events between the CLOSE ack and the OPEN ack";
+  std::vector<stream::Event> got_b;
+  const StatsFrame close_b = conn.stats(&got_b);
+  EXPECT_EQ(close_b.ack, StatsAck::Close);
+
+  expect_events_equal(ref_a.events, got_a, "record A");
+  expect_events_equal(ref_b.events, got_b, "record B");
+  expect_ledger_equal(ref_a.stats, close_a, "record A ledger");
+  expect_ledger_equal(ref_b.stats, close_b, "record B ledger");
+  EXPECT_EQ(server.stats().events_shed, 0u);
+}
+
+TEST(NetLoopback, PipelinedResetThenChunksLandInTheFreshRecord) {
+  // RESET(warm); CHUNK x k; CLOSE in one send: the CHUNKs behind the RESET
+  // belong to the fresh record, which matches the in-process reset() path
+  // bit for bit, events and ledger.
+  const auto rec = ecg::nsrdb_like_digitized(2, 8000);
+  const std::span<const i32> adu(rec.adu);
+  const std::size_t half = adu.size() / 2;
+  const auto plan_a = ragged_plan(half, 51);
+  const auto plan_b = ragged_plan(adu.size() - half, 52);
+  const auto so = loop_options();
+
+  std::vector<stream::Event> ref_b;
+  stream::StreamServer::SessionStats ref_stats;
+  {
+    stream::StreamServer ref(so);
+    stream::SessionSpec spec;
+    spec.config = OpenFrame{}.config();
+    spec.keep_detection = false;
+    const auto id = ref.open(spec);
+    std::size_t at = 0;
+    for (const std::size_t len : plan_a) {
+      ASSERT_EQ(ref.push(id, adu.subspan(at, len)), stream::PushResult::Ok);
+      at += len;
+    }
+    while (ref.session_stats(id).chunks_processed < plan_a.size()) {
+      std::this_thread::sleep_for(1ms);
+    }
+    std::vector<stream::Event> drained;
+    (void)ref.drain_events(id, drained);
+    ASSERT_TRUE(ref.reset(id, pantompkins::WarmStart::KeepThresholds));
+    for (const std::size_t len : plan_b) {
+      ASSERT_EQ(ref.push(id, adu.subspan(at, len)), stream::PushResult::Ok);
+      at += len;
+    }
+    EXPECT_EQ(ref.close(id), stream::SessionState::Closed);
+    (void)ref.drain_events(id, ref_b);
+    ref_stats = ref.session_stats(id);
+  }
+  ASSERT_GT(ref_b.size(), 0u);
+
+  NetServer::Options no;
+  no.stream = so;
+  NetServer server(no);
+  RawConn conn(server.port());
+  conn.send_bytes(hello_open(0x5E7, {}));
+  EXPECT_EQ(conn.stats().ack, StatsAck::Hello);
+  EXPECT_EQ(conn.stats().ack, StatsAck::Open);
+  std::vector<u8> wire;
+  encode_chunks(wire, adu.subspan(0, half), plan_a);
+  conn.send_bytes(wire);
+  // Everything processed and delivered before the RESET goes out.
+  while (true) {
+    wire.clear();
+    encode_drain(wire, 50);
+    conn.send_bytes(wire);
+    if (conn.stats().chunks_processed == plan_a.size()) break;
+    std::this_thread::sleep_for(1ms);
+  }
+  wire.clear();
+  encode_drain(wire, 0);
+  conn.send_bytes(wire);
+  (void)conn.stats();
+
+  wire.clear();
+  encode_reset(wire, /*warm=*/true);
+  encode_chunks(wire, adu.subspan(half), plan_b);
+  encode_close(wire);
+  conn.send_bytes(wire);
+  std::vector<stream::Event> early;
+  const StatsFrame reset_ack = conn.stats(&early);
+  EXPECT_EQ(reset_ack.ack, StatsAck::Reset);
+  EXPECT_TRUE(early.empty()) << "events between the last DRAIN ack and the RESET ack";
+  std::vector<stream::Event> got_b;
+  const StatsFrame close_ack = conn.stats(&got_b);
+  EXPECT_EQ(close_ack.ack, StatsAck::Close);
+
+  expect_events_equal(ref_b, got_b, "fresh record");
+  expect_ledger_equal(ref_stats, close_ack, "fresh record ledger");
+}
+
+TEST(NetLoopback, ResetBehindUnprocessedChunksKeepsTheChunksAfterIt) {
+  // CHUNKs, RESET(cold), CHUNKs, CLOSE in one send, with no sync point: the
+  // RESET usually lands while a worker still holds the first record's batch
+  // (the deferred re-arm). Whatever the first record managed, the fresh
+  // record is exactly the chunks after the RESET, as if freshly opened.
+  const auto rec_a = ecg::nsrdb_like_digitized(5, 6000);
+  const auto rec_b = ecg::nsrdb_like_digitized(6, 6000);
+  const auto plan_a = ragged_plan(rec_a.adu.size(), 61);
+  const auto plan_b = ragged_plan(rec_b.adu.size(), 62);
+  const auto so = loop_options();
+  const RefRecord ref_b = reference_record(so, {}, rec_b.adu, plan_b);
+  ASSERT_GT(ref_b.events.size(), 0u);
+
+  NetServer::Options no;
+  no.stream = so;
+  NetServer server(no);
+  for (int round = 0; round < 4; ++round) {
+    RawConn conn(server.port());
+    conn.send_bytes(hello_open(0xC0 + static_cast<u64>(round), {}));
+    EXPECT_EQ(conn.stats().ack, StatsAck::Hello);
+    EXPECT_EQ(conn.stats().ack, StatsAck::Open);
+    std::vector<u8> wire;
+    encode_chunks(wire, rec_a.adu, plan_a);
+    encode_reset(wire, /*warm=*/false);
+    encode_chunks(wire, rec_b.adu, plan_b);
+    encode_close(wire);
+    conn.send_bytes(wire);
+    const StatsFrame reset_ack = conn.stats();
+    EXPECT_EQ(reset_ack.ack, StatsAck::Reset);
+    EXPECT_EQ(reset_ack.resets, 1u);
+    std::vector<stream::Event> got_b;
+    const StatsFrame close_ack = conn.stats(&got_b);
+    EXPECT_EQ(close_ack.ack, StatsAck::Close);
+    const std::string what = "round " + std::to_string(round);
+    expect_events_equal(ref_b.events, got_b, what);
+    EXPECT_EQ(close_ack.chunks_in, plan_a.size() + plan_b.size()) << what;
+    EXPECT_EQ(close_ack.chunks_in, close_ack.chunks_processed + close_ack.dropped_chunks) << what;
+    EXPECT_EQ(close_ack.session_state, static_cast<u8>(stream::SessionState::Closed)) << what;
+  }
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetServerThreads, ConnectionsCostNoThreads) {
+  stream::StreamServer::Options so;
+  so.workers = 2;
+  so.event_queue_capacity = 64;
+  NetServer::Options no;
+  no.stream = so;
+  NetServer server(no);
+  const std::size_t base = thread_count();
+  std::vector<std::unique_ptr<NetClient>> clients;
+  for (int i = 0; i < 32; ++i) {
+    auto cli = std::make_unique<NetClient>();
+    cli->connect("127.0.0.1", server.port());  // HELLO'd on return
+    if (i < 4) {
+      OpenFrame f;
+      f.token = 0x7A0 + static_cast<u64>(i);
+      EXPECT_EQ(cli->open(f).ack, StatsAck::Open);
+      cli->send_chunk(std::vector<i32>(256, 3));
+    }
+    clients.push_back(std::move(cli));
+  }
+  EXPECT_EQ(server.stats().connections_accepted, 32u);
+  EXPECT_EQ(thread_count(), base);
+}
+
+TEST(NetServerThreads, AWaitingDrainDelaysNoOtherConnection) {
+  // A DRAIN waiting out its timeout is a deadline on the loop, not a wait:
+  // another connection streams a whole record and closes it meanwhile.
+  const auto rec = ecg::nsrdb_like_digitized(1, 4000);
+  const auto plan = ragged_plan(rec.adu.size(), 71);
+  stream::StreamServer::Options so;
+  so.queue_capacity_chunks = 4096;
+  so.event_queue_capacity = 1 << 16;
+  NetServer::Options no;
+  no.stream = so;
+  NetServer server(no);
+
+  RawConn a(server.port());
+  a.send_bytes(hello_open(0xAA, {}));
+  EXPECT_EQ(a.stats().ack, StatsAck::Hello);
+  EXPECT_EQ(a.stats().ack, StatsAck::Open);
+  std::vector<u8> wire;
+  encode_drain(wire, 2000);
+  const auto t0 = std::chrono::steady_clock::now();
+  a.send_bytes(wire);
+  auto a_ack = std::async(std::launch::async, [&] {
+    const StatsFrame st = a.stats();
+    return std::make_pair(st, std::chrono::steady_clock::now());
+  });
+
+  const NetDrive b = drive_over_net(server, 0xBB, {}, rec.adu, plan);
+  const auto b_done = std::chrono::steady_clock::now();
+  EXPECT_EQ(b.final_stats.ack, StatsAck::Close);
+  EXPECT_EQ(b.final_stats.chunks_processed, plan.size());
+
+  const auto [drain_ack, a_done] = a_ack.get();
+  EXPECT_EQ(drain_ack.ack, StatsAck::Drain);
+  EXPECT_LT(b_done, a_done) << "B's CLOSE ack must not wait behind A's DRAIN";
+  EXPECT_GE(a_done - t0, 1500ms) << "the DRAIN acked before its deadline with nothing to send";
+}
+
+TEST(NetServerThreads, ADropMidOperationStillSettlesTheToken) {
+  // A connection that drops with a CLOSE or RESET in flight still completes
+  // that operation's registry transition: the token's next OPEN gets Open
+  // (the closed record) or Resumed (the warm park), never SessionBusy for
+  // good.
+  const auto rec = ecg::nsrdb_like_digitized(4, 6000);
+  const auto plan = ragged_plan(rec.adu.size(), 81);
+  stream::StreamServer::Options so;
+  so.workers = 1;
+  so.queue_capacity_chunks = 4096;
+  so.event_queue_capacity = 1 << 16;
+  NetServer::Options no;
+  no.stream = so;
+  NetServer server(no);
+
+  for (const bool reset : {false, true}) {
+    const u64 token = reset ? 0xD2 : 0xD1;
+    {
+      RawConn conn(server.port());
+      conn.send_bytes(hello_open(token, {}));
+      EXPECT_EQ(conn.stats().ack, StatsAck::Hello);
+      EXPECT_EQ(conn.stats().ack, StatsAck::Open);
+      std::vector<u8> wire;
+      encode_chunks(wire, rec.adu, plan);
+      if (reset) {
+        encode_reset(wire, /*warm=*/true);
+      } else {
+        encode_close(wire);
+      }
+      conn.send_bytes(wire);
+      conn.hang_up();  // before the ack
+    }
+    NetClient cli;
+    cli.connect("127.0.0.1", server.port());
+    OpenFrame f;
+    f.token = token;
+    const StatsFrame ack = cli.open(f, /*busy_retry_for=*/5s);
+    EXPECT_EQ(ack.ack, reset ? StatsAck::Resumed : StatsAck::Open) << "reset=" << reset;
+  }
+  EXPECT_EQ(server.stats().sessions_resumed, 1u);
+}
+
+TEST(NetServerThreads, StopWhileConnectionsStreamIsClean) {
+  // Destroying the server mid-stream must not let the stream layer's
+  // completion hook touch a closed eventfd (the workers outlive the loop).
+  const auto rec = ecg::nsrdb_like_digitized(0, 20000);
+  for (int trial = 0; trial < 3; ++trial) {
+    stream::StreamServer::Options so;
+    so.workers = 2;
+    so.queue_capacity_chunks = 64;
+    so.event_queue_capacity = 4096;
+    NetServer::Options no;
+    no.stream = so;
+    auto server = std::make_unique<NetServer>(no);
+    const u16 port = server->port();
+    std::atomic<int> ready{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.emplace_back([&, c] {
+        try {
+          NetClient cli;
+          cli.connect("127.0.0.1", port);
+          OpenFrame f;
+          f.token = 0x5700 + static_cast<u64>(c);
+          (void)cli.open(f);
+          ready.fetch_add(1);
+          for (int round = 0; round < 1000; ++round) {
+            for (std::size_t at = 0; at < rec.adu.size(); at += 64) {
+              const std::size_t len = std::min<std::size_t>(64, rec.adu.size() - at);
+              cli.send_chunk(std::span<const i32>(rec.adu).subspan(at, len));
+            }
+            std::vector<stream::Event> sink;
+            (void)cli.take_events(sink);
+          }
+        } catch (const std::exception&) {
+          // The server went away mid-stream: expected.
+        }
+      });
+    }
+    while (ready.load() < 4) std::this_thread::sleep_for(1ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20 + 10 * trial));
+    server.reset();
+    for (std::thread& t : clients) t.join();
+  }
 }
 
 // ------------------------------------------------------- corruption fuzzing

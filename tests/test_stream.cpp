@@ -5,11 +5,15 @@
 // isolation / quarantine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -1222,62 +1226,193 @@ TEST(StreamServer, WarmStartResetCarriesTrainedThresholds) {
   EXPECT_GT(warm, 0u);  // trained thresholds carried: beats from the start
 }
 
-TEST(StreamServer, TimedDrainWakesOnEventArrivalInsteadOfTimingOut) {
-  // The blocking overload sleeps until the first event lands, then drains
-  // everything queued at that instant — the egress path's alternative to
-  // spin-polling.
-  const auto rec = ecg::nsrdb_like_digitized(4, 6000);
-  SessionSpec spec;
-  spec.keep_detection = false;
+/// Records every Options::notify call together with the session's state as
+/// the hook saw it. The hook reads session_stats() from inside the call: if
+/// the server ever fired it with a shard lock held, that read would
+/// self-deadlock (or, in Debug, abort the lock-rank checker).
+struct NotifyLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::pair<SessionId, StreamServer::SessionStats>> calls;
+  StreamServer* server = nullptr;  ///< set before the first open()
+
+  std::function<void(SessionId)> hook() {
+    return [this](SessionId id) {
+      const StreamServer::SessionStats ss = server->session_stats(id);
+      const std::lock_guard<std::mutex> lock(mu);
+      calls.emplace_back(id, ss);
+      cv.notify_all();
+    };
+  }
+  std::size_t count(SessionId id) {
+    const std::lock_guard<std::mutex> lock(mu);
+    return static_cast<std::size_t>(std::count_if(
+        calls.begin(), calls.end(), [&](const auto& c) { return c.first == id; }));
+  }
+  /// Wait until \p id has been named more than \p n times; returns the
+  /// stats the latest call saw (state Empty on timeout).
+  StreamServer::SessionStats wait_past(SessionId id, std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    StreamServer::SessionStats last;
+    const bool ok = cv.wait_for(lock, std::chrono::seconds(30), [&] {
+      std::size_t k = 0;
+      for (const auto& c : calls) {
+        if (c.first == id) {
+          ++k;
+          last = c.second;
+        }
+      }
+      return k > n;
+    });
+    return ok ? last : StreamServer::SessionStats{};
+  }
+};
+
+TEST(StreamServer, NotifyFiresOnEgressEdgeAndOnTheClosedLanding) {
+  // The hook names a session when its egress queue goes from empty to
+  // non-empty — once per edge, however many events pile up undrained — and
+  // when a close() started without waiting lands.
+  const auto rec = ecg::nsrdb_like_digitized(4, 9000);
+  const std::span<const i32> adu(rec.adu);
+  NotifyLog log;
   StreamServer server({.max_sessions = 1,
                        .queue_capacity_chunks = 256,
                        .workers = 1,
-                       .event_queue_capacity = 1024});
-  const SessionId id = server.open(spec);
-
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    for (std::size_t at = 0; at < rec.adu.size(); at += 100) {
-      const std::size_t len = std::min<std::size_t>(100, rec.adu.size() - at);
-      ASSERT_EQ(server.push(id, std::span<const i32>(rec.adu).subspan(at, len)),
-                PushResult::Ok);
-    }
-  });
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Event> out;
-  const std::size_t n = server.drain_events(id, out, std::chrono::seconds(30));
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  producer.join();
-  EXPECT_GT(n, 0u);
-  EXPECT_EQ(out.size(), n);
-  EXPECT_LT(waited, std::chrono::seconds(10));  // woke on the event, not the deadline
-  EXPECT_EQ(server.close(id), SessionState::Closed);
-}
-
-TEST(StreamServer, TimedDrainTimesOutEmptyAndReturnsAtOnceOnTerminalStates) {
-  StreamServer server({.max_sessions = 1, .workers = 1, .event_queue_capacity = 64});
+                       .event_queue_capacity = 1024,
+                       .notify = log.hook()});
+  log.server = &server;
   SessionSpec spec;
   spec.keep_detection = false;
   const SessionId id = server.open(spec);
+  auto push_range = [&](std::size_t from, std::size_t to) {
+    for (std::size_t at = from; at < to; at += 100) {
+      ASSERT_EQ(server.push(id, adu.subspan(at, std::min<std::size_t>(100, to - at))),
+                PushResult::Ok);
+    }
+  };
+  auto quiesce = [&](u64 chunks) {
+    for (int i = 0; i < 3000 && server.session_stats(id).chunks_processed < chunks; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.session_stats(id).chunks_processed, chunks);
+  };
 
-  // Nothing queued, nothing coming: the wait runs to its deadline and
-  // reports zero.
+  push_range(0, 3000);
+  EXPECT_GT(log.wait_past(id, 0).events_queued, 0u);  // published before the call
+  quiesce(30);
+  // More events land while the first ones are still undrained: no new edge.
+  push_range(3000, 6000);
+  quiesce(60);
+  const auto mid = server.session_stats(id);
+  EXPECT_GT(mid.events, log.wait_past(id, 0).events);
+  EXPECT_EQ(log.count(id), 1u);
+
   std::vector<Event> out;
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(server.drain_events(id, out, std::chrono::milliseconds(60)), 0u);
-  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(50));
+  EXPECT_EQ(server.drain_events(id, out), mid.events_queued);
+  push_range(6000, adu.size());  // egress empty again: the next append is an edge
+  EXPECT_GT(log.wait_past(id, 1).events_queued, 0u);
 
-  // A session that can produce no more events must not burn the timeout.
-  ASSERT_EQ(server.push(id, std::vector<i32>(500, 5)), PushResult::Ok);
-  ASSERT_EQ(server.close(id), SessionState::Closed);
-  (void)server.drain_events(id, out);  // empty the queue first
-  const auto t1 = std::chrono::steady_clock::now();
-  EXPECT_EQ(server.drain_events(id, out, std::chrono::seconds(30)), 0u);
-  EXPECT_LT(std::chrono::steady_clock::now() - t1, std::chrono::seconds(10));
-
-  // Stale id: same immediate zero.
+  const std::size_t before_close = log.count(id);
+  EXPECT_EQ(server.close_start(id), StartResult::Pending);
+  const auto landed = log.wait_past(id, before_close);
+  EXPECT_EQ(landed.state, SessionState::Closed);
+  EXPECT_EQ(landed.chunks_processed, landed.chunks_in);
+  // Already landed: the start completes in the call and nothing follows.
+  const std::size_t after_close = log.count(id);
+  EXPECT_EQ(server.close_start(id), StartResult::Done);
+  EXPECT_EQ(server.close(id), SessionState::Closed);
+  EXPECT_EQ(log.count(id), after_close);
   (void)server.release(id);
-  EXPECT_EQ(server.drain_events(id, out, std::chrono::seconds(30)), 0u);
+  EXPECT_EQ(server.close_start(id), StartResult::NoSuchSession);
+  EXPECT_EQ(server.reset_start(id), StartResult::NoSuchSession);
+}
+
+TEST(StreamServer, NotifyFiresOnFaultedLandings) {
+  // A Faulted landing is reported whether ingest (an oversize chunk) or a
+  // worker (a throwing sink) faulted the session.
+  NotifyLog log;
+  StreamServer server({.max_sessions = 2,
+                       .max_chunk_samples = 128,
+                       .workers = 1,
+                       .event_queue_capacity = 64,
+                       .notify = log.hook()});
+  log.server = &server;
+  SessionSpec spec;
+  spec.keep_detection = false;
+  const SessionId oversize = server.open(spec);
+  EXPECT_EQ(server.push(oversize, std::vector<i32>(256, 1)), PushResult::Faulted);
+  EXPECT_EQ(log.count(oversize), 1u);  // fired before push() returned
+  EXPECT_EQ(log.wait_past(oversize, 0).state, SessionState::Faulted);
+
+  const auto rec = ecg::nsrdb_like_digitized(1, 4000);
+  spec.sink = [](const Event&) { throw std::runtime_error("sink boom"); };
+  const SessionId throwing = server.open(spec);
+  for (std::size_t at = 0; at < rec.adu.size(); at += 100) {
+    if (server.push(throwing, std::span<const i32>(rec.adu).subspan(at, 100)) != PushResult::Ok) {
+      break;
+    }
+  }
+  StreamServer::SessionStats ss;
+  for (std::size_t n = 0; ss.state != SessionState::Faulted && n < 8; ++n) {
+    ss = log.wait_past(throwing, n);
+  }
+  EXPECT_EQ(ss.state, SessionState::Faulted);
+  EXPECT_EQ(server.session_stats(throwing).error, "sink boom");
+}
+
+TEST(StreamServer, DeferredResetCompletesOnTheWorkerAndKeepsLaterChunks) {
+  // A reset started while a worker holds the slot returns Pending; the worker
+  // re-arms once its batch lands, fires the hook, and then processes the
+  // chunks committed after the start as the fresh record's.
+  const auto rec = ecg::nsrdb_like_digitized(2, 6000);
+  const std::span<const i32> adu(rec.adu);
+  NotifyLog log;
+  StreamServer server({.max_sessions = 1,
+                       .queue_capacity_chunks = 256,
+                       .workers = 1,
+                       .event_queue_capacity = 1024,
+                       .notify = log.hook()});
+  log.server = &server;
+
+  std::promise<void> entered;
+  std::promise<void> release_sink;
+  std::shared_future<void> gate = release_sink.get_future().share();
+  bool first = true;
+  SessionSpec spec;
+  spec.keep_detection = false;
+  spec.sink = [&](const Event&) {
+    if (!first) return;
+    first = false;
+    entered.set_value();
+    gate.wait();  // hold the worker mid-batch
+  };
+  const SessionId id = server.open(spec);
+  // Quiescent reset: completes in the call, and no notification follows.
+  EXPECT_EQ(server.reset_start(id), StartResult::Done);
+  EXPECT_EQ(server.session_stats(id).resets, 1u);
+
+  for (std::size_t at = 0; at < adu.size(); at += 100) {
+    ASSERT_EQ(server.push(id, adu.subspan(at, 100)), PushResult::Ok);
+  }
+  entered.get_future().wait();
+  const std::size_t before = log.count(id);
+  EXPECT_EQ(server.reset_start(id, pantompkins::WarmStart::Cold), StartResult::Pending);
+  // Committed after the start: belongs to the fresh record.
+  ASSERT_EQ(server.push(id, adu.subspan(0, 2000)), PushResult::Ok);
+  EXPECT_EQ(server.session_stats(id).resets, 1u);  // not yet re-armed
+  release_sink.set_value();
+
+  StreamServer::SessionStats ss;
+  for (std::size_t n = before; ss.resets < 2 && n < before + 8; ++n) {
+    ss = log.wait_past(id, n);
+  }
+  EXPECT_EQ(ss.resets, 2u);
+  EXPECT_EQ(ss.state, SessionState::Open);
+  EXPECT_EQ(server.close(id), SessionState::Closed);
+  const auto done = server.session_stats(id);
+  EXPECT_EQ(done.chunks_in, done.chunks_processed + done.queued_chunks + done.dropped_chunks);
+  // The fresh record is exactly the chunk committed after the start.
+  EXPECT_EQ(server.session(id)->samples_pushed(), 2000u);
 }
 
 TEST(StreamServer, OpenPlacesSessionsOnTheLeastLoadedShard) {
