@@ -244,20 +244,16 @@ class ApproxKernel final : public Kernel {
   /// Same policy for the per-config square table (mul_n with a == b).
   [[nodiscard]] const i64* square_table(std::size_t n) const;
 
-  /// Closed-form evaluation of the adder's approximate low region, decoded
-  /// once at construction. AMA5 (Sum=B, Cout=A) and AMA4 (Sum=NOT A, Cout=A)
-  /// have no carry chain through the approximated LSBs, so the whole add
-  /// collapses to masks plus one native add of the accurate high region —
-  /// bit-identical to the per-FA simulation (tests/test_kernel_equivalence).
+  /// Which loop serves the batched adds, decoded once at construction.
+  /// AMA5 (Sum=B, Cout=A) and AMA4 (Sum=NOT A, Cout=A) have no carry chain
+  /// through the approximated LSBs, so the dispatched vector tiers evaluate
+  /// them as masks plus one native add (WiredAddParams); every other adder
+  /// is Generic: RippleCarryAdder's closed form per element.
   enum class AddFastPath { Generic, SumIsB, SumIsNotA };
-  [[nodiscard]] i64 add_signed_fast(i64 a, i64 b) const noexcept;
-  [[nodiscard]] i64 sub_signed_fast(i64 a, i64 b) const noexcept;
-  [[nodiscard]] i64 wired_add(u64 ua, u64 ub) const noexcept;
 
   StageArithConfig cfg_;
   RippleCarryAdder adder_;
   AddFastPath add_path_ = AddFastPath::Generic;
-  int approx_bits_ = 0;  ///< adder LSBs in the approximate region (clamped)
   /// Decoded wired-add parameters handed to the dispatched vector loops
   /// (valid only when add_path_ != Generic).
   WiredAddParams wired_params_{};
@@ -299,11 +295,11 @@ class ApproxKernel final : public Kernel {
     const MultiplierConfig& cfg) noexcept;
 
 /// Cumulative build counters of the process-wide table caches (plus the
-/// multiplier behavioural-model cache) — each counts actual cold builds,
-/// not cache hits. Serving layers warm tables outside their latency-
-/// sensitive regions; tests snapshot these counters around a streaming run
-/// to prove nothing is built lazily on the hot path
-/// (tests/test_kernel_dispatch.cpp).
+/// multiplier behavioural-model cache) — each counts published cold builds,
+/// not cache hits (a racing builder's discarded duplicate is not counted).
+/// Serving layers warm tables outside their latency-sensitive regions; tests
+/// snapshot these counters around a streaming run to prove nothing is built
+/// lazily on the hot path (tests/test_kernel_dispatch.cpp).
 struct TableCacheStats {
   u64 multiplier_models = 0;  ///< RecursiveMultiplier behavioural models
   u64 magnitude_tables = 0;   ///< magnitude-indexed product rows

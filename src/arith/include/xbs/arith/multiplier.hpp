@@ -31,8 +31,10 @@ struct MultiplierConfig {
 ///
 /// Evaluation is bit-identical to simulating the module-level netlist
 /// (cross-validated in tests) but memoizes the 4x4 and 8x8 sub-multiplier
-/// functions in lookup tables, making a 16x16 multiply a handful of table
-/// lookups plus three 32-bit ripple-carry adds.
+/// functions in lookup tables, each level filled from the one below, and
+/// evaluates the partial-product adds in closed form (no adder object and no
+/// full-adder walk per add). A 16x16 multiply is four 8x8 lookups plus three
+/// 32-bit adds; a 32x32 one combines four 16x16 products with 64-bit adds.
 class RecursiveMultiplier {
  public:
   explicit RecursiveMultiplier(const MultiplierConfig& cfg);
@@ -51,13 +53,26 @@ class RecursiveMultiplier {
   [[nodiscard]] u64 exact_u(u64 a, u64 b) const noexcept;
 
  private:
-  /// Simulate a sub-multiplier of size n whose operand slices sit at bit
-  /// offsets (off_a, off_b). Returns the raw 2n-bit (approximate) product.
-  [[nodiscard]] u64 simulate(int n, u64 a, u64 b, int off_a, int off_b) const noexcept;
+  /// Elementary 2x2 product of the module whose output starts at \p base.
+  [[nodiscard]] u64 elem(u64 a, u64 b, int base) const noexcept;
+
+  /// The n x n product of the sub-multiplier at base weight \p base, from
+  /// its four h x h sub-products (h = n / 2), each evaluated by
+  /// \p sub(x, y, base).
+  template <class Sub>
+  [[nodiscard]] u64 product(int n, u64 a, u64 b, int base, const Sub& sub) const noexcept;
 
   /// Combine four sub-products with three 2n-bit adders at weight offset
-  /// off_a + off_b (P = LL + ((HL + LH) << h) + (HH << n)).
+  /// \p base (P = LL + ((HL + LH) << h) + (HH << n)).
   [[nodiscard]] u64 combine(int n, u64 ll, u64 hl, u64 lh, u64 hh, int base) const noexcept;
+
+  /// Memoized 4x4 / 8x8 sub-products at base weight \p base.
+  [[nodiscard]] u64 lut4(u64 a, u64 b, int base) const noexcept {
+    return lut4_by_base_[static_cast<std::size_t>(base)][(a << 4) | b];
+  }
+  [[nodiscard]] u64 lut8(u64 a, u64 b, int base) const noexcept {
+    return lut8_by_base_[static_cast<std::size_t>(base)][(a << 8) | b];
+  }
 
   MultiplierConfig cfg_;
   // Memoized sub-multiplier functions keyed by base weight offset
@@ -69,29 +84,20 @@ class RecursiveMultiplier {
   std::vector<std::vector<u16>> lut8_tables_;  // 65536 entries each
   std::vector<const u8*> lut4_by_base_;        // index = base, nullptr = none
   std::vector<const u16*> lut8_by_base_;
-  [[nodiscard]] const u8* find_lut4(int base) const noexcept {
-    return static_cast<std::size_t>(base) < lut4_by_base_.size()
-               ? lut4_by_base_[static_cast<std::size_t>(base)]
-               : nullptr;
-  }
-  [[nodiscard]] const u16* find_lut8(int base) const noexcept {
-    return static_cast<std::size_t>(base) < lut8_by_base_.size()
-               ? lut8_by_base_[static_cast<std::size_t>(base)]
-               : nullptr;
-  }
 };
 
 /// Process-wide cache of multiplier behavioural models: exploration sweeps
 /// re-use configurations heavily, and each model owns non-trivial lookup
-/// tables. Thread-compatible (not thread-safe): the explorers are
-/// single-threaded by design for determinism.
+/// tables. Thread-safe: a cold model is built outside the cache lock, so
+/// warm lookups never wait for it, and is published insert-if-absent —
+/// threads racing on one cold config all receive the same model.
 [[nodiscard]] std::shared_ptr<const RecursiveMultiplier> get_multiplier(
     const MultiplierConfig& cfg);
 
-/// Cumulative count of behavioural models actually constructed by
-/// get_multiplier (cache misses, not hits) — one input of
-/// arith::table_cache_stats(), which tests snapshot to prove the streaming
-/// hot path never builds a model lazily.
+/// Cumulative count of behavioural models get_multiplier has published
+/// (cold builds, not hits; a racer's discarded duplicate is not counted) —
+/// one input of arith::table_cache_stats(), which tests snapshot to prove
+/// the streaming hot path never builds a model lazily.
 [[nodiscard]] u64 multiplier_model_builds() noexcept;
 
 }  // namespace xbs::arith

@@ -31,10 +31,12 @@ struct AddResult {
 
 /// Behavioural model of the approximate ripple-carry adder.
 ///
-/// The approximated low region is simulated full-adder by full-adder from the
-/// truth tables; the accurate high region is evaluated natively (bit-exact
-/// shortcut for a chain of accurate FAs), so adds cost O(k) instead of
-/// O(width).
+/// Every add is O(1) for every kind: the approximated low region is
+/// evaluated in closed form (word-wide carries of one native add for the
+/// exact-carry kinds AMA1/AMA2 and for AMA3's simplified carry, plain
+/// wiring for AMA4/AMA5) and the accurate high region is one native add —
+/// bit-identical to chaining the full-adder truth tables (tests/test_rca.cpp
+/// checks every kind, width 2..6, exhaustively against that chain).
 class RippleCarryAdder {
  public:
   explicit RippleCarryAdder(const AdderConfig& cfg);

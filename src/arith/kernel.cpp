@@ -156,49 +156,19 @@ ApproxKernel::ApproxKernel(const StageArithConfig& cfg)
       adder_(cfg.adder),
       mult_owner_(get_multiplier(cfg.mult)),
       mult_(mult_owner_.get()) {
-  // Decode the adder once: the carry-free mirror adders evaluate in closed
-  // form (see AddFastPath). Positions below `approx_bits_` are approximate.
-  approx_bits_ = std::clamp(cfg.adder.approx_lsbs - cfg.adder.weight_offset, 0,
-                            cfg.adder.width);
-  if (approx_bits_ > 0 && cfg.adder.width <= 63) {
+  // Decode the adder once: the carry-free mirror adders take the dispatched
+  // wired-add loops (see AddFastPath). Positions below `approx_bits` are
+  // approximate.
+  const int approx_bits = std::clamp(cfg.adder.approx_lsbs - cfg.adder.weight_offset, 0,
+                                     cfg.adder.width);
+  if (approx_bits > 0 && cfg.adder.width <= 63) {
     if (cfg.adder.kind == AdderKind::Approx5) add_path_ = AddFastPath::SumIsB;
     if (cfg.adder.kind == AdderKind::Approx4) add_path_ = AddFastPath::SumIsNotA;
   }
   wired_params_.width = cfg.adder.width;
-  wired_params_.approx_bits = approx_bits_;
+  wired_params_.approx_bits = approx_bits;
   wired_params_.sum_is_b = add_path_ == AddFastPath::SumIsB;
   wired_params_.negate_b = false;
-}
-
-i64 ApproxKernel::wired_add(u64 ua, u64 ub) const noexcept {
-  // Approximate low region of a carry-free mirror adder: the low sum bits
-  // are pure wiring (B for AMA5, NOT A for AMA4) and the carry into the
-  // accurate high region is A's top approximate bit (Cout = A in both
-  // kinds; the carry-in is ignored by the first approximate FA, so this
-  // covers the subtractor's injected carry too). The accurate high region
-  // is one native add, exactly like RippleCarryAdder's fast path.
-  const int w = cfg_.adder.width;
-  const int k = approx_bits_;
-  const u64 low =
-      (add_path_ == AddFastPath::SumIsB ? ub : ~ua) & low_mask(k);
-  if (k >= w) return sign_extend(low & low_mask(w), w);
-  const u64 carry = (ua >> (k - 1)) & 1u;
-  const u64 hi = ((ua >> k) + (ub >> k) + carry) & low_mask(w - k);
-  return sign_extend((hi << k) | low, w);
-}
-
-i64 ApproxKernel::add_signed_fast(i64 a, i64 b) const noexcept {
-  if (add_path_ == AddFastPath::Generic) return adder_.add_signed(a, b);
-  const int w = cfg_.adder.width;
-  return wired_add(to_unsigned_bits(a, w), to_unsigned_bits(b, w));
-}
-
-i64 ApproxKernel::sub_signed_fast(i64 a, i64 b) const noexcept {
-  if (add_path_ == AddFastPath::Generic) return adder_.sub_signed(a, b);
-  const int w = cfg_.adder.width;
-  // One's complement + carry-in, as in the adder-subtractor datapath; the
-  // injected carry-in dies at the first approximate FA (see wired_add).
-  return wired_add(to_unsigned_bits(a, w), (~to_unsigned_bits(b, w)) & low_mask(w));
 }
 
 i64 ApproxKernel::add1(i64 a, i64 b) const { return adder_.add_signed(a, b); }
@@ -209,8 +179,8 @@ i64 ApproxKernel::mul1(i64 a, i64 b) const { return mult_->multiply_signed(a, b)
 
 // The batched loop bodies live behind the runtime ISA dispatch (isa.hpp):
 // one atomic table-pointer load per *_n call selects the scalar baseline or
-// the AVX2/AVX-512 vector loops, all bit-identical to the closed forms
-// above (asserted per forced ISA in tests/test_kernel_dispatch.cpp).
+// the AVX2/AVX-512 vector loops, all bit-identical to the adder's closed
+// form (asserted per forced ISA in tests/test_kernel_dispatch.cpp).
 
 void ApproxKernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
                               std::span<i64> out) const {
@@ -227,7 +197,7 @@ void ApproxKernel::sub_n_impl(std::span<const i64> a, std::span<const i64> b,
   const std::size_t n = out.size();
   if (add_path_ != AddFastPath::Generic) {
     WiredAddParams p = wired_params_;
-    p.negate_b = true;  // one's complement + injected carry (see wired_add)
+    p.negate_b = true;  // one's complement + injected carry (see isa_ops.hpp)
     kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, p);
     return;
   }
@@ -360,7 +330,7 @@ void ApproxKernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc)
   const i64* prod = coeff_table(c, n);
   if (prod == nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = add_signed_fast(acc[i], mult_->multiply_signed(c, x[i]));
+      acc[i] = adder_.add_signed(acc[i], mult_->multiply_signed(c, x[i]));
     }
     return;
   }
@@ -389,49 +359,77 @@ std::unique_ptr<Kernel> make_kernel(const StageArithConfig& cfg) {
 
 namespace {
 
+/// Cache key: the multiplier configuration plus the operand the table is
+/// specialized on — the coefficient magnitude of a magnitude row, the
+/// sign-extended coefficient of a signed table, 0 for the square table.
+struct TableKey {
+  MultiplierConfig cfg;
+  i64 operand = 0;
+
+  friend bool operator==(const TableKey&, const TableKey&) = default;
+};
+
 // Cache entries are cache-line aligned: the process-wide caches are walked
 // concurrently by every stream::StreamServer worker, and a 64-byte entry
 // stride keeps one worker's entry (and the vector growth that publishes a
 // neighbour) from false-sharing another's hot line.
+using TablePtr = std::shared_ptr<const TableVec>;
 
-/// Magnitude-indexed product rows M[m] = multiply_u(|c|, m) — the expensive
-/// build, shared between +c and -c (and reused for the square diagonal).
-struct alignas(64) MagnitudeCacheEntry {
-  MultiplierConfig cfg;
-  u64 magnitude;
-  std::shared_ptr<const TableVec> table;
+struct alignas(64) CacheEntry {
+  TableKey key;
+  TablePtr table;
 };
 
-/// Full signed per-coefficient tables P[u] = mul1(c, sign_extend(u, w)),
-/// keyed by the sign-extended coefficient value.
-struct alignas(64) SignedCacheEntry {
-  MultiplierConfig cfg;
-  i64 coeff;
-  std::shared_ptr<const TableVec> table;
+/// One process-wide table cache. Caches are shared by every kernel in the
+/// process and hit from the concurrent sessions of a stream::StreamServer and
+/// the parallel exploration workers, so lookups and publishes are serialized;
+/// the tables themselves are immutable once published. Rank kTableCache: a
+/// leaf — table fills run *outside* the lock, and nothing else is ever
+/// acquired under it.
+class TableCache {
+ public:
+  [[nodiscard]] TablePtr find(const TableKey& key) const XBS_EXCLUDES(mutex_) {
+    const common::MutexLock lock(mutex_);
+    return find_locked(key);
+  }
+
+  /// Insert-if-absent: a racing builder of the same key may have published
+  /// first, and then every caller gets that table (this copy is dropped and
+  /// not counted as a build).
+  TablePtr publish(const TableKey& key, TablePtr table) XBS_EXCLUDES(mutex_) {
+    const common::MutexLock lock(mutex_);
+    if (auto won = find_locked(key)) return won;
+    ++builds_;
+    return entries_.emplace_back(CacheEntry{key, std::move(table)}).table;
+  }
+
+  /// Tables published so far (cold builds, not hits).
+  [[nodiscard]] u64 builds() const XBS_EXCLUDES(mutex_) {
+    const common::MutexLock lock(mutex_);
+    return builds_;
+  }
+
+ private:
+  [[nodiscard]] TablePtr find_locked(const TableKey& key) const XBS_REQUIRES(mutex_) {
+    for (const CacheEntry& e : entries_) {
+      if (e.key == key) return e.table;
+    }
+    return nullptr;
+  }
+
+  mutable common::Mutex mutex_{common::LockRank::kTableCache};
+  std::vector<CacheEntry> entries_ XBS_GUARDED_BY(mutex_);
+  u64 builds_ XBS_GUARDED_BY(mutex_) = 0;
 };
 
-/// Per-config square tables S[u] = mul1(x, x), x = sign_extend(u, w).
-struct alignas(64) SquareCacheEntry {
-  MultiplierConfig cfg;
-  std::shared_ptr<const TableVec> table;
-};
-
-// The caches are shared by every kernel in the process and are hit from the
-// concurrent sessions of a stream::StreamServer and the parallel exploration
-// workers, so reads and inserts are serialized. The tables themselves are
-// immutable once published; racing builders of the same table publish
-// equivalent duplicates (last one wins, both bit-identical). The build
-// counters count actual cold fills (not hits) and feed table_cache_stats().
-// Rank kTableCache: a leaf — table fills run *outside* the lock, and nothing
-// else is ever acquired under it.
 struct TableCaches {
-  common::Mutex mutex{common::LockRank::kTableCache};
-  std::vector<MagnitudeCacheEntry> magnitude XBS_GUARDED_BY(mutex);
-  std::vector<SignedCacheEntry> signed_coeff XBS_GUARDED_BY(mutex);
-  std::vector<SquareCacheEntry> square XBS_GUARDED_BY(mutex);
-  u64 magnitude_builds XBS_GUARDED_BY(mutex) = 0;
-  u64 signed_builds XBS_GUARDED_BY(mutex) = 0;
-  u64 square_builds XBS_GUARDED_BY(mutex) = 0;
+  /// Magnitude-indexed product rows M[m] = multiply_u(|c|, m) — the
+  /// expensive build, shared between +c and -c.
+  TableCache magnitude;
+  /// Full signed per-coefficient tables P[u] = mul1(c, sign_extend(u, w)).
+  TableCache signed_coeff;
+  /// Per-config square tables S[u] = mul1(x, x), x = sign_extend(u, w).
+  TableCache square;
 };
 
 TableCaches& caches() {
@@ -441,13 +439,8 @@ TableCaches& caches() {
 
 std::shared_ptr<const TableVec> get_magnitude_products(const MultiplierConfig& cfg,
                                                        u64 magnitude) {
-  {
-    TableCaches& tc = caches();
-    const common::MutexLock lock(tc.mutex);
-    for (const MagnitudeCacheEntry& e : tc.magnitude) {
-      if (e.magnitude == magnitude && e.cfg == cfg) return e.table;
-    }
-  }
+  const TableKey key{cfg, static_cast<i64>(magnitude)};
+  if (auto warm = caches().magnitude.find(key)) return warm;
   // Build outside the lock (the fill is the expensive part).
   const auto model = get_multiplier(cfg);
   // Operand magnitudes of a w-bit signed multiplier span [0, 2^(w-1)]
@@ -459,11 +452,7 @@ std::shared_ptr<const TableVec> get_magnitude_products(const MultiplierConfig& c
     // the A port. Approximate arrays are not commutative, so this matters.
     (*table)[m] = static_cast<i64>(model->multiply_u(magnitude, static_cast<u64>(m)));
   }
-  TableCaches& tc = caches();
-  const common::MutexLock lock(tc.mutex);
-  tc.magnitude.push_back(MagnitudeCacheEntry{cfg, magnitude, table});
-  ++tc.magnitude_builds;
-  return table;
+  return caches().magnitude.publish(key, std::move(table));
 }
 
 }  // namespace
@@ -471,84 +460,61 @@ std::shared_ptr<const TableVec> get_magnitude_products(const MultiplierConfig& c
 std::shared_ptr<const TableVec> peek_signed_coeff_products(
     const MultiplierConfig& cfg, i64 coeff) noexcept {
   const i64 sc = sign_extend(to_unsigned_bits(coeff, cfg.width), cfg.width);
-  TableCaches& tc = caches();
-  const common::MutexLock lock(tc.mutex);
-  for (const SignedCacheEntry& e : tc.signed_coeff) {
-    if (e.coeff == sc && e.cfg == cfg) return e.table;
-  }
-  return nullptr;
+  return caches().signed_coeff.find(TableKey{cfg, sc});
 }
 
 std::shared_ptr<const TableVec> get_signed_coeff_products(const MultiplierConfig& cfg,
                                                           i64 coeff) {
-  if (auto warm = peek_signed_coeff_products(cfg, coeff)) return warm;
   const int w = cfg.width;
-  const i64 sc = sign_extend(to_unsigned_bits(coeff, w), w);
-  const bool neg = sc < 0;
-  const u64 mag = neg ? static_cast<u64>(-sc) : static_cast<u64>(sc);
-  // Derive the full signed table from the magnitude row: one load and one
-  // conditional negate per entry — cheap next to the row's multiply_u fill,
-  // and bit-identical to mul1(c, x) by the sign-magnitude wrapper identity.
-  const auto row = get_magnitude_products(cfg, mag);
+  const TableKey key{cfg, sign_extend(to_unsigned_bits(coeff, w), w)};
+  if (auto warm = caches().signed_coeff.find(key)) return warm;
+  const bool neg = key.operand < 0;
+  const u64 mag = neg ? static_cast<u64>(-key.operand) : static_cast<u64>(key.operand);
+  // Spread the magnitude row over both operand halves; bit-identical to
+  // mul1(c, x) by the sign-magnitude wrapper identity.
+  const TableVec& row = *get_magnitude_products(cfg, mag);
   const std::size_t n = std::size_t{1} << w;
+  const std::size_t half = n / 2;
   auto table = std::make_shared<TableVec>(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const i64 sx = sign_extend(static_cast<u64>(u), w);
-    const u64 mx = sx < 0 ? static_cast<u64>(-sx) : static_cast<u64>(sx);
-    const i64 p = (*row)[mx];
-    (*table)[u] = (neg != (sx < 0)) ? -p : p;
-  }
-  TableCaches& tc = caches();
-  const common::MutexLock lock(tc.mutex);
-  tc.signed_coeff.push_back(SignedCacheEntry{cfg, sc, table});
-  ++tc.signed_builds;
-  return table;
+  TableVec& t = *table;
+  // Non-negative operands u: |x| = u, and the product takes c's sign.
+  for (std::size_t u = 0; u < half; ++u) t[u] = neg ? -row[u] : row[u];
+  // Negative operands mirror them: |x| = n - u, and the opposite sign.
+  for (std::size_t u = half; u < n; ++u) t[u] = neg ? row[n - u] : -row[n - u];
+  return caches().signed_coeff.publish(key, std::move(table));
 }
 
 std::shared_ptr<const TableVec> peek_square_products(
     const MultiplierConfig& cfg) noexcept {
-  TableCaches& tc = caches();
-  const common::MutexLock lock(tc.mutex);
-  for (const SquareCacheEntry& e : tc.square) {
-    if (e.cfg == cfg) return e.table;
-  }
-  return nullptr;
+  return caches().square.find(TableKey{cfg, 0});
 }
 
 std::shared_ptr<const TableVec> get_square_products(const MultiplierConfig& cfg) {
-  if (auto warm = peek_square_products(cfg)) return warm;
+  const TableKey key{cfg, 0};
+  if (auto warm = caches().square.find(key)) return warm;
   const auto model = get_multiplier(cfg);
-  const int w = cfg.width;
-  // Square diagonal per magnitude, then spread over both sign halves: the
-  // sign-magnitude wrapper makes mul1(x, x) = +multiply_u(|x|, |x|) always.
-  const std::size_t half = (std::size_t{1} << (w - 1)) + 1;
-  std::vector<i64> diag(half);
-  for (std::size_t m = 0; m < half; ++m) {
-    diag[m] =
-        static_cast<i64>(model->multiply_u(static_cast<u64>(m), static_cast<u64>(m)));
-  }
-  const std::size_t n = std::size_t{1} << w;
+  const std::size_t n = std::size_t{1} << cfg.width;
+  const std::size_t half = n / 2;
   auto table = std::make_shared<TableVec>(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const i64 sx = sign_extend(static_cast<u64>(u), w);
-    const u64 mx = sx < 0 ? static_cast<u64>(-sx) : static_cast<u64>(sx);
-    (*table)[u] = diag[mx];
+  TableVec& t = *table;
+  // The sign-magnitude wrapper makes mul1(x, x) = +multiply_u(|x|, |x|):
+  // the non-negative operands u hold the square diagonal, and the negative
+  // ones mirror it (|x| = n - u; the most negative value's magnitude, half,
+  // is the one entry with no non-negative twin).
+  for (std::size_t m = 0; m < half; ++m) {
+    t[m] = static_cast<i64>(model->multiply_u(static_cast<u64>(m), static_cast<u64>(m)));
   }
-  TableCaches& tc = caches();
-  const common::MutexLock lock(tc.mutex);
-  tc.square.push_back(SquareCacheEntry{cfg, table});
-  ++tc.square_builds;
-  return table;
+  t[half] = static_cast<i64>(model->multiply_u(half, half));
+  for (std::size_t u = half + 1; u < n; ++u) t[u] = t[n - u];
+  return caches().square.publish(key, std::move(table));
 }
 
 TableCacheStats table_cache_stats() noexcept {
   TableCacheStats s;
   s.multiplier_models = multiplier_model_builds();
-  TableCaches& tc = caches();
-  const common::MutexLock lock(tc.mutex);
-  s.magnitude_tables = tc.magnitude_builds;
-  s.signed_tables = tc.signed_builds;
-  s.square_tables = tc.square_builds;
+  s.magnitude_tables = caches().magnitude.builds();
+  s.signed_tables = caches().signed_coeff.builds();
+  s.square_tables = caches().square.builds();
   return s;
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ripple_add.hpp"
 #include "xbs/arith/mult2x2.hpp"
 #include "xbs/common/bitops.hpp"
 #include "xbs/common/sync.hpp"
@@ -42,18 +43,18 @@ RecursiveMultiplier::RecursiveMultiplier(const MultiplierConfig& cfg) : cfg_(cfg
     throw std::invalid_argument("approx_lsbs must be in [0, 2*width]");
   }
   // Memoize 4x4 sub-multipliers (and, for width >= 16, 8x8) keyed by base
-  // weight offset. Tables are built through the plain recursive simulation so
-  // they are bit-identical to the unmemoized path. Each level's pointer index
-  // is published only after all of its tables are built (the table vector
-  // must stop reallocating before addresses are taken), so the 8x8 builds run
-  // on top of the already-indexed 4x4 tables.
+  // weight offset, each level filled from the one below: the 4x4 tables from
+  // the 2x2 elements, the 8x8 tables from the 4x4 tables. Each level's
+  // pointer index is published only after all of its tables are built (the
+  // table vector must stop reallocating before addresses are taken).
   if (cfg.width >= 4) {
     const std::vector<int> bases = sub_bases(cfg.width, 4);
+    const auto sub2 = [this](u64 x, u64 y, int b) { return elem(x, y, b); };
     for (const int base : bases) {
       std::vector<u8>& t = lut4_tables_.emplace_back(256);
       for (u32 a = 0; a < 16; ++a)
         for (u32 b = 0; b < 16; ++b)
-          t[(a << 4) | b] = static_cast<u8>(simulate(4, a, b, base, 0));
+          t[(a << 4) | b] = static_cast<u8>(product(4, a, b, base, sub2));
     }
     lut4_by_base_.assign(static_cast<std::size_t>(2 * cfg.width + 1), nullptr);
     for (std::size_t i = 0; i < bases.size(); ++i) {
@@ -62,11 +63,12 @@ RecursiveMultiplier::RecursiveMultiplier(const MultiplierConfig& cfg) : cfg_(cfg
   }
   if (cfg.width >= 16) {
     const std::vector<int> bases = sub_bases(cfg.width, 8);
+    const auto sub4 = [this](u64 x, u64 y, int b) { return lut4(x, y, b); };
     for (const int base : bases) {
       std::vector<u16>& t = lut8_tables_.emplace_back(65536);
       for (u32 a = 0; a < 256; ++a)
         for (u32 b = 0; b < 256; ++b)
-          t[(a << 8) | b] = static_cast<u16>(simulate(8, a, b, base, 0));
+          t[(a << 8) | b] = static_cast<u16>(product(8, a, b, base, sub4));
     }
     lut8_by_base_.assign(static_cast<std::size_t>(2 * cfg.width + 1), nullptr);
     for (std::size_t i = 0; i < bases.size(); ++i) {
@@ -75,53 +77,53 @@ RecursiveMultiplier::RecursiveMultiplier(const MultiplierConfig& cfg) : cfg_(cfg
   }
 }
 
+u64 RecursiveMultiplier::elem(u64 a, u64 b, int base) const noexcept {
+  const MultKind kind =
+      elem_is_approx(cfg_.policy, base, cfg_.approx_lsbs) ? cfg_.mult_kind : MultKind::Accurate;
+  return mult2(kind, static_cast<u32>(a), static_cast<u32>(b));
+}
+
+template <class Sub>
+u64 RecursiveMultiplier::product(int n, u64 a, u64 b, int base, const Sub& sub) const noexcept {
+  const int h = n / 2;
+  const u64 al = a & low_mask(h), ah = a >> h;
+  const u64 bl = b & low_mask(h), bh = b >> h;
+  return combine(n, sub(al, bl, base), sub(ah, bl, base + h), sub(al, bh, base + h),
+                 sub(ah, bh, base + n), base);
+}
+
 u64 RecursiveMultiplier::combine(int n, u64 ll, u64 hl, u64 lh, u64 hh,
                                  int base) const noexcept {
   const int h = n / 2;
-  const AdderConfig acfg{2 * n, cfg_.approx_lsbs, cfg_.adder_kind, base};
-  const RippleCarryAdder adder(acfg);
+  // The 2n-bit adders of this level, decoded: bit j has absolute weight
+  // base + j and is approximate iff that weight is below k (Fig. 6).
+  const AdderKind kind = cfg_.adder_kind;
+  const int w = 2 * n;
+  const int approx = std::clamp(cfg_.approx_lsbs - base, 0, w);
   // Operand-port convention: where one operand is structurally zero (the
   // shifted partial products), it is wired to the A port. The zero-cost
   // wiring adder (ApproxAdd5: Sum = B, Cout = A) then passes the live data
   // through and keeps the carry lane constant — the port assignment any RTL
   // designer would pick, and the one the netlist builders mirror.
-  const u64 s1 = adder.add_u(hl << h, lh << h).sum;
-  const u64 s2 = adder.add_u(s1, ll).sum;
-  const u64 s3 = adder.add_u(hh << n, s2).sum;
-  return s3;
-}
-
-u64 RecursiveMultiplier::simulate(int n, u64 a, u64 b, int off_a, int off_b) const noexcept {
-  a &= low_mask(n);
-  b &= low_mask(n);
-  const int base = off_a + off_b;
-  if (n == 2) {
-    const MultKind kind =
-        elem_is_approx(cfg_.policy, base, cfg_.approx_lsbs) ? cfg_.mult_kind : MultKind::Accurate;
-    return mult2(kind, static_cast<u32>(a), static_cast<u32>(b));
-  }
-  if (n == 8) {
-    if (const u16* t = find_lut8(base)) {
-      return t[(static_cast<std::size_t>(a) << 8) | b];
-    }
-  }
-  if (n == 4) {
-    if (const u8* t = find_lut4(base)) {
-      return t[(static_cast<std::size_t>(a) << 4) | b];
-    }
-  }
-  const int h = n / 2;
-  const u64 al = a & low_mask(h), ah = a >> h;
-  const u64 bl = b & low_mask(h), bh = b >> h;
-  const u64 ll = simulate(h, al, bl, off_a, off_b);
-  const u64 hl = simulate(h, ah, bl, off_a + h, off_b);
-  const u64 lh = simulate(h, al, bh, off_a, off_b + h);
-  const u64 hh = simulate(h, ah, bh, off_a + h, off_b + h);
-  return combine(n, ll, hl, lh, hh, base);
+  const u64 s1 = detail::ripple_add(kind, w, approx, hl << h, lh << h, false).sum;
+  const u64 s2 = detail::ripple_add(kind, w, approx, s1, ll, false).sum;
+  return detail::ripple_add(kind, w, approx, hh << n, s2, false).sum;
 }
 
 u64 RecursiveMultiplier::multiply_u(u64 a, u64 b) const noexcept {
-  return simulate(cfg_.width, a & low_mask(cfg_.width), b & low_mask(cfg_.width), 0, 0);
+  // From the largest memo tables up: no recursion per product.
+  a &= low_mask(cfg_.width);
+  b &= low_mask(cfg_.width);
+  const auto sub4 = [this](u64 x, u64 y, int base) { return lut4(x, y, base); };
+  const auto sub8 = [this](u64 x, u64 y, int base) { return lut8(x, y, base); };
+  const auto sub16 = [&](u64 x, u64 y, int base) { return product(16, x, y, base, sub8); };
+  switch (cfg_.width) {
+    case 2: return elem(a, b, 0);
+    case 4: return lut4(a, b, 0);
+    case 8: return product(8, a, b, 0, sub4);
+    case 16: return product(16, a, b, 0, sub8);
+    default: return product(32, a, b, 0, sub16);
+  }
 }
 
 i64 RecursiveMultiplier::multiply_signed(i64 a, i64 b) const noexcept {
@@ -156,17 +158,29 @@ std::vector<MultCacheEntry>& mult_cache() XBS_REQUIRES(g_cache_mutex) {
   return cache;
 }
 
+std::shared_ptr<const RecursiveMultiplier> find_model(const MultiplierConfig& cfg)
+    XBS_REQUIRES(g_cache_mutex) {
+  for (const auto& e : mult_cache())
+    if (e.cfg == cfg) return e.model;
+  return nullptr;
+}
+
 }  // namespace
 
 std::shared_ptr<const RecursiveMultiplier> get_multiplier(const MultiplierConfig& cfg) {
-  // Serialized: kernels are built concurrently by stream::StreamServer
-  // sessions. The models themselves are immutable once published.
-  const common::MutexLock lock(g_cache_mutex);
-  std::vector<MultCacheEntry>& cache = mult_cache();
-  for (const auto& e : cache)
-    if (e.cfg == cfg) return e.model;
+  // Serialized lookups: kernels are built concurrently by stream::StreamServer
+  // sessions and the exploration workers. The models themselves are
+  // immutable once published.
+  {
+    const common::MutexLock lock(g_cache_mutex);
+    if (auto warm = find_model(cfg)) return warm;
+  }
+  // Build outside the lock, so a cold build never stalls warm lookups, then
+  // publish insert-if-absent: a racer that published first wins.
   auto model = std::make_shared<const RecursiveMultiplier>(cfg);
-  cache.push_back(MultCacheEntry{cfg, model});
+  const common::MutexLock lock(g_cache_mutex);
+  if (auto won = find_model(cfg)) return won;
+  mult_cache().push_back(MultCacheEntry{cfg, model});
   g_model_builds.fetch_add(1, std::memory_order_relaxed);
   return model;
 }

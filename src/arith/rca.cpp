@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ripple_add.hpp"
+
 namespace xbs::arith {
 
 RippleCarryAdder::RippleCarryAdder(const AdderConfig& cfg) : cfg_(cfg) {
@@ -16,31 +18,7 @@ RippleCarryAdder::RippleCarryAdder(const AdderConfig& cfg) : cfg_(cfg) {
 }
 
 AddResult RippleCarryAdder::add_u(u64 a, u64 b, bool carry_in) const noexcept {
-  const u64 mask = low_mask(cfg_.width);
-  a &= mask;
-  b &= mask;
-  u64 sum = 0;
-  bool carry = carry_in;
-  const FaTable& t = fa_table(cfg_.kind);
-  for (int i = 0; i < approx_in_range_; ++i) {
-    const std::size_t idx = (static_cast<std::size_t>(bit_of(a, i)) << 2) |
-                            (static_cast<std::size_t>(bit_of(b, i)) << 1) |
-                            static_cast<std::size_t>(carry);
-    const FaOut o = t[idx];
-    sum = with_bit(sum, i, o.sum);
-    carry = o.cout;
-  }
-  // Accurate high region: a single native add is bit-identical to the
-  // remaining chain of exact full adders.
-  const int hi_bits = cfg_.width - approx_in_range_;
-  if (hi_bits > 0) {
-    const u64 ah = a >> approx_in_range_;
-    const u64 bh = b >> approx_in_range_;
-    const u64 s = ah + bh + (carry ? 1u : 0u);
-    sum |= (s & low_mask(hi_bits)) << approx_in_range_;
-    carry = bit_of(s, hi_bits);
-  }
-  return AddResult{sum & mask, carry};
+  return detail::ripple_add(cfg_.kind, cfg_.width, approx_in_range_, a, b, carry_in);
 }
 
 i64 RippleCarryAdder::add_signed(i64 a, i64 b) const noexcept {

@@ -32,17 +32,26 @@ u64 simulate_rca(const AdderConfig& cfg, u64 a, u64 b) {
   return nl.simulate_word(words, widths);  // sum | cout << width
 }
 
-u64 simulate_mult(const MultiplierConfig& cfg, u64 a, u64 b, bool optimize_first) {
-  netlist::Netlist nl;
-  const auto abus = nl.new_input_bus(cfg.width);
-  const auto bbus = nl.new_input_bus(cfg.width);
-  const auto out = netlist::build_multiplier(nl, cfg, abus, bbus);
-  for (const auto n : out) nl.mark_output(n);
-  if (optimize_first) netlist::optimize(nl);
-  const u64 words[2] = {a, b};
-  const int widths[2] = {cfg.width, cfg.width};
-  return nl.simulate_word(words, widths);
-}
+/// A multiplier netlist, built once and simulated per operand pair.
+class MultNetlist {
+ public:
+  explicit MultNetlist(const MultiplierConfig& cfg) : width_(cfg.width) {
+    const auto abus = nl_.new_input_bus(cfg.width);
+    const auto bbus = nl_.new_input_bus(cfg.width);
+    const auto out = netlist::build_multiplier(nl_, cfg, abus, bbus);
+    for (const auto n : out) nl_.mark_output(n);
+  }
+
+  u64 operator()(u64 a, u64 b) const {
+    const u64 words[2] = {a, b};
+    const int widths[2] = {width_, width_};
+    return nl_.simulate_word(words, widths);
+  }
+
+ private:
+  netlist::Netlist nl_;
+  int width_;
+};
 
 class RcaNetlistXval : public ::testing::TestWithParam<std::tuple<AdderKind, int>> {};
 
@@ -65,41 +74,64 @@ INSTANTIATE_TEST_SUITE_P(
     KindsAndLsbs, RcaNetlistXval,
     ::testing::Combine(::testing::ValuesIn(kAllAdderKinds), ::testing::Values(0, 3, 8, 16)));
 
+// Every adder kind: the netlist is the independent oracle for the
+// closed-form adds inside the behavioural multiplier.
 class MultNetlistXval
-    : public ::testing::TestWithParam<std::tuple<MultKind, ApproxPolicy, int>> {};
+    : public ::testing::TestWithParam<std::tuple<AdderKind, MultKind, ApproxPolicy, int>> {};
 
 TEST_P(MultNetlistXval, NetlistMatchesBehavioural16x16) {
-  const auto [mult_kind, policy, k] = GetParam();
-  const MultiplierConfig cfg{16, k, AdderKind::Approx5, mult_kind, policy};
+  const auto [add_kind, mult_kind, policy, k] = GetParam();
+  const MultiplierConfig cfg{16, k, add_kind, mult_kind, policy};
   const RecursiveMultiplier behavioural(cfg);
+  const MultNetlist netlist(cfg);
   Rng rng(77 + static_cast<u64>(k));
   for (int t = 0; t < 60; ++t) {
     const u64 a = rng.next_u64() & 0xFFFF;
     const u64 b = rng.next_u64() & 0xFFFF;
-    EXPECT_EQ(simulate_mult(cfg, a, b, false), behavioural.multiply_u(a, b))
-        << "a=" << a << " b=" << b << " k=" << k;
+    EXPECT_EQ(netlist(a, b), behavioural.multiply_u(a, b)) << "a=" << a << " b=" << b << " k=" << k;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MultNetlistXval,
-    ::testing::Combine(::testing::Values(MultKind::Accurate, MultKind::V1, MultKind::V2),
+    ::testing::Combine(::testing::ValuesIn(kAllAdderKinds),
+                       ::testing::Values(MultKind::Accurate, MultKind::V1, MultKind::V2),
                        ::testing::Values(ApproxPolicy::Conservative, ApproxPolicy::Moderate,
                                          ApproxPolicy::Aggressive),
                        ::testing::Values(0, 4, 10, 16)));
 
 TEST(MultNetlistXvalSmall, ExhaustiveWidth4AllKinds) {
-  for (const AdderKind add : {AdderKind::Accurate, AdderKind::Approx5}) {
+  for (const AdderKind add : kAllAdderKinds) {
     for (const MultKind mult : kAllMultKinds) {
       for (const int k : {0, 2, 4}) {
         const MultiplierConfig cfg{4, k, add, mult, ApproxPolicy::Moderate};
         const RecursiveMultiplier behavioural(cfg);
+        const MultNetlist netlist(cfg);
         for (u64 a = 0; a < 16; ++a) {
           for (u64 b = 0; b < 16; ++b) {
-            EXPECT_EQ(simulate_mult(cfg, a, b, false), behavioural.multiply_u(a, b))
+            EXPECT_EQ(netlist(a, b), behavioural.multiply_u(a, b))
                 << "a=" << a << " b=" << b << " k=" << k;
           }
         }
+      }
+    }
+  }
+}
+
+// Width 32, the widest multiplier: its top-level combine adds 64-bit
+// partial products, up to a fully approximate 64-bit adder at k = 64.
+TEST(MultNetlistXvalWide, Width32AllAdderKinds) {
+  for (const AdderKind add : kAllAdderKinds) {
+    for (const int k : {0, 16, 64}) {
+      const MultiplierConfig cfg{32, k, add, MultKind::V1, ApproxPolicy::Moderate};
+      const RecursiveMultiplier behavioural(cfg);
+      const MultNetlist netlist(cfg);
+      Rng rng(320 + static_cast<u64>(k));
+      for (int t = 0; t < 20; ++t) {
+        const u64 a = rng.next_u64() & 0xFFFFFFFF;
+        const u64 b = rng.next_u64() & 0xFFFFFFFF;
+        EXPECT_EQ(netlist(a, b), behavioural.multiply_u(a, b))
+            << "kind=" << static_cast<int>(add) << " k=" << k << " a=" << a << " b=" << b;
       }
     }
   }

@@ -1,6 +1,7 @@
-// Tests for the approximate ripple-carry adder (paper Fig. 6), including a
-// property sweep cross-checking the fast split evaluation against a plain
-// full-adder-by-full-adder reference for every (kind, k) configuration.
+// Tests for the approximate ripple-carry adder (paper Fig. 6), including
+// exhaustive and property sweeps cross-checking the closed-form evaluation
+// against a plain full-adder-by-full-adder reference for every (kind, k)
+// configuration.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -12,7 +13,7 @@
 namespace xbs::arith {
 namespace {
 
-/// Reference: simulate every FA from the truth tables, no fast path.
+/// Reference: simulate every FA from the truth tables, no closed form.
 AddResult slow_add(const AdderConfig& cfg, u64 a, u64 b, bool cin) {
   const u64 mask = low_mask(cfg.width);
   a &= mask;
@@ -124,6 +125,50 @@ INSTANTIATE_TEST_SUITE_P(
     KindsAndLsbs, RcaCrossCheck,
     ::testing::Combine(::testing::ValuesIn(kAllAdderKinds),
                        ::testing::Values(0, 1, 2, 4, 8, 15, 16, 31, 32)));
+
+// The closed form against the FA chain, exhaustively at small widths: every
+// kind, every placement of the approximate region (k in [0, w+1], weight
+// offset in [0, w]), every operand pair and carry-in.
+TEST(Rca, ClosedFormMatchesFaChainExhaustiveSmallWidths) {
+  for (int w = 2; w <= 6; ++w) {
+    for (const AdderKind kind : kAllAdderKinds) {
+      for (int k = 0; k <= w + 1; ++k) {
+        for (int off = 0; off <= w; ++off) {
+          const AdderConfig cfg{w, k, kind, off};
+          const RippleCarryAdder adder(cfg);
+          int mismatches = 0;
+          for (u64 a = 0; a < (u64{1} << w); ++a)
+            for (u64 b = 0; b < (u64{1} << w); ++b)
+              for (const bool cin : {false, true})
+                mismatches += adder.add_u(a, b, cin) != slow_add(cfg, a, b, cin) ? 1 : 0;
+          EXPECT_EQ(mismatches, 0) << "w=" << w << " kind=" << static_cast<int>(kind)
+                                   << " k=" << k << " offset=" << off;
+        }
+      }
+    }
+  }
+}
+
+// Random vectors at the wide end, up to the 63-bit maximum: the carries and
+// masks of the closed form must hold with no bit to spare above the sum.
+TEST(Rca, ClosedFormMatchesFaChainRandomWide) {
+  Rng rng(4242);
+  for (const int w : {32, 63}) {
+    for (const AdderKind kind : kAllAdderKinds) {
+      for (int t = 0; t < 3000; ++t) {
+        const int k = static_cast<int>(rng.uniform_int(0, w + 1));
+        const int off = static_cast<int>(rng.uniform_int(0, w));
+        const AdderConfig cfg{w, k, kind, off};
+        const u64 a = rng.next_u64();
+        const u64 b = rng.next_u64();
+        const bool cin = (rng.next_u64() & 1) != 0;
+        ASSERT_EQ(RippleCarryAdder(cfg).add_u(a, b, cin), slow_add(cfg, a, b, cin))
+            << "w=" << w << " kind=" << static_cast<int>(kind) << " k=" << k
+            << " offset=" << off << " a=" << a << " b=" << b << " cin=" << cin;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace xbs::arith
