@@ -15,6 +15,7 @@
 /// 16x16 signed multiplier block.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <vector>
@@ -144,6 +145,22 @@ class Kernel {
     fir_n_impl(taps, padded, acc);
   }
 
+  /// Sliding-window sum over a history-prefixed input — the MWI adder tree.
+  /// With n = out.size(), `padded` holds w-1 carried samples followed by the
+  /// n new ones (padded.size() == n + w - 1), and out[i] sums the window
+  /// padded[i .. i+w-1] through the balanced pairwise tree of
+  /// netlist::build_mwi_stage: each level adds adjacent terms in pairs,
+  /// oldest first, and carries an odd leftover to the end of the next level.
+  /// Counted as the tree's w-1 adds per output. The default implementation
+  /// evaluates that tree (one batched add per pair per level), which is what
+  /// an approximate adder requires — its adds are not associative; a backend
+  /// whose add is associative may evaluate the same sum in any order.
+  /// Requires w >= 1; \p padded must not alias \p out.
+  void window_sum_n(std::size_t w, std::span<const i64> padded, std::span<i64> out) {
+    counts_.adds += out.size() * (w - 1);
+    window_sum_n_impl(w, padded, out);
+  }
+
   [[nodiscard]] const OpCounts& counts() const noexcept { return counts_; }
   void reset_counts() noexcept { counts_ = OpCounts{}; }
 
@@ -158,13 +175,48 @@ class Kernel {
   virtual void mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const;
   virtual void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
                           std::span<i64> acc) const;
+  virtual void window_sum_n_impl(std::size_t w, std::span<const i64> padded,
+                                 std::span<i64> out) const;
 
  private:
   OpCounts counts_;
+  /// window_sum_n scratch of the reference tree (reused across chunks;
+  /// single-consumer like the op counters). Level outputs ping-pong between
+  /// the two pools by level parity, so a level recycles its grandparent
+  /// level's buffers: levels strictly shrink, and a carried odd leftover
+  /// always has the highest index of its parity, so it is never overwritten
+  /// before its last read. `terms`/`next` hold the current level's operands.
+  struct TreeScratch {
+    std::array<std::vector<std::vector<i64>>, 2> pool;
+    std::vector<std::span<const i64>> terms;
+    std::vector<std::span<const i64>> next;
+  };
+  mutable TreeScratch tree_;
 };
 
 /// Exact native backend (the golden reference datapath): 32-bit wrapping
 /// adds, sign-extended 16x16 multiplies, all in tight native loops.
+///
+/// Why fir_n and window_sum_n may skip the hardware's evaluation order: the
+/// exact chain computes sum_j sext16(c_j) * sext16(x_j) mod 2^32,
+/// sign-extended (mul1 is an exact 16x16 product, add1 wraps at 32 bits),
+/// and the exact MWI tree computes sum_k x_k mod 2^32. Z/2^32 is a ring, so
+/// any evaluation of the same linear form mod 2^32 yields the same bits for
+/// every input — operands outside 16 (32) bits are truncated exactly as
+/// mul1 (add1) truncates them, and intermediate wraps cancel. So:
+///  - window_sum_n is a running sum mod 2^32: one add per output instead of
+///    a w-1 add tree;
+///  - fir_n evaluates the tap set in its sparsest difference form: the d-th
+///    difference e of the 16-bit coefficients (d in {0, 1, 2}, minimising
+///    non-zero entries plus d prefix passes) applied to the d-fold prefix
+///    sums of the 16-bit operands over the padded window. For the LPF taps
+///    this is the published recursive low-pass (d = 2, e = 1, -2, 1 at
+///    offsets 0, 6, 12), for the HPF taps the recursive high-pass (d = 1,
+///    e = -1, 32, -32, 1 at 0, 16, 17, 32); d = 0 is the tap chain itself.
+///    The form is derived once per tap set (each kernel serves one stage).
+/// The OpCounts are unchanged: they count the hardware datapath's
+/// operations (the public wrappers count before dispatch), not the
+/// software evaluation's.
 class ExactKernel final : public Kernel {
  public:
   [[nodiscard]] i64 add1(i64 a, i64 b) const override;
@@ -180,6 +232,28 @@ class ExactKernel final : public Kernel {
                   std::span<i64> out) const override;
   void mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const override;
   void mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const override;
+  void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
+                  std::span<i64> acc) const override;
+  void window_sum_n_impl(std::size_t w, std::span<const i64> padded,
+                         std::span<i64> out) const override;
+
+ private:
+  /// One non-zero entry e_k of a tap set's difference form.
+  struct DiffTerm {
+    std::size_t offset = 0;  ///< k: the term reads the prefix sums k samples back
+    i64 coeff = 0;           ///< e_k
+  };
+  /// fir_n's evaluation plan for the last tap set seen, and its scratch
+  /// (reused across chunks; single-consumer like the op counters).
+  struct DiffForm {
+    std::vector<int> taps;  ///< the tap set the form was derived from
+    std::size_t order = 0;  ///< d: the number of prefix-sum passes
+    std::vector<DiffTerm> terms;
+    std::vector<i64> prefix;  ///< d zeros, then the d-fold prefix sums
+  };
+  /// The form of \p taps, derived on first use of that tap set.
+  DiffForm& diff_form(std::span<const int> taps) const;
+  mutable DiffForm form_;
 };
 
 /// Bit-accurate approximate backend for one stage configuration, compiled

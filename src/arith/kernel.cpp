@@ -24,6 +24,22 @@ constexpr std::size_t kCoeffTableThreshold = 512;
 #define XBS_RESTRICT __restrict__
 #endif
 
+/// The exact adder's result: the low 32 bits, sign-extended (a cast through
+/// u32/i32, so a wrap is never a signed overflow).
+constexpr i64 wrap32(i64 v) noexcept {
+  return static_cast<i32>(static_cast<u32>(v));
+}
+
+/// The exact multiplier's operand: the low 16 bits, sign-extended.
+constexpr i64 sext16(i64 v) noexcept {
+  return static_cast<i16>(static_cast<u16>(v));
+}
+
+/// Operands per unwrapped stretch of the exact running sums: short enough
+/// that no i64 partial sum can overflow, long enough that the wrap is off the
+/// per-sample dependency chain.
+constexpr std::size_t kWrapBlock = std::size_t{1} << 16;
+
 }  // namespace
 
 // ---------------------------------------------------------------- Kernel base
@@ -69,6 +85,39 @@ void Kernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
     }
   }
   if (first) std::fill(acc.begin(), acc.end(), i64{0});
+}
+
+void Kernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
+                               std::span<i64> out) const {
+  // The balanced pairwise tree of netlist::build_mwi_stage, one add_n per
+  // pair per level. Terms are spans over the padded input (level 0,
+  // leftovers) or level outputs from the scratch pool; the root's add writes
+  // straight into `out`.
+  const std::size_t n = out.size();
+  if (w == 1) {
+    std::copy_n(padded.begin(), n, out.begin());
+    return;
+  }
+  tree_.terms.clear();
+  for (std::size_t k = 0; k < w; ++k) tree_.terms.push_back(padded.subspan(k, n));
+  std::size_t parity = 0;
+  while (tree_.terms.size() > 2) {
+    const std::vector<std::span<const i64>>& terms = tree_.terms;
+    std::vector<std::vector<i64>>& pool = tree_.pool[parity];
+    tree_.next.clear();
+    std::size_t used = 0;  // recycle this parity's buffers (written two levels up)
+    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
+      if (used == pool.size()) pool.emplace_back();
+      std::vector<i64>& buf = pool[used++];
+      buf.resize(n);
+      add_n_impl(terms[i], terms[i + 1], buf);
+      tree_.next.push_back(buf);
+    }
+    if (terms.size() % 2 == 1) tree_.next.push_back(terms.back());
+    tree_.terms.swap(tree_.next);
+    parity ^= 1;
+  }
+  add_n_impl(tree_.terms[0], tree_.terms[1], out);
 }
 
 // ----------------------------------------------------------------- ExactKernel
@@ -146,6 +195,120 @@ void ExactKernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) 
   for (std::size_t i = 0; i < n; ++i) {
     const i64 p = sc * static_cast<i64>(static_cast<i16>(static_cast<u16>(px[i])));
     pa[i] = static_cast<i32>(static_cast<u32>(pa[i] + p));
+  }
+}
+
+void ExactKernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
+                                    std::span<i64> out) const {
+  // A running sum mod 2^32: slide the window by adding the newest operand
+  // and dropping the oldest (each step moves the sum by less than 2^32). The
+  // sum runs unwrapped within blocks of 2^16 outputs (|s| < 2^49 there) and
+  // wraps once per block, so each step is one add.
+  const std::size_t n = out.size();
+  if (n == 0) return;
+  if (w == 1) {  // no adder: the tree's lone term passes through untouched
+    std::copy_n(padded.begin(), n, out.begin());
+    return;
+  }
+  const i64* XBS_RESTRICT p = padded.data();
+  i64* XBS_RESTRICT po = out.data();
+  i64 s = 0;
+  for (std::size_t k = 0; k < w; ++k) s = wrap32(s + wrap32(p[k]));
+  po[0] = s;
+  for (std::size_t b = 1; b < n; b += kWrapBlock) {
+    const std::size_t end = std::min(n, b + kWrapBlock);
+    for (std::size_t i = b; i < end; ++i) {
+      s += wrap32(p[i + w - 1]) - wrap32(p[i - 1]);
+      po[i] = wrap32(s);
+    }
+    s = wrap32(s);
+  }
+}
+
+ExactKernel::DiffForm& ExactKernel::diff_form(std::span<const int> taps) const {
+  DiffForm& f = form_;
+  if (std::equal(taps.begin(), taps.end(), f.taps.begin(), f.taps.end())) return f;
+  f.taps.assign(taps.begin(), taps.end());
+  // The coefficients as mul1 sees them, then successive differences
+  // e_d[k] = e_{d-1}[k] - e_{d-1}[k-1] (one entry longer per order). Cost of
+  // order d: its non-zero terms plus d sequential prefix passes; ties keep
+  // the lower order. |e_2[k]| <= 4 * 2^15.
+  std::vector<i64> e(taps.size());
+  for (std::size_t j = 0; j < taps.size(); ++j) e[j] = sext16(taps[j]);
+  auto nonzero = [](const std::vector<i64>& v) {
+    std::size_t k = 0;
+    for (const i64 c : v) k += (c != 0);
+    return k;
+  };
+  std::vector<i64> best = e;
+  std::size_t best_cost = nonzero(e);
+  f.order = 0;
+  for (std::size_t d = 1; d <= 2; ++d) {
+    e.push_back(0);
+    for (std::size_t k = e.size() - 1; k > 0; --k) e[k] -= e[k - 1];
+    if (nonzero(e) + d < best_cost) {
+      best = e;
+      best_cost = nonzero(e) + d;
+      f.order = d;
+    }
+  }
+  f.terms.clear();
+  for (std::size_t k = 0; k < best.size(); ++k) {
+    if (best[k] != 0) f.terms.push_back(DiffTerm{k, best[k]});
+  }
+  return f;
+}
+
+void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
+                             std::span<i64> acc) const {
+  DiffForm& f = diff_form(taps);
+  const std::size_t n = acc.size();
+  if (f.order == 0 || n == 0) {  // the tap chain is already the sparsest form
+    Kernel::fir_n_impl(taps, padded, acc);
+    return;
+  }
+  // d-fold prefix sums of the 16-bit operands over the padded window, behind
+  // d zeros (the sums before the window starts): X[t] = pb[t], pb[-1] = 0.
+  // Applying e to them restores the convolution exactly from output 0 on,
+  // since output i reads operands at window positions >= i only. The sums
+  // run unwrapped within blocks of 2^16 operands (|X_1| < 2^32 and
+  // |X_2| < 2^49 there) and wrap once per block, so each step is one add.
+  const std::size_t d = f.order;
+  const std::size_t len = padded.size();
+  f.prefix.resize(d + len);
+  std::fill_n(f.prefix.begin(), d, i64{0});
+  i64* XBS_RESTRICT pb = f.prefix.data() + d;
+  const i64* XBS_RESTRICT px = padded.data();
+  i64 s1 = 0;
+  i64 s2 = 0;
+  for (std::size_t b = 0; b < len; b += kWrapBlock) {
+    const std::size_t end = std::min(len, b + kWrapBlock);
+    if (d == 1) {
+      for (std::size_t t = b; t < end; ++t) {
+        s1 += sext16(px[t]);
+        pb[t] = wrap32(s1);
+      }
+    } else {  // d == 2: both passes in one sweep
+      for (std::size_t t = b; t < end; ++t) {
+        s1 += sext16(px[t]);
+        s2 += s1;
+        pb[t] = wrap32(s2);
+      }
+    }
+    s1 = wrap32(s1);
+    s2 = wrap32(s2);
+  }
+  // Output i sits at window position T-1+i; term (k, e_k) reads X[T-1+i-k].
+  // |e_k * X| <= 2^17 * 2^31, so each step is exact in i64 before its wrap.
+  const std::size_t last = taps.size() - 1;
+  i64* XBS_RESTRICT pa = acc.data();
+  const DiffTerm& t0 = f.terms.front();
+  const i64* src = pb + last - t0.offset;
+  for (std::size_t i = 0; i < n; ++i) pa[i] = wrap32(t0.coeff * src[i]);
+  for (std::size_t j = 1; j < f.terms.size(); ++j) {
+    const DiffTerm& t = f.terms[j];
+    src = pb + last - t.offset;
+    for (std::size_t i = 0; i < n; ++i) pa[i] = wrap32(pa[i] + t.coeff * src[i]);
   }
 }
 

@@ -58,12 +58,21 @@ struct PipelineResult {
   [[nodiscard]] arith::OpCounts total_ops() const noexcept;
 };
 
+/// Block size of run_stage: whole records pass through the stage in blocks of
+/// this many samples, so the stage and kernel scratch stays cache-resident
+/// instead of spanning the record. It must stay at or above the kernels'
+/// cold-table threshold (512 samples, arith/kernel.cpp): then a cold product
+/// table still builds in the first block instead of every block falling back
+/// to the scalar multiplier.
+inline constexpr std::size_t kStageBlock = 1024;
+
 /// Run one stage as a whole-record transform over a freshly built kernel for
-/// \p cfg (exact native backend when the configuration is accurate): a
-/// one-chunk call into the streaming StageProcessor core, which owns the
-/// stage wiring (taps, shifts, window) shared by the batch pipeline, the
-/// exploration stage cache, and stream::Session. If \p ops is non-null it
-/// receives the stage's operation counts.
+/// \p cfg (exact native backend when the configuration is accurate): the
+/// record in kStageBlock-sample chunks through one streaming StageProcessor,
+/// which owns the stage wiring (taps, shifts, window) shared by the batch
+/// pipeline, the exploration stage cache, and stream::Session. Chunk
+/// invariance makes the output that of one whole-record chunk. If \p ops is
+/// non-null it receives the stage's operation counts.
 [[nodiscard]] std::vector<i32> run_stage(Stage s, const arith::StageArithConfig& cfg,
                                          std::span<const i32> input,
                                          arith::OpCounts* ops = nullptr);
@@ -90,8 +99,8 @@ void warm_pipeline_tables(const PipelineConfig& cfg);
 /// The five-stage pipeline. Stages whose configuration is exact run on the
 /// native datapath; approximated stages run bit-accurately through the
 /// behavioural models. Records are processed as contiguous buffers: each
-/// stage is one block transform over the whole signal (one batched kernel
-/// call per tap / tree level), not a per-sample scalar loop.
+/// stage is one run_stage over the whole signal (one batched kernel call per
+/// kStageBlock-sample block), not a per-sample scalar loop.
 class PanTompkinsPipeline {
  public:
   explicit PanTompkinsPipeline(const PipelineConfig& cfg = PipelineConfig::accurate());

@@ -4,12 +4,14 @@
 ///
 /// Each stage class is one resumable chunk transform: `process_chunk(x, y)`
 /// consumes a chunk of any size, carries the delay-line/window state across
-/// calls, and issues one batched kernel call per FIR / adder-tree level;
-/// `reset()` returns it to the fresh-record state. Every chunking performs
-/// exactly the dataflow graph of the per-sample scalar datapath (same
-/// operands, same order, same operation counts), so outputs and OpCounts
-/// match that scalar oracle bit for bit (tests/pt_oracle.hpp,
-/// tests/test_kernel_equivalence, tests/test_stream).
+/// calls, and issues one batched kernel call per chunk (fir_n, mul_n or
+/// window_sum_n); `reset()` returns it to the fresh-record state. Every
+/// chunking computes exactly the dataflow graph of the per-sample scalar
+/// datapath (same operands, same order, same operation counts), so outputs
+/// and OpCounts match that scalar oracle bit for bit (tests/pt_oracle.hpp,
+/// tests/test_kernel_equivalence, tests/test_stream). The exact kernel may
+/// evaluate a stage's linear form in another order (see arith::ExactKernel):
+/// mod 2^32 that yields the same bits.
 ///
 /// Coefficients. The paper implements the five stages as FIR filters (its
 /// §5: "the five stages (FIR filters)"), with the per-stage adder/multiplier
@@ -109,7 +111,10 @@ struct StageInventory {
 /// coefficients, a chain of 32-bit accumulations, then an arithmetic
 /// normalization shift and 16-bit saturation of the output (the inter-stage
 /// register width). All arithmetic flows through the kernel, which must
-/// outlive the stage: one batched fir_n call per chunk.
+/// outlive the stage: one batched fir_n call per chunk over the carried
+/// history plus the chunk. The approximate kernel runs the tap chain; the
+/// exact kernel runs the tap set's sparsest difference form, which for the
+/// LPF and HPF taps is the published recursive filter.
 class FirStage {
  public:
   /// Throws std::invalid_argument for an empty tap set.
@@ -151,10 +156,12 @@ class SquarerStage {
   std::vector<i64> in_;  ///< chunk scratch: clamped operands, then products
 };
 
-/// The moving-window-integration stage: a feed-forward balanced tree of
-/// window-1 adds per sample (adder-only, no error feedback), then >> shift.
-/// The tree reduction order matches the netlist builder exactly; the chunked
-/// transform issues one add_n per tree-level pair over the whole chunk.
+/// The moving-window-integration stage: the sum of the last `window`
+/// samples through a feed-forward balanced tree of window-1 adds per sample
+/// (adder-only, no error feedback), then >> shift. One batched
+/// Kernel::window_sum_n call per chunk: the kernel owns the tree, whose
+/// reduction order matches the netlist builder exactly (the exact kernel
+/// evaluates the same sum mod 2^32 as a running sum).
 class MwiStage {
  public:
   /// Throws std::invalid_argument for a window below 2.
@@ -170,19 +177,14 @@ class MwiStage {
   /// Carried window ring (xbs/common/ring.hpp conventions).
   std::vector<i32> window_;
   std::size_t head_ = 0;
-  std::vector<i64> padded_;  ///< chunk scratch
-  /// Chunk scratch: tree-level output buffers, ping-ponged by level parity
-  /// so a level recycles its grandparent level's buffers (levels strictly
-  /// shrink, and a carried odd leftover always has the highest index of its
-  /// parity, so it is never overwritten before its final read). Caps scratch
-  /// at ~two tree levels instead of one buffer per add of the whole tree.
-  std::array<std::vector<std::vector<i64>>, 2> pool_;
+  std::vector<i64> padded_;  ///< chunk scratch: history-prefixed input
+  std::vector<i64> sum_;     ///< chunk scratch: window sums
 };
 
 /// One wired pipeline stage — taps/shift/window resolved from the
 /// coefficient sets above for the given Stage — bound to a kernel, with its
 /// carry-over state held internally. This is the single source of stage
-/// wiring shared by the batch pipeline (`run_stage`, one chunk per record),
+/// wiring shared by the batch pipeline (`run_stage`, cache-sized blocks),
 /// the exploration stage cache, and the streaming `stream::Session`.
 class StageProcessor {
  public:

@@ -1,5 +1,7 @@
 #include "xbs/pantompkins/pipeline.hpp"
 
+#include <algorithm>
+
 namespace xbs::pantompkins {
 
 PipelineConfig PipelineConfig::from_lsbs(const LsbVector& lsbs, AdderKind add_kind,
@@ -66,10 +68,15 @@ void warm_pipeline_tables(const PipelineConfig& cfg) {
 std::vector<i32> run_stage(Stage s, const arith::StageArithConfig& cfg,
                            std::span<const i32> input, arith::OpCounts* ops) {
   const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
-  // The whole record as a single chunk through the streaming core: the batch
+  // The record in cache-sized blocks through the streaming core: the batch
   // path is a thin wrapper over the same resumable stage it serves.
-  std::vector<i32> out;
-  StageProcessor(s, *kernel).process_chunk(input, out);
+  StageProcessor stage(s, *kernel);
+  std::vector<i32> out(input.size());
+  std::vector<i32> block;
+  for (std::size_t at = 0; at < input.size(); at += kStageBlock) {
+    stage.process_chunk(input.subspan(at, std::min(kStageBlock, input.size() - at)), block);
+    std::copy(block.begin(), block.end(), out.begin() + static_cast<std::ptrdiff_t>(at));
+  }
   if (ops != nullptr) *ops = kernel->counts();
   return out;
 }

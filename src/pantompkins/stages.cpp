@@ -97,42 +97,15 @@ void MwiStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   ring_history_prefix(window_, head_, padded_);
   for (std::size_t i = 0; i < n; ++i) padded_[w - 1 + i] = x[i];
 
-  // The balanced pairwise tree of netlist::build_mwi_stage, one add_n per
-  // pair per level. Terms are spans over either the padded input (level 0,
-  // leftovers) or buffers from the scratch pool; an odd leftover is carried
-  // to the end of the next level.
-  std::vector<std::span<const i64>> terms;
-  terms.reserve(w);
-  for (std::size_t k = 0; k < w; ++k) {
-    terms.push_back(std::span<const i64>(padded_).subspan(k, n));
-  }
-  std::size_t parity = 0;
-  std::size_t used = 0;
-  auto next_buffer = [&]() -> std::vector<i64>& {
-    std::vector<std::vector<i64>>& pool = pool_[parity];
-    if (used == pool.size()) pool.emplace_back();
-    std::vector<i64>& buf = pool[used++];
-    buf.resize(n);
-    return buf;
-  };
-  while (terms.size() > 1) {
-    std::vector<std::span<const i64>> next;
-    next.reserve(terms.size() / 2 + 1);
-    used = 0;  // recycle this parity's buffers (written two levels up)
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-      std::vector<i64>& out = next_buffer();
-      kernel_->add_n(terms[i], terms[i + 1], out);
-      next.push_back(out);
-    }
-    if (terms.size() % 2 == 1) next.push_back(terms.back());
-    terms = std::move(next);
-    parity ^= 1;
-  }
+  // One batched window sum: the kernel runs the adder tree of
+  // netlist::build_mwi_stage (or, on the exact datapath, the same sum mod
+  // 2^32 as a running sum).
+  sum_.resize(n);
+  kernel_->window_sum_n(w, padded_, sum_);
 
   y.resize(n);
-  const std::span<const i64> sum = terms.front();
   for (std::size_t i = 0; i < n; ++i) {
-    y[i] = static_cast<i32>(saturate_i32(sum[i] >> out_shift_));
+    y[i] = static_cast<i32>(saturate_i32(sum_[i] >> out_shift_));
   }
 
   ring_carry(window_, head_, x);

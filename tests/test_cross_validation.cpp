@@ -4,8 +4,10 @@
 // inputs (the unsigned core the netlist models).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "xbs/arith/kernel.hpp"
 #include "xbs/arith/multiplier.hpp"
 #include "xbs/arith/rca.hpp"
 #include "xbs/common/rng.hpp"
@@ -66,11 +68,16 @@ INSTANTIATE_TEST_SUITE_P(Lsbs, FirStageXval, ::testing::Values(0, 2, 6, 10, 16))
 
 TEST(MwiStageXval, TreeMatchesBehaviouralTree) {
   // The MWI netlist's balanced reduction must match a behavioural balanced
-  // reduction over the same inputs and adder configuration.
+  // reduction over the same inputs and adder configuration — and so must the
+  // kernel's window_sum_n, which MwiStage runs: the tree on the approximate
+  // kernel (k = 8, 16), the running sum on the exact one (k = 0).
   for (const int k : {0, 8, 16}) {
     const arith::AdderConfig acfg{32, k, AdderKind::Approx5, 0};
     const int window = 30;
     netlist::Netlist nl = netlist::build_mwi_stage(window, acfg, 16);
+    const arith::StageArithConfig kcfg = arith::StageArithConfig::uniform(k);
+    ASSERT_EQ(kcfg.adder, acfg);
+    const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(kcfg);
 
     Rng rng(700 + static_cast<u64>(k));
     for (int t = 0; t < 20; ++t) {
@@ -92,6 +99,29 @@ TEST(MwiStageXval, TreeMatchesBehaviouralTree) {
         terms = std::move(next);
       }
       EXPECT_EQ(nl.simulate_word(inputs, widths), terms[0]) << "k=" << k;
+
+      // One window through the kernel (the 32-bit result, sign-extended).
+      const std::vector<i64> padded(inputs.begin(), inputs.end());
+      std::vector<i64> sum(1);
+      kernel->window_sum_n(static_cast<std::size_t>(window), padded, sum);
+      EXPECT_EQ(static_cast<u64>(sum[0]) & low_mask(32), nl.simulate_word(inputs, widths))
+          << "k=" << k;
+    }
+
+    // Sliding: one call over a longer input, every output against the
+    // netlist on its own window.
+    const std::size_t n = 40;
+    std::vector<u64> stream;
+    for (std::size_t i = 0; i < n + window - 1; ++i) stream.push_back(rng.next_u64() & 0xFFFF);
+    const std::vector<i64> padded(stream.begin(), stream.end());
+    std::vector<i64> sums(n);
+    kernel->window_sum_n(static_cast<std::size_t>(window), padded, sums);
+    const std::vector<int> widths(static_cast<std::size_t>(window), 16);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<u64> inputs(stream.begin() + static_cast<std::ptrdiff_t>(i),
+                                    stream.begin() + static_cast<std::ptrdiff_t>(i) + window);
+      EXPECT_EQ(static_cast<u64>(sums[i]) & low_mask(32), nl.simulate_word(inputs, widths))
+          << "k=" << k << " output " << i;
     }
   }
 }

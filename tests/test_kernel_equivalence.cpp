@@ -1,13 +1,19 @@
 // Property tests: the batched kernels (exact and approximate backends) are
 // bit-identical to the legacy scalar ExactUnit/ApproxUnit datapath across
 // random operands and every (AdderKind, MultKind, approx_lsbs) combination,
-// and the stage chunk transforms are bit-identical to streaming the same
-// samples through the per-sample scalar oracle (pt_oracle.hpp) — including
-// operation counts.
+// the exact kernel's fast fir_n/window_sum_n paths equal the hardware chain
+// and tree over full-range operands, and the stage chunk transforms are
+// bit-identical to streaming the same samples through the per-sample scalar
+// oracle (pt_oracle.hpp) — including operation counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pt_oracle.hpp"
@@ -141,6 +147,177 @@ TEST(KernelEquivalence, OpCountsMatchScalarTotals) {
   EXPECT_EQ(kernel->counts().adds, kBlockLen);
 }
 
+// The exact kernel's fast paths (fir_n in its difference form on prefix
+// sums, window_sum_n as a running sum) against the hardware chain and tree
+// evaluated by the scalar ExactUnit through UnitKernel, outputs and OpCounts.
+// Operands span the whole i32 range, mixed with runs of the extremes, so the
+// 16-bit operand truncation and every 32-bit wrap are exercised.
+
+constexpr i64 kI32Min = std::numeric_limits<i32>::min();
+constexpr i64 kI32Max = std::numeric_limits<i32>::max();
+
+/// Runs of INT32_MIN, INT32_MAX, 16-bit extremes under random high bits, or
+/// uniform i32 values.
+std::vector<i64> full_range_operands(Rng& rng, std::size_t n) {
+  std::vector<i64> v;
+  v.reserve(n);
+  while (v.size() < n) {
+    const i64 kind = rng.uniform_int(0, 4);
+    const i64 run = rng.uniform_int(1, 48);
+    for (i64 k = 0; k < run && v.size() < n; ++k) {
+      const i64 high = rng.uniform_int(kI32Min, kI32Max) & ~i64{0xFFFF};
+      const i64 uniform = rng.uniform_int(kI32Min, kI32Max);
+      const std::array<i64, 5> pick = {kI32Min, kI32Max, high | 0x7FFF, high | 0x8000, uniform};
+      v.push_back(pick[static_cast<std::size_t>(kind)]);
+    }
+  }
+  return v;
+}
+
+/// Index of the first differing element, or -1 (readable failures on long
+/// blocks).
+std::ptrdiff_t first_mismatch(std::span<const i64> a, std::span<const i64> b) {
+  if (a.size() != b.size()) return 0;
+  const auto it = std::mismatch(a.begin(), a.end(), b.begin());
+  return it.first == a.end() ? -1 : it.first - a.begin();
+}
+
+/// Every tap-set shape the difference form must handle: the three stage
+/// sets, random sets, runs of equal taps, triangles, all-zero and single-tap
+/// sets, and coefficients outside 16 bits (truncated by the multiplier).
+std::vector<std::vector<int>> fir_tap_sets(Rng& rng) {
+  std::vector<std::vector<int>> sets;
+  sets.emplace_back(pantompkins::kLpfTaps.begin(), pantompkins::kLpfTaps.end());
+  sets.emplace_back(pantompkins::kHpfTaps.begin(), pantompkins::kHpfTaps.end());
+  sets.emplace_back(pantompkins::kDerTaps.begin(), pantompkins::kDerTaps.end());
+  sets.push_back(std::vector<int>(33, 0));
+  sets.insert(sets.end(), {{0}, {0, 0, 0, 0, 0}, {1}, {-1}, {64}, {-64}, {0, 0, 7, 0}});
+  sets.insert(sets.end(), {{0, 0, 0, -5}, {32767}, {-32768}, {65536, 1}, {70000, -70000, 98304}});
+  for (int t = 0; t < 200; ++t) {  // random, 1-40 taps in [-64, 64]
+    std::vector<int> s(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    for (int& c : s) c = static_cast<int>(rng.uniform_int(-64, 64));
+    sets.push_back(std::move(s));
+  }
+  for (int t = 0; t < 60; ++t) {  // runs of equal taps
+    std::vector<int> s;
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    while (s.size() < size) {
+      const int c = static_cast<int>(rng.uniform_int(-64, 64));
+      for (i64 k = rng.uniform_int(1, 12); k > 0 && s.size() < size; --k) s.push_back(c);
+    }
+    sets.push_back(std::move(s));
+  }
+  for (int m = 1; m <= 20; ++m) {  // triangles 1..m..1, both signs, scaled
+    std::vector<int> s;
+    for (int j = 1; j <= m; ++j) s.push_back(j);
+    for (int j = m - 1; j >= 1; --j) s.push_back(j);
+    sets.push_back(s);
+    for (int& c : s) c *= -3;
+    sets.push_back(std::move(s));
+  }
+  for (int t = 0; t < 30; ++t) {  // wide: products and sums wrap at 32 bits
+    std::vector<int> s(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    for (int& c : s) c = static_cast<int>(rng.uniform_int(kI32Min, kI32Max));
+    sets.push_back(std::move(s));
+  }
+  return sets;
+}
+
+TEST(ExactFastPaths, FirMatchesScalarChainFullRange) {
+  Rng rng(2024);
+  for (const std::vector<int>& taps : fir_tap_sets(rng)) {
+    ExactKernel kernel;  // one kernel per tap set, as one per stage
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{4000}}) {
+      const std::vector<i64> padded = full_range_operands(rng, n + taps.size() - 1);
+      ExactUnit unit;
+      UnitKernel chain(unit);
+      std::vector<i64> got(n), want(n);
+      kernel.reset_counts();
+      kernel.fir_n(taps, padded, got);
+      chain.fir_n(taps, padded, want);
+      ASSERT_EQ(first_mismatch(got, want), -1)
+          << "taps=" << taps.size() << " first=" << taps.front() << " n=" << n;
+      EXPECT_EQ(kernel.counts(), unit.counts()) << "taps=" << taps.size() << " n=" << n;
+    }
+  }
+}
+
+TEST(ExactFastPaths, WindowSumMatchesScalarTreeFullRange) {
+  Rng rng(2025);
+  for (std::size_t w = 1; w <= 40; ++w) {
+    ExactKernel kernel;
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8000}}) {
+      const std::vector<i64> padded = full_range_operands(rng, n + w - 1);
+      ExactUnit unit;
+      UnitKernel tree(unit);
+      std::vector<i64> got(n), want(n);
+      kernel.reset_counts();
+      kernel.window_sum_n(w, padded, got);
+      tree.window_sum_n(w, padded, want);
+      ASSERT_EQ(first_mismatch(got, want), -1) << "w=" << w << " n=" << n;
+      EXPECT_EQ(kernel.counts(), unit.counts()) << "w=" << w << " n=" << n;
+    }
+  }
+}
+
+TEST(ExactFastPaths, LongBlocksCrossTheUnwrappedStretches) {
+  // The exact kernel's running sums stay unwrapped for 2^16 operands at a
+  // time and wrap between stretches; a 150,000-sample block crosses two
+  // stretch boundaries. Long runs of one 16-bit (32-bit) extreme drive the
+  // prefix and window sums monotonically through many wraps.
+  const std::size_t n = 150000;
+  const i64 low16_min = kI32Min | 0x8000;  // i32 minimum whose low 16 bits are -32768
+  const i64 low16_max = kI32Max & ~i64{0x8000};  // ... whose low 16 bits are +32767
+  std::vector<i64> padded(n / 3, low16_min);
+  padded.resize(2 * n / 3, low16_max);
+  Rng rng(2027);
+  const std::vector<i64> tail = full_range_operands(rng, n + 40 - padded.size());
+  padded.insert(padded.end(), tail.begin(), tail.end());
+
+  const std::vector<std::vector<int>> tap_sets = {
+      {pantompkins::kLpfTaps.begin(), pantompkins::kLpfTaps.end()},
+      {pantompkins::kHpfTaps.begin(), pantompkins::kHpfTaps.end()}};
+  for (const std::vector<int>& taps : tap_sets) {
+    ExactKernel kernel;
+    ExactUnit unit;
+    UnitKernel chain(unit);
+    const std::span<const i64> window = std::span<const i64>(padded).first(n + taps.size() - 1);
+    std::vector<i64> got(n), want(n);
+    kernel.fir_n(taps, window, got);
+    chain.fir_n(taps, window, want);
+    EXPECT_EQ(first_mismatch(got, want), -1) << "taps=" << taps.size();
+  }
+  for (const std::size_t w : {std::size_t{2}, std::size_t{30}, std::size_t{40}}) {
+    ExactKernel kernel;
+    ExactUnit unit;
+    UnitKernel tree(unit);
+    const std::span<const i64> window = std::span<const i64>(padded).first(n + w - 1);
+    std::vector<i64> got(n), want(n);
+    kernel.window_sum_n(w, window, got);
+    tree.window_sum_n(w, window, want);
+    EXPECT_EQ(first_mismatch(got, want), -1) << "w=" << w;
+  }
+}
+
+TEST(ExactFastPaths, ApproxWindowSumIsTheScalarTree) {
+  // The approximate kernel keeps the tree (its adds are not associative);
+  // its batched wired adds must reproduce the scalar tree at every window.
+  const StageArithConfig cfg = StageArithConfig::uniform(8);
+  Rng rng(2026);
+  for (std::size_t w = 2; w <= 40; ++w) {
+    ApproxKernel kernel(cfg);
+    ApproxUnit unit(cfg);
+    UnitKernel tree(unit);
+    const std::size_t n = 300;
+    const std::vector<i64> padded = full_range_operands(rng, n + w - 1);
+    std::vector<i64> got(n), want(n);
+    kernel.window_sum_n(w, padded, got);
+    tree.window_sum_n(w, padded, want);
+    ASSERT_EQ(first_mismatch(got, want), -1) << "w=" << w;
+    EXPECT_EQ(kernel.counts(), unit.counts()) << "w=" << w;
+  }
+}
+
 }  // namespace
 }  // namespace xbs::arith
 
@@ -231,6 +408,68 @@ TEST_P(StageBlockEquivalence, SquarerBlockMatchesStreaming) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lsbs, StageBlockEquivalence, ::testing::Values(0, 4, 10));
+
+/// Full-range i32 stage input: the operand mix of the kernel tests above.
+std::vector<i32> full_range_signal(std::size_t n, u64 seed) {
+  Rng rng(seed);
+  std::vector<i32> x;
+  for (const i64 v : arith::full_range_operands(rng, n)) x.push_back(static_cast<i32>(v));
+  return x;
+}
+
+/// \p stage over \p x in chunks of \p chunk samples: the outputs.
+template <typename StageT>
+std::vector<i32> run_chunked(StageT& stage, std::span<const i32> x, std::size_t chunk) {
+  std::vector<i32> out, y;
+  for (std::size_t at = 0; at < x.size(); at += chunk) {
+    stage.process_chunk(x.subspan(at, std::min(chunk, x.size() - at)), y);
+    out.insert(out.end(), y.begin(), y.end());
+  }
+  return out;
+}
+
+class ExactStageChunking : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ExactStageChunking, FirStagesMatchScalarOracle) {
+  // The exact kernel's difference form carries no state of its own: at any
+  // chunking the FIR stages equal the per-sample scalar chain, counts too.
+  const std::vector<i32> x = full_range_signal(5000, 31);
+  const std::size_t chunk = GetParam() == 0 ? x.size() : GetParam();
+  const std::vector<std::pair<std::span<const int>, int>> stages = {
+      {kLpfTaps, kLpfShift}, {kHpfTaps, kHpfShift}, {kDerTaps, kDerShift}};
+  for (const auto& [taps, shift] : stages) {
+    arith::ExactUnit unit;
+    oracle::ScalarFirStage scalar(taps, shift, unit);
+    std::vector<i32> want;
+    for (const i32 v : x) want.push_back(scalar.process(v));
+
+    arith::ExactKernel kernel;
+    FirStage block(taps, shift, kernel);
+    EXPECT_EQ(run_chunked(block, x, chunk), want) << "taps=" << taps.size();
+    EXPECT_EQ(kernel.counts(), unit.counts()) << "taps=" << taps.size();
+  }
+}
+
+TEST_P(ExactStageChunking, MwiStageMatchesScalarOracle) {
+  const std::vector<i32> x = full_range_signal(5000, 32);
+  const std::size_t chunk = GetParam() == 0 ? x.size() : GetParam();
+  for (const int window : {2, kMwiWindow, 40}) {
+    arith::ExactUnit unit;
+    oracle::ScalarMwiStage scalar(window, kMwiShift, unit);
+    std::vector<i32> want;
+    for (const i32 v : x) want.push_back(scalar.process(v));
+
+    arith::ExactKernel kernel;
+    MwiStage block(window, kMwiShift, kernel);
+    EXPECT_EQ(run_chunked(block, x, chunk), want) << "window=" << window;
+    EXPECT_EQ(kernel.counts(), unit.counts()) << "window=" << window;
+  }
+}
+
+// Chunk sizes; 0 is the whole input as one chunk.
+INSTANTIATE_TEST_SUITE_P(Chunks, ExactStageChunking,
+                         ::testing::Values(std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                           std::size_t{1024}, std::size_t{0}));
 
 class PipelineBlockEquivalence : public ::testing::TestWithParam<core::NamedConfig> {};
 

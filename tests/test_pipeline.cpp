@@ -109,6 +109,21 @@ TEST(Pipeline, UniformFactoryAppliesAllStages) {
   }
 }
 
+TEST(Pipeline, RunStageBuildsColdTablesInItsFirstBlock) {
+  // run_stage feeds a record in kStageBlock-sample blocks. A block must reach
+  // the kernels' cold-table threshold (512 samples), or a cold product table
+  // is never built and every block falls back to the scalar multiplier. No
+  // other test here touches this configuration, so its tables start cold.
+  const auto cfg = arith::StageArithConfig::uniform(7, AdderKind::Approx3, MultKind::V2,
+                                                    ApproxPolicy::Aggressive);
+  const auto rec = ecg::nsrdb_like_digitized(0, 3 * kStageBlock);
+  const arith::TableCacheStats before = arith::table_cache_stats();
+  const std::vector<i32> out = run_stage(Stage::Der, cfg, rec.adu);
+  const arith::TableCacheStats after = arith::table_cache_stats();
+  EXPECT_EQ(after.signed_tables - before.signed_tables, 4u);  // DER taps 2, 1, -1, -2
+  EXPECT_EQ(out.size(), rec.adu.size());
+}
+
 TEST(Pipeline, MwiOutputNonNegativeEvenApproximate) {
   // The squarer output is non-negative; the accurate MWI must preserve that.
   const auto rec = ecg::nsrdb_like_digitized(2, 4000);
