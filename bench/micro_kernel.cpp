@@ -77,8 +77,8 @@ PathResult run_scalar(arith::ArithmeticUnit& unit, const std::vector<i32>& x, in
   return r;
 }
 
-/// Run the signal through the batched block transform (one mul_cn/mac_n per
-/// tap over the whole record).
+/// Run the signal through the batched block transform (one fir_n over the
+/// whole record).
 PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int iters) {
   PathResult r;
   double best = 1e300;
@@ -165,8 +165,8 @@ int main(int argc, char** argv) {
   }
 
   // Per-(op x ISA) dispatch-table rows: each compiled-and-usable kernel tier
-  // runs the three raw dispatched loop shapes (table gather, wired add,
-  // fused gather-MAC) plus the whole batched LPF block, and is checksummed
+  // runs the two raw dispatched loop shapes (table gather, wired add) plus
+  // the whole batched LPF block, and is checksummed
   // against the baseline tier — the bench doubles as a bit-identity check of
   // every vector path it times.
   struct IsaOpRow {
@@ -183,11 +183,11 @@ int main(int argc, char** argv) {
     std::vector<i64> table(1u << 16);
     for (i64& t : table) t = rng.uniform_int(-(1 << 30), 1 << 30);
     const u64 mask = (1u << 16) - 1;
-    std::vector<i64> xi(n), a(n), b(n), out(n), acc(n);
+    std::vector<i64> xi(n), a(n), b(n), out(n);
     for (i64& v : xi) v = rng.uniform_int(-(1 << 20), 1 << 20);
     for (i64& v : a) v = rng.uniform_int(-2000000000, 2000000000);
     for (i64& v : b) v = rng.uniform_int(-2000000000, 2000000000);
-    const arith::WiredAddParams wp{32, lsbs, true, false};
+    const arith::WiredAddParams wp{32, lsbs, true};
 
     for (const arith::Isa isa : arith::kAllIsas) {
       const arith::KernelOps* ops = arith::kernel_ops_for(isa);
@@ -218,13 +218,6 @@ int main(int argc, char** argv) {
       });
       add.checksum = checksum_of(out);
       isa_rows.push_back(add);
-
-      IsaOpRow mac = time_op("wired_mac_n", [&] {
-        acc.assign(a.begin(), a.end());  // mac mutates: reset per iteration
-        ops->wired_mac_n(table.data(), mask, xi.data(), acc.data(), n, wp);
-      });
-      mac.checksum = checksum_of(acc);
-      isa_rows.push_back(mac);
 
       // The whole batched FIR block under this tier (tables already warm).
       (void)arith::force_kernel_isa(isa);

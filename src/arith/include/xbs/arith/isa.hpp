@@ -2,10 +2,9 @@
 /// \brief Runtime CPU dispatch for the vector kernel inner loops.
 ///
 /// The table-driven approximate kernels (kernel.hpp) spend their time in
-/// three loop shapes: gathered LUT walks (square table, signed
-/// per-coefficient product tables), the carry-free wired-add closed forms
-/// (AMA4/AMA5), and the fused gather+wired-add MAC. Each shape has one
-/// implementation per instruction-set tier — portable scalar baseline,
+/// two loop shapes: gathered LUT walks (square table, signed
+/// per-coefficient product rows) and the carry-free wired-add closed forms
+/// (AMA4/AMA5). Each shape has one implementation per instruction-set tier — portable scalar baseline,
 /// AVX2 (4 x i64 lanes, `vpgatherqq`), AVX-512F (8 x i64 lanes) — compiled
 /// in separate translation units so only those TUs carry `-mavx2` /
 /// `-mavx512f`. A function-pointer table (`KernelOps`) is selected once at
@@ -96,10 +95,9 @@ struct WiredAddParams {
   int width = 32;        ///< adder width w
   int approx_bits = 0;   ///< k: approximate LSB region, in [0, w] (0 = exact add)
   bool sum_is_b = true;  ///< AMA5 low sum = B; AMA4 low sum = NOT A
-  bool negate_b = false; ///< subtract path: B arrives one's-complemented
 };
 
-/// Per-ISA implementations of the three hot loop shapes. All pointers are
+/// Per-ISA implementations of the two hot loop shapes. All pointers are
 /// always non-null in a published table.
 struct KernelOps {
   /// out[i] = table[(u64)x[i] & mask]. `out` may alias `x` element-wise
@@ -110,10 +108,6 @@ struct KernelOps {
   /// element-wise (the FIR row accumulate runs in place).
   void (*wired_add_n)(const i64* a, const i64* b, i64* out, std::size_t n,
                       const WiredAddParams& p);
-  /// acc[i] = wired_add(acc[i], table[(u64)x[i] & mask]) under \p p
-  /// (p.negate_b ignored — MACs only add). `x` must not alias `acc`.
-  void (*wired_mac_n)(const i64* table, u64 mask, const i64* x, i64* acc,
-                      std::size_t n, const WiredAddParams& p);
 };
 
 /// The dispatch table of the currently selected ISA: one atomic pointer

@@ -77,13 +77,18 @@ struct StageArithConfig {
   friend constexpr bool operator==(const StageArithConfig&, const StageArithConfig&) = default;
 };
 
-/// Block-granular datapath. The public `*_n` entry points count operations
-/// once per block (n ops per call, identical totals to the scalar path) and
-/// dispatch a single virtual call; the `*_impl` hooks run the tight loops.
+/// Block-granular datapath. The public counted ops are the three the
+/// Pan-Tompkins stages issue — fir_n (LPF, HPF, DER), square_n (SQR) and
+/// window_sum_n (MWI). Each counts operations once per block (identical
+/// totals to the scalar path) and dispatches a single virtual call; the
+/// `*_impl` hooks run the tight loops.
 ///
 /// The uncounted scalar hooks (`add1/sub1/mul1`) exist for the ArithmeticUnit
-/// adapters (unit.hpp); they compute exactly one element of the
-/// corresponding batched op, written add/sub/mul below.
+/// adapters (unit.hpp); add1 and mul1 compute exactly one element of the
+/// batched ops' adds and multiplies, written add/mul below.
+///
+/// A kernel is single-consumer: its op counters, scratch and per-tap-set
+/// plans are plain members, so give each stage of each session its own.
 class Kernel {
  public:
   virtual ~Kernel() = default;
@@ -94,55 +99,29 @@ class Kernel {
   [[nodiscard]] virtual i64 mul1(i64 a, i64 b) const = 0;
 
   // --- counted batched ops ---
-  /// out[i] = add(a[i], b[i]). Spans must be equally sized; aliasing with
-  /// `out` is allowed element-wise (in-place accumulate).
-  void add_n(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) {
-    counts_.adds += out.size();
-    add_n_impl(a, b, out);
-  }
-  /// out[i] = sub(a[i], b[i]).
-  void sub_n(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) {
-    counts_.adds += out.size();
-    sub_n_impl(a, b, out);
-  }
-  /// out[i] = mul(a[i], b[i]).
-  void mul_n(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) {
-    counts_.mults += out.size();
-    mul_n_impl(a, b, out);
-  }
-  /// Constant-coefficient multiply: out[i] = mul(c, x[i]) — the FIR tap
-  /// primitive (note the operand order: approximate multiplies are not
-  /// commutative).
-  void mul_cn(i64 c, std::span<const i64> x, std::span<i64> out) {
-    counts_.mults += out.size();
-    mul_cn_impl(c, x, out);
-  }
-  /// Fused multiply-accumulate: acc[i] = add(acc[i], mul(c, x[i])).
-  /// Counts one multiply and one add per element, like the scalar chain.
-  /// \p x must not alias \p acc.
-  void mac_n(i64 c, std::span<const i64> x, std::span<i64> acc) {
-    counts_.mults += acc.size();
-    counts_.adds += acc.size();
-    mac_n_impl(c, x, acc);
-  }
-
   /// Whole FIR convolution over a history-prefixed input: with T = taps.size()
   /// and n = acc.size(), `padded` holds T-1 carried samples followed by the n
   /// new ones (padded.size() == n + T - 1), and tap j of output i reads
   /// padded[T-1-j+i]. Per output sample the non-zero taps are multiplied in
-  /// tap order and accumulated through the chain
-  /// acc = add(acc, mul(c_j, x_j)) — exactly the per-tap mul_cn/mac_n
-  /// sequence, and counted identically (n multiplies per non-zero tap, n adds
-  /// per accumulation) — but exposed as one call so a backend can hoist
-  /// per-coefficient work out of the tap loop (ApproxKernel computes one
-  /// product row per *distinct* coefficient and turns the tap loop into pure
-  /// adds). \p padded must not alias \p acc.
+  /// tap order and accumulated through the chain acc = add(acc, mul(c_j, x_j))
+  /// (the coefficient on the multiplier's A port, the accumulator on the
+  /// adder's — approximate units are not commutative), counted as n
+  /// multiplies per non-zero tap and n adds per accumulation. The default
+  /// implementation evaluates that chain over mul1/add1. \p padded must not
+  /// alias \p acc.
   void fir_n(std::span<const int> taps, std::span<const i64> padded, std::span<i64> acc) {
     std::size_t nonzero = 0;
     for (const int c : taps) nonzero += (c != 0);
     counts_.mults += acc.size() * nonzero;
     counts_.adds += acc.size() * (nonzero > 0 ? nonzero - 1 : 0);
     fir_n_impl(taps, padded, acc);
+  }
+
+  /// out[i] = mul(x[i], x[i]) — the squarer. \p out may alias \p x
+  /// (the SQR stage squares in place): out[i] is written after x[i] is read.
+  void square_n(std::span<const i64> x, std::span<i64> out) {
+    counts_.mults += out.size();
+    square_n_impl(x, out);
   }
 
   /// Sliding-window sum over a history-prefixed input — the MWI adder tree.
@@ -152,7 +131,7 @@ class Kernel {
   /// netlist::build_mwi_stage: each level adds adjacent terms in pairs,
   /// oldest first, and carries an odd leftover to the end of the next level.
   /// Counted as the tree's w-1 adds per output. The default implementation
-  /// evaluates that tree (one batched add per pair per level), which is what
+  /// evaluates that tree (one add_n_impl per pair per level), which is what
   /// an approximate adder requires — its adds are not associative; a backend
   /// whose add is associative may evaluate the same sum in any order.
   /// Requires w >= 1; \p padded must not alias \p out.
@@ -165,33 +144,29 @@ class Kernel {
   void reset_counts() noexcept { counts_ = OpCounts{}; }
 
  protected:
-  virtual void add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                          std::span<i64> out) const;
-  virtual void sub_n_impl(std::span<const i64> a, std::span<const i64> b,
-                          std::span<i64> out) const;
-  virtual void mul_n_impl(std::span<const i64> a, std::span<const i64> b,
-                          std::span<i64> out) const;
-  virtual void mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const;
-  virtual void mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const;
+  /// out[i] = add(a[i], b[i]): one adder level of the MWI tree (uncounted —
+  /// the public op counts). \p out may alias \p a or \p b element-wise.
+  virtual void add_n_impl(std::span<const i64> a, std::span<const i64> b, std::span<i64> out);
   virtual void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                          std::span<i64> acc) const;
+                          std::span<i64> acc);
+  virtual void square_n_impl(std::span<const i64> x, std::span<i64> out);
   virtual void window_sum_n_impl(std::size_t w, std::span<const i64> padded,
-                                 std::span<i64> out) const;
+                                 std::span<i64> out);
 
  private:
   OpCounts counts_;
-  /// window_sum_n scratch of the reference tree (reused across chunks;
-  /// single-consumer like the op counters). Level outputs ping-pong between
-  /// the two pools by level parity, so a level recycles its grandparent
-  /// level's buffers: levels strictly shrink, and a carried odd leftover
-  /// always has the highest index of its parity, so it is never overwritten
-  /// before its last read. `terms`/`next` hold the current level's operands.
+  /// window_sum_n scratch of the reference tree (reused across chunks).
+  /// Level outputs ping-pong between the two pools by level parity, so a
+  /// level recycles its grandparent level's buffers: levels strictly shrink,
+  /// and a carried odd leftover always has the highest index of its parity,
+  /// so it is never overwritten before its last read. `terms`/`next` hold
+  /// the current level's operands.
   struct TreeScratch {
     std::array<std::vector<std::vector<i64>>, 2> pool;
     std::vector<std::span<const i64>> terms;
     std::vector<std::span<const i64>> next;
   };
-  mutable TreeScratch tree_;
+  TreeScratch tree_;
 };
 
 /// Exact native backend (the golden reference datapath): 32-bit wrapping
@@ -212,7 +187,8 @@ class Kernel {
 ///    sums of the 16-bit operands over the padded window. For the LPF taps
 ///    this is the published recursive low-pass (d = 2, e = 1, -2, 1 at
 ///    offsets 0, 6, 12), for the HPF taps the recursive high-pass (d = 1,
-///    e = -1, 32, -32, 1 at 0, 16, 17, 32); d = 0 is the tap chain itself.
+///    e = -1, 32, -32, 1 at 0, 16, 17, 32); for the DER taps d = 0, whose
+///    0-fold prefix is just the 16-bit operands, i.e. the tap chain itself.
 ///    The form is derived once per tap set (each kernel serves one stage).
 /// The OpCounts are unchanged: they count the hardware datapath's
 /// operations (the public wrappers count before dispatch), not the
@@ -224,18 +200,11 @@ class ExactKernel final : public Kernel {
   [[nodiscard]] i64 mul1(i64 a, i64 b) const override;
 
  protected:
-  void add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                  std::span<i64> out) const override;
-  void sub_n_impl(std::span<const i64> a, std::span<const i64> b,
-                  std::span<i64> out) const override;
-  void mul_n_impl(std::span<const i64> a, std::span<const i64> b,
-                  std::span<i64> out) const override;
-  void mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const override;
-  void mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const override;
   void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                  std::span<i64> acc) const override;
+                  std::span<i64> acc) override;
+  void square_n_impl(std::span<const i64> x, std::span<i64> out) override;
   void window_sum_n_impl(std::size_t w, std::span<const i64> padded,
-                         std::span<i64> out) const override;
+                         std::span<i64> out) override;
 
  private:
   /// One non-zero entry e_k of a tap set's difference form.
@@ -244,7 +213,7 @@ class ExactKernel final : public Kernel {
     i64 coeff = 0;           ///< e_k
   };
   /// fir_n's evaluation plan for the last tap set seen, and its scratch
-  /// (reused across chunks; single-consumer like the op counters).
+  /// (reused across chunks).
   struct DiffForm {
     std::vector<int> taps;  ///< the tap set the form was derived from
     std::size_t order = 0;  ///< d: the number of prefix-sum passes
@@ -252,34 +221,33 @@ class ExactKernel final : public Kernel {
     std::vector<i64> prefix;  ///< d zeros, then the d-fold prefix sums
   };
   /// The form of \p taps, derived on first use of that tap set.
-  DiffForm& diff_form(std::span<const int> taps) const;
-  mutable DiffForm form_;
+  DiffForm& diff_form(std::span<const int> taps);
+  DiffForm form_;
 };
 
 /// Bit-accurate approximate backend for one stage configuration, compiled
 /// into branch-free table-driven inner loops.
 ///
-/// Hoisted out of the inner loops, once per kernel lifetime:
-///  - the ripple-carry adder model (config decode + approx-region clamp),
-///  - the recursive-multiplier behavioural model (its 4x4/8x8 LUTs),
-/// and, lazily per distinct coefficient, a full *signed* product table
-/// `P[u] = mul1(c, sign_extend(u, w))` covering every w-bit operand pattern —
-/// so the FIR-critical `mul_cn`/`mac_n` are pure table walks: one masked
-/// load (plus one closed-form approximate add for the MAC) per sample, no
-/// sign fix, no multiplier simulation. The squaring pattern `mul_n` with
-/// `a.data() == b.data()` likewise resolves to a per-config 2^w-entry square
-/// table (`S[u] = mul1(x, x)`), turning the Pan-Tompkins SQR stage into one
-/// load per sample. The table walks and the wired-add loops run through the
+/// Hoisted out of the inner loops, once per kernel lifetime: the
+/// ripple-carry adder model (config decode + approx-region clamp) and the
+/// recursive-multiplier behavioural model. On first use, at any block size:
+///  - fir_n derives one plan per tap set, resolving a full *signed* product
+///    table `P[u] = mul1(c, sign_extend(u, w))` for each distinct non-zero
+///    coefficient. Each call then gathers one product row per distinct
+///    coefficient over the padded window and accumulates the taps' shifted
+///    row views in tap order, the accumulator on the adder's A port —
+///    exactly the chain's table loads and adds, with no multiplier
+///    simulation in the loop;
+///  - square_n resolves the per-config square table (`S[u] = mul1(x, x)`),
+///    one masked load per sample.
+/// The table walks and the AMA4/AMA5 wired-add loops run through the
 /// runtime-dispatched vector tier (isa.hpp): gathered LUT loads and 4/8-lane
 /// closed-form adds on AVX2/AVX-512 hardware, the scalar loops elsewhere —
 /// every tier bit-identical by construction. Tables are cached process-wide
-/// keyed by
-/// (MultiplierConfig, coefficient), matching the get_multiplier() cache
-/// idiom; the caches are internally synchronized and the published tables
-/// immutable, so kernels in different threads (one per stream::Session)
-/// share them safely. A Kernel instance itself is single-consumer
-/// (mutable op counters and per-kernel table pointers) — give each session
-/// its own.
+/// keyed by (MultiplierConfig, coefficient), matching the get_multiplier()
+/// cache idiom; the caches are internally synchronized and the published
+/// tables immutable, so kernels in different threads (one per
+/// stream::Session) share them safely.
 class ApproxKernel final : public Kernel {
  public:
   explicit ApproxKernel(const StageArithConfig& cfg);
@@ -292,31 +260,30 @@ class ApproxKernel final : public Kernel {
 
  protected:
   void add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                  std::span<i64> out) const override;
-  void sub_n_impl(std::span<const i64> a, std::span<const i64> b,
-                  std::span<i64> out) const override;
-  void mul_n_impl(std::span<const i64> a, std::span<const i64> b,
-                  std::span<i64> out) const override;
-  void mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const override;
-  void mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const override;
+                  std::span<i64> out) override;
   void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                  std::span<i64> acc) const override;
+                  std::span<i64> acc) override;
+  void square_n_impl(std::span<const i64> x, std::span<i64> out) override;
 
  private:
-  /// Signed product table of mul1(c, .) for one coefficient, indexed by the
-  /// w-bit operand pattern (sign already folded in — a pure walk).
-  struct CoeffTable {
-    i64 coeff = 0;
-    const i64* data = nullptr;  ///< hoisted raw pointer, 2^w entries
-    std::shared_ptr<const TableVec> owner;
+  /// One non-zero tap of a plan: where its products sit in its row.
+  struct PlanTap {
+    std::size_t row = 0;     ///< index into FirPlan::tables / rows
+    std::size_t offset = 0;  ///< T-1-j: tap j of output i reads row[offset + i]
   };
-  /// Resolve the coefficient's table: always when `n` is large enough to
-  /// amortize a cold build, otherwise only if it is already warm
-  /// (kernel-local or process-wide); nullptr when using it would require a
-  /// cold build that cannot pay for itself.
-  [[nodiscard]] const i64* coeff_table(i64 c, std::size_t n) const;
-  /// Same policy for the per-config square table (mul_n with a == b).
-  [[nodiscard]] const i64* square_table(std::size_t n) const;
+  /// fir_n's evaluation plan for the last tap set seen, and its scratch
+  /// (reused across chunks).
+  struct FirPlan {
+    std::vector<int> taps;  ///< the tap set the plan was derived from
+    /// The signed product table of each distinct non-zero coefficient, in
+    /// first-seen tap order.
+    std::vector<std::shared_ptr<const TableVec>> tables;
+    std::vector<PlanTap> chain;          ///< the non-zero taps, in tap order
+    std::vector<std::vector<i64>> rows;  ///< one product row per table
+  };
+  /// The plan of \p taps, derived (and its tables built) on first use of
+  /// that tap set.
+  FirPlan& fir_plan(std::span<const int> taps);
 
   /// Which loop serves the batched adds, decoded once at construction.
   /// AMA5 (Sum=B, Cout=A) and AMA4 (Sum=NOT A, Cout=A) have no carry chain
@@ -333,12 +300,8 @@ class ApproxKernel final : public Kernel {
   WiredAddParams wired_params_{};
   std::shared_ptr<const RecursiveMultiplier> mult_owner_;
   const RecursiveMultiplier* mult_;  ///< hoisted raw pointer for the loops
-  mutable std::vector<CoeffTable> coeff_tables_;  ///< tiny per-kernel LRU-less cache
-  mutable const i64* square_ = nullptr;  ///< hoisted square-table pointer
-  mutable std::shared_ptr<const TableVec> square_owner_;
-  /// fir_n scratch: one product row per distinct coefficient (reused across
-  /// chunks; single-consumer like the op counters).
-  mutable std::vector<std::vector<i64>> fir_rows_;
+  FirPlan plan_;
+  std::shared_ptr<const TableVec> square_;  ///< resolved on first square_n
 };
 
 /// Build the right backend for a stage configuration: the exact native kernel
@@ -348,25 +311,16 @@ class ApproxKernel final : public Kernel {
 
 /// Process-wide cache of full signed per-coefficient product tables
 /// (see ApproxKernel): 2^width entries, `P[u] = mul1(c, sign_extend(u, w))`.
-/// Exposed so serving layers (stream::StreamServer) and benches can pre-warm
-/// tables outside timed regions — once warm, every kernel in the process
-/// walks them regardless of chunk size.
+/// A kernel calls it the first time it sees a coefficient; serving layers
+/// reach it through pantompkins::warm_stage_tables to build outside timed
+/// regions.
 [[nodiscard]] std::shared_ptr<const TableVec> get_signed_coeff_products(
     const MultiplierConfig& cfg, i64 coeff);
-
-/// Cache peek: the table if it has already been built, nullptr otherwise.
-/// Lets small-block paths use a warm table without paying a cold build.
-[[nodiscard]] std::shared_ptr<const TableVec> peek_signed_coeff_products(
-    const MultiplierConfig& cfg, i64 coeff) noexcept;
 
 /// Process-wide cache of per-config square tables: 2^width entries,
 /// `S[u] = mul1(x, x)` for `x = sign_extend(u, w)` — the SQR-stage kernel.
 [[nodiscard]] std::shared_ptr<const TableVec> get_square_products(
     const MultiplierConfig& cfg);
-
-/// Cache peek for the square table (same policy as the coefficient peek).
-[[nodiscard]] std::shared_ptr<const TableVec> peek_square_products(
-    const MultiplierConfig& cfg) noexcept;
 
 /// Cumulative build counters of the process-wide table caches (plus the
 /// multiplier behavioural-model cache) — each counts published cold builds,

@@ -15,11 +15,10 @@ namespace xbs::arith::detail {
 /// The `(x ^ sbit) - sbit` sign folds below wrap u64 by design (see
 /// sign_extend in bitops.hpp) — exempt from the -fsanitize=integer checks.
 XBS_NO_SANITIZE_INTEGER [[nodiscard]] inline i64 wired_add_one(
-    i64 a, i64 b, int w, int k, bool sum_is_b, bool negate_b) noexcept {
+    i64 a, i64 b, int w, int k, bool sum_is_b) noexcept {
   const u64 wmask = low_mask(w);
   const u64 ua = static_cast<u64>(a) & wmask;
-  u64 ub = static_cast<u64>(b) & wmask;
-  if (negate_b) ub = ~ub & wmask;
+  const u64 ub = static_cast<u64>(b) & wmask;
   const u64 sbit = u64{1} << (w - 1);
   if (k >= w) {
     const u64 low = (sum_is_b ? ub : ~ua) & wmask;

@@ -10,14 +10,6 @@
 namespace xbs::arith {
 namespace {
 
-/// Blocks shorter than this fall back to the scalar multiplier instead of
-/// building a per-coefficient product/square table (2^w multiplies to fill):
-/// below the threshold a *cold* build cannot pay for itself within one call.
-/// Warm tables (pre-built by stream::StreamServer / pantompkins::warm_* or by
-/// any earlier large block) are used at every size, so the threshold is moot
-/// for long-running streaming processes.
-constexpr std::size_t kCoeffTableThreshold = 512;
-
 #if defined(_MSC_VER)
 #define XBS_RESTRICT __restrict
 #else
@@ -44,51 +36,38 @@ constexpr std::size_t kWrapBlock = std::size_t{1} << 16;
 
 // ---------------------------------------------------------------- Kernel base
 
-void Kernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                        std::span<i64> out) const {
+void Kernel::add_n_impl(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) {
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = add1(a[i], b[i]);
 }
 
-void Kernel::sub_n_impl(std::span<const i64> a, std::span<const i64> b,
-                        std::span<i64> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = sub1(a[i], b[i]);
-}
-
-void Kernel::mul_n_impl(std::span<const i64> a, std::span<const i64> b,
-                        std::span<i64> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = mul1(a[i], b[i]);
-}
-
-void Kernel::mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = mul1(c, x[i]);
-}
-
-void Kernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const {
-  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = add1(acc[i], mul1(c, x[i]));
-}
-
 void Kernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                        std::span<i64> acc) const {
-  // Reference chain: one mul_cn for the first non-zero tap, one mac_n per
-  // subsequent one, in tap order — the scalar per-sample dataflow, batched.
+                        std::span<i64> acc) {
+  // Reference chain: the first non-zero tap's products, then one
+  // accumulation per subsequent tap, in tap order — the scalar per-sample
+  // dataflow, batched.
   const std::size_t T = taps.size();
   const std::size_t n = acc.size();
   bool first = true;
   for (std::size_t j = 0; j < T; ++j) {
-    if (taps[j] == 0) continue;
-    const std::span<const i64> xs = padded.subspan(T - 1 - j, n);
+    const i64 c = taps[j];
+    if (c == 0) continue;
+    const i64* x = padded.data() + (T - 1 - j);
     if (first) {
-      mul_cn_impl(taps[j], xs, acc);
+      for (std::size_t i = 0; i < n; ++i) acc[i] = mul1(c, x[i]);
       first = false;
     } else {
-      mac_n_impl(taps[j], xs, acc);
+      for (std::size_t i = 0; i < n; ++i) acc[i] = add1(acc[i], mul1(c, x[i]));
     }
   }
   if (first) std::fill(acc.begin(), acc.end(), i64{0});
 }
 
+void Kernel::square_n_impl(std::span<const i64> x, std::span<i64> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = mul1(x[i], x[i]);
+}
+
 void Kernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
-                               std::span<i64> out) const {
+                               std::span<i64> out) {
   // The balanced pairwise tree of netlist::build_mwi_stage, one add_n per
   // pair per level. Terms are spans over the padded input (level 0,
   // leftovers) or level outputs from the scratch pool; the root's add writes
@@ -140,66 +119,15 @@ i64 ExactKernel::mul1(i64 a, i64 b) const {
 // of the low 32 (16) bits is exactly a cast through i32 (i16) in C++20
 // two's-complement arithmetic, which the compiler auto-vectorizes.
 
-void ExactKernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                             std::span<i64> out) const {
-  // No restrict: element-wise aliasing with `out` is part of the contract;
-  // out[i] depends only on index i, so the loop still vectorizes (the
-  // compiler versions it with a runtime overlap check).
-  const i64* pa = a.data();
-  const i64* pb = b.data();
-  i64* po = out.data();
+void ExactKernel::square_n_impl(std::span<const i64> x, std::span<i64> out) {
+  const i64* px = x.data();
+  i64* po = out.data();  // may alias px element-wise (kernel contract)
   const std::size_t n = out.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    po[i] = static_cast<i32>(static_cast<u32>(pa[i] + pb[i]));
-  }
-}
-
-void ExactKernel::sub_n_impl(std::span<const i64> a, std::span<const i64> b,
-                             std::span<i64> out) const {
-  const i64* pa = a.data();
-  const i64* pb = b.data();
-  i64* po = out.data();
-  const std::size_t n = out.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    po[i] = static_cast<i32>(static_cast<u32>(pa[i] - pb[i]));
-  }
-}
-
-void ExactKernel::mul_n_impl(std::span<const i64> a, std::span<const i64> b,
-                             std::span<i64> out) const {
-  const i64* pa = a.data();
-  const i64* pb = b.data();
-  i64* po = out.data();  // may alias pa/pb element-wise (kernel contract)
-  const std::size_t n = out.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    po[i] = static_cast<i64>(static_cast<i16>(static_cast<u16>(pa[i]))) *
-            static_cast<i64>(static_cast<i16>(static_cast<u16>(pb[i])));
-  }
-}
-
-void ExactKernel::mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const {
-  const i64 sc = static_cast<i16>(static_cast<u16>(c));
-  const i64* XBS_RESTRICT px = x.data();
-  i64* XBS_RESTRICT po = out.data();
-  const std::size_t n = out.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    po[i] = sc * static_cast<i64>(static_cast<i16>(static_cast<u16>(px[i])));
-  }
-}
-
-void ExactKernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const {
-  const i64 sc = static_cast<i16>(static_cast<u16>(c));
-  const i64* XBS_RESTRICT px = x.data();
-  i64* XBS_RESTRICT pa = acc.data();
-  const std::size_t n = acc.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const i64 p = sc * static_cast<i64>(static_cast<i16>(static_cast<u16>(px[i])));
-    pa[i] = static_cast<i32>(static_cast<u32>(pa[i] + p));
-  }
+  for (std::size_t i = 0; i < n; ++i) po[i] = sext16(px[i]) * sext16(px[i]);
 }
 
 void ExactKernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
-                                    std::span<i64> out) const {
+                                    std::span<i64> out) {
   // A running sum mod 2^32: slide the window by adding the newest operand
   // and dropping the oldest (each step moves the sum by less than 2^32). The
   // sum runs unwrapped within blocks of 2^16 outputs (|s| < 2^49 there) and
@@ -225,7 +153,7 @@ void ExactKernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
   }
 }
 
-ExactKernel::DiffForm& ExactKernel::diff_form(std::span<const int> taps) const {
+ExactKernel::DiffForm& ExactKernel::diff_form(std::span<const int> taps) {
   DiffForm& f = form_;
   if (std::equal(taps.begin(), taps.end(), f.taps.begin(), f.taps.end())) return f;
   f.taps.assign(taps.begin(), taps.end());
@@ -260,11 +188,36 @@ ExactKernel::DiffForm& ExactKernel::diff_form(std::span<const int> taps) const {
 }
 
 void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                             std::span<i64> acc) const {
+                             std::span<i64> acc) {
   DiffForm& f = diff_form(taps);
   const std::size_t n = acc.size();
-  if (f.order == 0 || n == 0) {  // the tap chain is already the sparsest form
-    Kernel::fir_n_impl(taps, padded, acc);
+  if (f.terms.empty()) {  // every coefficient is 0 in 16 bits: so is every product
+    std::fill(acc.begin(), acc.end(), i64{0});
+    return;
+  }
+  // Output i sits at window position T-1+i; term (k, e_k) reads X[T-1+i-k].
+  // Operand is the type X and e fit in: for d = 0 both are 16-bit values
+  // (the coefficients as mul1 sees them, and the operands read in place), so
+  // the products are widening 16x16 multiplies; otherwise X is a 32-bit
+  // prefix sum and |e_k * X| <= 2^17 * 2^31, exact in i64 before its wrap.
+  const std::size_t last = taps.size() - 1;
+  i64* XBS_RESTRICT pa = acc.data();
+  const auto apply = [&](const i64* x, auto operand) {
+    using Operand = decltype(operand);
+    const DiffTerm& t0 = f.terms.front();
+    const i64 c0 = static_cast<Operand>(t0.coeff);
+    const i64* src = x + last - t0.offset;
+    for (std::size_t i = 0; i < n; ++i) pa[i] = wrap32(c0 * static_cast<Operand>(src[i]));
+    for (std::size_t j = 1; j < f.terms.size(); ++j) {
+      const DiffTerm& t = f.terms[j];
+      const i64 c = static_cast<Operand>(t.coeff);
+      src = x + last - t.offset;
+      for (std::size_t i = 0; i < n; ++i) pa[i] = wrap32(pa[i] + c * static_cast<Operand>(src[i]));
+    }
+  };
+  const std::size_t d = f.order;
+  if (d == 0) {  // the 0-fold prefix sums are the 16-bit operands themselves
+    apply(padded.data(), i16{});
     return;
   }
   // d-fold prefix sums of the 16-bit operands over the padded window, behind
@@ -273,7 +226,6 @@ void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pad
   // since output i reads operands at window positions >= i only. The sums
   // run unwrapped within blocks of 2^16 operands (|X_1| < 2^32 and
   // |X_2| < 2^49 there) and wrap once per block, so each step is one add.
-  const std::size_t d = f.order;
   const std::size_t len = padded.size();
   f.prefix.resize(d + len);
   std::fill_n(f.prefix.begin(), d, i64{0});
@@ -298,18 +250,7 @@ void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pad
     s1 = wrap32(s1);
     s2 = wrap32(s2);
   }
-  // Output i sits at window position T-1+i; term (k, e_k) reads X[T-1+i-k].
-  // |e_k * X| <= 2^17 * 2^31, so each step is exact in i64 before its wrap.
-  const std::size_t last = taps.size() - 1;
-  i64* XBS_RESTRICT pa = acc.data();
-  const DiffTerm& t0 = f.terms.front();
-  const i64* src = pb + last - t0.offset;
-  for (std::size_t i = 0; i < n; ++i) pa[i] = wrap32(t0.coeff * src[i]);
-  for (std::size_t j = 1; j < f.terms.size(); ++j) {
-    const DiffTerm& t = f.terms[j];
-    src = pb + last - t.offset;
-    for (std::size_t i = 0; i < n; ++i) pa[i] = wrap32(pa[i] + t.coeff * src[i]);
-  }
+  apply(pb, i64{});
 }
 
 // ---------------------------------------------------------------- ApproxKernel
@@ -331,7 +272,6 @@ ApproxKernel::ApproxKernel(const StageArithConfig& cfg)
   wired_params_.width = cfg.adder.width;
   wired_params_.approx_bits = approx_bits;
   wired_params_.sum_is_b = add_path_ == AddFastPath::SumIsB;
-  wired_params_.negate_b = false;
 }
 
 i64 ApproxKernel::add1(i64 a, i64 b) const { return adder_.add_signed(a, b); }
@@ -346,7 +286,7 @@ i64 ApproxKernel::mul1(i64 a, i64 b) const { return mult_->multiply_signed(a, b)
 // form (asserted per forced ISA in tests/test_kernel_dispatch.cpp).
 
 void ApproxKernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                              std::span<i64> out) const {
+                              std::span<i64> out) {
   const std::size_t n = out.size();
   if (add_path_ != AddFastPath::Generic) {
     kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, wired_params_);
@@ -355,160 +295,65 @@ void ApproxKernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
   for (std::size_t i = 0; i < n; ++i) out[i] = adder_.add_signed(a[i], b[i]);
 }
 
-void ApproxKernel::sub_n_impl(std::span<const i64> a, std::span<const i64> b,
-                              std::span<i64> out) const {
-  const std::size_t n = out.size();
-  if (add_path_ != AddFastPath::Generic) {
-    WiredAddParams p = wired_params_;
-    p.negate_b = true;  // one's complement + injected carry (see isa_ops.hpp)
-    kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, p);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = adder_.sub_signed(a[i], b[i]);
-}
-
-void ApproxKernel::mul_n_impl(std::span<const i64> a, std::span<const i64> b,
-                              std::span<i64> out) const {
-  const std::size_t n = out.size();
-  if (a.data() == b.data()) {
-    // The squaring pattern (SQR stage): one masked (per-lane gathered) load
-    // per sample from the per-config square table. Full in-place aliasing
-    // with `out` is fine — out[i] is written strictly after a[i] is read.
-    if (const i64* sq = square_table(n)) {
-      kernel_ops().gather_lut_n(sq, low_mask(cfg_.mult.width), a.data(),
-                                out.data(), n);
-      return;
+ApproxKernel::FirPlan& ApproxKernel::fir_plan(std::span<const int> taps) {
+  FirPlan& p = plan_;
+  if (std::equal(taps.begin(), taps.end(), p.taps.begin(), p.taps.end())) return p;
+  p.taps.clear();  // the plan matches no tap set until it is complete
+  p.tables.clear();
+  p.chain.clear();
+  std::vector<int> distinct;
+  for (std::size_t j = 0; j < taps.size(); ++j) {
+    const int c = taps[j];
+    if (c == 0) continue;
+    const auto it = std::find(distinct.begin(), distinct.end(), c);
+    p.chain.push_back(PlanTap{static_cast<std::size_t>(it - distinct.begin()),
+                              taps.size() - 1 - j});
+    if (it == distinct.end()) {
+      distinct.push_back(c);
+      p.tables.push_back(get_signed_coeff_products(cfg_.mult, c));
     }
   }
-  for (std::size_t i = 0; i < n; ++i) out[i] = mult_->multiply_signed(a[i], b[i]);
-}
-
-const i64* ApproxKernel::coeff_table(i64 c, std::size_t n) const {
-  for (const CoeffTable& t : coeff_tables_) {
-    if (t.coeff == c) return t.data;
-  }
-  auto products = n >= kCoeffTableThreshold ? get_signed_coeff_products(cfg_.mult, c)
-                                            : peek_signed_coeff_products(cfg_.mult, c);
-  if (products == nullptr) return nullptr;
-  CoeffTable t;
-  t.coeff = c;
-  t.data = products->data();
-  t.owner = std::move(products);
-  coeff_tables_.push_back(std::move(t));
-  return coeff_tables_.back().data;
-}
-
-const i64* ApproxKernel::square_table(std::size_t n) const {
-  if (square_ != nullptr) return square_;
-  auto table = n >= kCoeffTableThreshold ? get_square_products(cfg_.mult)
-                                         : peek_square_products(cfg_.mult);
-  if (table == nullptr) return nullptr;
-  square_owner_ = std::move(table);
-  square_ = square_owner_->data();
-  return square_;
-}
-
-void ApproxKernel::mul_cn_impl(i64 c, std::span<const i64> x, std::span<i64> out) const {
-  // Below the threshold a cold table build cannot pay for itself, but a warm
-  // one (kernel-local or process-wide) is still the fast path. The signed
-  // table folds the coefficient's and operand's signs in, so the walk is one
-  // masked load per sample. `out` must not alias `x` (FIR contract).
-  const std::size_t n = out.size();
-  const i64* prod = coeff_table(c, n);
-  if (prod == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = mult_->multiply_signed(c, x[i]);
-    return;
-  }
-  kernel_ops().gather_lut_n(prod, low_mask(cfg_.mult.width), x.data(), out.data(), n);
+  p.rows.resize(p.tables.size());
+  p.taps.assign(taps.begin(), taps.end());
+  return p;
 }
 
 void ApproxKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                              std::span<i64> acc) const {
-  // Product-row compilation: the tap loop re-reads the same input samples
-  // once per tap, so gather the signed products P_c[x] once per *distinct*
-  // coefficient over the whole padded window and reduce the tap loop to pure
-  // carry-free adds over shifted row views. Bit-identical to the per-tap
-  // chain: the products are the same table loads, the adds the same wired
-  // closed forms, in the same tap order.
-  const std::size_t T = taps.size();
-  const std::size_t n = acc.size();
-  if (n == 0) return;
-
-  // Distinct non-zero coefficients, and each tap's row index.
-  i32 distinct[64];
-  std::size_t n_distinct = 0;
-  std::size_t nonzero = 0;
-  bool tables_ok = true;
-  for (std::size_t j = 0; j < T && tables_ok; ++j) {
-    const int c = taps[j];
-    if (c == 0) continue;
-    ++nonzero;
-    bool seen = false;
-    for (std::size_t d = 0; d < n_distinct; ++d) seen |= (distinct[d] == c);
-    if (!seen) {
-      if (n_distinct == 64 || coeff_table(c, n) == nullptr) {
-        tables_ok = false;  // cold table (or absurd tap set): take the chain
-        break;
-      }
-      distinct[n_distinct++] = c;
-    }
-  }
-  if (!tables_ok || nonzero == 0 || add_path_ == AddFastPath::Generic) {
-    Kernel::fir_n_impl(taps, padded, acc);
+                              std::span<i64> acc) {
+  // Product rows: the tap loop re-reads the same input samples once per tap,
+  // so gather the signed products P_c[x] once per *distinct* coefficient over
+  // the whole padded window and reduce the tap loop to adds over shifted row
+  // views. Bit-identical to the chain acc = add(acc, mul(c_j, x_j)): the
+  // products are the table loads mul1 equals, the adds are the adder's, in
+  // tap order with the accumulator on the A port.
+  FirPlan& p = fir_plan(taps);
+  if (p.chain.empty()) {
+    std::fill(acc.begin(), acc.end(), i64{0});
     return;
   }
-
   const u64 mmask = low_mask(cfg_.mult.width);
   const KernelOps& ops = kernel_ops();
-  fir_rows_.resize(n_distinct);
-  for (std::size_t d = 0; d < n_distinct; ++d) {
-    const i64* prod = coeff_table(distinct[d], n);
-    std::vector<i64>& row = fir_rows_[d];
+  for (std::size_t r = 0; r < p.tables.size(); ++r) {
+    std::vector<i64>& row = p.rows[r];
     row.resize(padded.size());
-    ops.gather_lut_n(prod, mmask, padded.data(), row.data(), padded.size());
+    ops.gather_lut_n(p.tables[r]->data(), mmask, padded.data(), row.data(), padded.size());
   }
-  auto row_of = [&](int c) -> const i64* {
-    for (std::size_t d = 0; d < n_distinct; ++d) {
-      if (distinct[d] == c) return fir_rows_[d].data();
-    }
-    return nullptr;  // unreachable
+  const auto view = [&](const PlanTap& tap) {
+    return std::span<const i64>(p.rows[tap.row]).subspan(tap.offset, acc.size());
   };
-
-  bool first = true;
-  for (std::size_t j = 0; j < T; ++j) {
-    if (taps[j] == 0) continue;
-    const i64* row = row_of(taps[j]) + (T - 1 - j);
-    if (first) {
-      std::copy_n(row, n, acc.data());
-      first = false;
-    } else {
-      // In-place accumulate (out aliases a element-wise — loop contract).
-      ops.wired_add_n(acc.data(), row, acc.data(), n, wired_params_);
-    }
-  }
+  const std::span<const i64> first = view(p.chain.front());
+  std::copy(first.begin(), first.end(), acc.begin());
+  // In-place accumulate (out aliases a element-wise — add_n_impl's contract).
+  for (std::size_t k = 1; k < p.chain.size(); ++k) add_n_impl(acc, view(p.chain[k]), acc);
 }
 
-void ApproxKernel::mac_n_impl(i64 c, std::span<const i64> x, std::span<i64> acc) const {
-  const std::size_t n = acc.size();
-  const i64* prod = coeff_table(c, n);
-  if (prod == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = adder_.add_signed(acc[i], mult_->multiply_signed(c, x[i]));
-    }
-    return;
-  }
-  if (add_path_ != AddFastPath::Generic) {
-    // Fused gathered table walk + carry-free accumulate: the accumulator on
-    // the A port, the product on the B port — the same operand order as the
-    // scalar chain add(acc, mul(c, x)).
-    kernel_ops().wired_mac_n(prod, low_mask(cfg_.mult.width), x.data(), acc.data(),
-                             n, wired_params_);
-    return;
-  }
-  const u64 mmask = low_mask(cfg_.mult.width);
-  for (std::size_t i = 0; i < n; ++i) {
-    acc[i] = adder_.add_signed(acc[i], prod[static_cast<u64>(x[i]) & mmask]);
-  }
+void ApproxKernel::square_n_impl(std::span<const i64> x, std::span<i64> out) {
+  // One masked (per-lane gathered) load per sample from the per-config
+  // square table. Full in-place aliasing is fine: out[i] is written strictly
+  // after x[i] is read.
+  if (square_ == nullptr) square_ = get_square_products(cfg_.mult);
+  kernel_ops().gather_lut_n(square_->data(), low_mask(cfg_.mult.width), x.data(), out.data(),
+                            out.size());
 }
 
 // -------------------------------------------------------------------- factory
@@ -620,12 +465,6 @@ std::shared_ptr<const TableVec> get_magnitude_products(const MultiplierConfig& c
 
 }  // namespace
 
-std::shared_ptr<const TableVec> peek_signed_coeff_products(
-    const MultiplierConfig& cfg, i64 coeff) noexcept {
-  const i64 sc = sign_extend(to_unsigned_bits(coeff, cfg.width), cfg.width);
-  return caches().signed_coeff.find(TableKey{cfg, sc});
-}
-
 std::shared_ptr<const TableVec> get_signed_coeff_products(const MultiplierConfig& cfg,
                                                           i64 coeff) {
   const int w = cfg.width;
@@ -645,11 +484,6 @@ std::shared_ptr<const TableVec> get_signed_coeff_products(const MultiplierConfig
   // Negative operands mirror them: |x| = n - u, and the opposite sign.
   for (std::size_t u = half; u < n; ++u) t[u] = neg ? row[n - u] : -row[n - u];
   return caches().signed_coeff.publish(key, std::move(table));
-}
-
-std::shared_ptr<const TableVec> peek_square_products(
-    const MultiplierConfig& cfg) noexcept {
-  return caches().square.find(TableKey{cfg, 0});
 }
 
 std::shared_ptr<const TableVec> get_square_products(const MultiplierConfig& cfg) {

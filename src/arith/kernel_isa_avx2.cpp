@@ -43,8 +43,7 @@ void gather_lut_n_avx2(const i64* table, u64 mask, const i64* x, i64* out,
 }
 
 /// One vector step of the wired-add closed form over already-masked w-bit
-/// operand vectors (ub pre-negated when subtracting). Mirrors
-/// wired_add_one() lane for lane.
+/// operand vectors. Mirrors wired_add_one() lane for lane.
 template <bool kSumIsB>
 inline __m256i wired_add_vec(__m256i ua, __m256i ub, __m256i wmask, __m256i sbit,
                              __m256i kmask, __m256i himask, __m256i one,
@@ -65,7 +64,7 @@ inline __m256i wired_add_vec(__m256i ua, __m256i ub, __m256i wmask, __m256i sbit
   return _mm256_sub_epi64(_mm256_xor_si256(r, sbit), sbit);
 }
 
-template <bool kSumIsB, bool kNegateB>
+template <bool kSumIsB>
 void wired_add_loop_avx2(const i64* a, const i64* b, i64* out, std::size_t n,
                          int w, int k) noexcept {
   const bool low_only = k >= w;
@@ -80,79 +79,28 @@ void wired_add_loop_avx2(const i64* a, const i64* b, i64* out, std::size_t n,
   for (; i + 4 <= n; i += 4) {
     const __m256i va = _mm256_and_si256(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), wmask);
-    __m256i vb = _mm256_and_si256(
+    const __m256i vb = _mm256_and_si256(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)), wmask);
-    if (kNegateB) vb = _mm256_andnot_si256(vb, wmask);
     const __m256i r = wired_add_vec<kSumIsB>(va, vb, wmask, sbit, kmask, himask,
                                              one, shk, shk1, low_only);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
   }
-  for (; i < n; ++i) out[i] = wired_add_one(a[i], b[i], w, k, kSumIsB, kNegateB);
+  for (; i < n; ++i) out[i] = wired_add_one(a[i], b[i], w, k, kSumIsB);
 }
 
 void wired_add_n_avx2(const i64* a, const i64* b, i64* out, std::size_t n,
                       const WiredAddParams& p) {
   if (p.sum_is_b) {
-    if (p.negate_b) {
-      wired_add_loop_avx2<true, true>(a, b, out, n, p.width, p.approx_bits);
-    } else {
-      wired_add_loop_avx2<true, false>(a, b, out, n, p.width, p.approx_bits);
-    }
+    wired_add_loop_avx2<true>(a, b, out, n, p.width, p.approx_bits);
   } else {
-    if (p.negate_b) {
-      wired_add_loop_avx2<false, true>(a, b, out, n, p.width, p.approx_bits);
-    } else {
-      wired_add_loop_avx2<false, false>(a, b, out, n, p.width, p.approx_bits);
-    }
-  }
-}
-
-template <bool kSumIsB>
-void wired_mac_loop_avx2(const i64* table, u64 mask, const i64* x, i64* acc,
-                         std::size_t n, int w, int k) noexcept {
-  const bool low_only = k >= w;
-  const __m256i vmask = bcast(mask);
-  const __m256i wmask = bcast(low_mask(w));
-  const __m256i sbit = bcast(u64{1} << (w - 1));
-  const __m256i kmask = bcast(low_mask(low_only ? w : k));
-  const __m256i himask = bcast(low_mask(low_only ? 1 : w - k));
-  const __m256i one = bcast(1);
-  const __m128i shk = _mm_cvtsi32_si128(low_only ? 0 : k);
-  const __m128i shk1 = _mm_cvtsi32_si128(low_only ? 0 : k - 1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i idx = _mm256_and_si256(vx, vmask);
-    const __m256i prod =
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(table), idx, 8);
-    const __m256i ua = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)), wmask);
-    const __m256i ub = _mm256_and_si256(prod, wmask);
-    const __m256i r = wired_add_vec<kSumIsB>(ua, ub, wmask, sbit, kmask, himask,
-                                             one, shk, shk1, low_only);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), r);
-  }
-  for (; i < n; ++i) {
-    acc[i] = wired_add_one(acc[i], table[static_cast<u64>(x[i]) & mask], w, k,
-                           kSumIsB, false);
-  }
-}
-
-void wired_mac_n_avx2(const i64* table, u64 mask, const i64* x, i64* acc,
-                      std::size_t n, const WiredAddParams& p) {
-  if (p.sum_is_b) {
-    wired_mac_loop_avx2<true>(table, mask, x, acc, n, p.width, p.approx_bits);
-  } else {
-    wired_mac_loop_avx2<false>(table, mask, x, acc, n, p.width, p.approx_bits);
+    wired_add_loop_avx2<false>(a, b, out, n, p.width, p.approx_bits);
   }
 }
 
 }  // namespace
 
 const KernelOps& avx2_ops() noexcept {
-  static constexpr KernelOps ops{&gather_lut_n_avx2, &wired_add_n_avx2,
-                                 &wired_mac_n_avx2};
+  static constexpr KernelOps ops{&gather_lut_n_avx2, &wired_add_n_avx2};
   return ops;
 }
 

@@ -67,7 +67,7 @@ inline __m512i wired_add_vec(__m512i ua, __m512i ub, __m512i wmask, __m512i sbit
   return _mm512_sub_epi64(_mm512_xor_si512(r, sbit), sbit);
 }
 
-template <bool kSumIsB, bool kNegateB>
+template <bool kSumIsB>
 void wired_add_loop_avx512(const i64* a, const i64* b, i64* out, std::size_t n,
                            int w, int k) noexcept {
   const bool low_only = k >= w;
@@ -81,75 +81,27 @@ void wired_add_loop_avx512(const i64* a, const i64* b, i64* out, std::size_t n,
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m512i va = _mm512_and_si512(_mm512_loadu_si512(a + i), wmask);
-    __m512i vb = _mm512_and_si512(_mm512_loadu_si512(b + i), wmask);
-    if (kNegateB) vb = _mm512_andnot_si512(vb, wmask);
+    const __m512i vb = _mm512_and_si512(_mm512_loadu_si512(b + i), wmask);
     const __m512i r = wired_add_vec<kSumIsB>(va, vb, wmask, sbit, kmask, himask,
                                              one, shk, shk1, low_only);
     _mm512_storeu_si512(out + i, r);
   }
-  for (; i < n; ++i) out[i] = wired_add_one(a[i], b[i], w, k, kSumIsB, kNegateB);
+  for (; i < n; ++i) out[i] = wired_add_one(a[i], b[i], w, k, kSumIsB);
 }
 
 void wired_add_n_avx512(const i64* a, const i64* b, i64* out, std::size_t n,
                         const WiredAddParams& p) {
   if (p.sum_is_b) {
-    if (p.negate_b) {
-      wired_add_loop_avx512<true, true>(a, b, out, n, p.width, p.approx_bits);
-    } else {
-      wired_add_loop_avx512<true, false>(a, b, out, n, p.width, p.approx_bits);
-    }
+    wired_add_loop_avx512<true>(a, b, out, n, p.width, p.approx_bits);
   } else {
-    if (p.negate_b) {
-      wired_add_loop_avx512<false, true>(a, b, out, n, p.width, p.approx_bits);
-    } else {
-      wired_add_loop_avx512<false, false>(a, b, out, n, p.width, p.approx_bits);
-    }
-  }
-}
-
-template <bool kSumIsB>
-void wired_mac_loop_avx512(const i64* table, u64 mask, const i64* x, i64* acc,
-                           std::size_t n, int w, int k) noexcept {
-  const bool low_only = k >= w;
-  const __m512i vmask = bcast(mask);
-  const __m512i wmask = bcast(low_mask(w));
-  const __m512i sbit = bcast(u64{1} << (w - 1));
-  const __m512i kmask = bcast(low_mask(low_only ? w : k));
-  const __m512i himask = bcast(low_mask(low_only ? 1 : w - k));
-  const __m512i one = bcast(1);
-  const __m128i shk = _mm_cvtsi32_si128(low_only ? 0 : k);
-  const __m128i shk1 = _mm_cvtsi32_si128(low_only ? 0 : k - 1);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i idx = _mm512_and_si512(vx, vmask);
-    const __m512i prod = gather8(idx, table);
-    const __m512i ua = _mm512_and_si512(_mm512_loadu_si512(acc + i), wmask);
-    const __m512i ub = _mm512_and_si512(prod, wmask);
-    const __m512i r = wired_add_vec<kSumIsB>(ua, ub, wmask, sbit, kmask, himask,
-                                             one, shk, shk1, low_only);
-    _mm512_storeu_si512(acc + i, r);
-  }
-  for (; i < n; ++i) {
-    acc[i] = wired_add_one(acc[i], table[static_cast<u64>(x[i]) & mask], w, k,
-                           kSumIsB, false);
-  }
-}
-
-void wired_mac_n_avx512(const i64* table, u64 mask, const i64* x, i64* acc,
-                        std::size_t n, const WiredAddParams& p) {
-  if (p.sum_is_b) {
-    wired_mac_loop_avx512<true>(table, mask, x, acc, n, p.width, p.approx_bits);
-  } else {
-    wired_mac_loop_avx512<false>(table, mask, x, acc, n, p.width, p.approx_bits);
+    wired_add_loop_avx512<false>(a, b, out, n, p.width, p.approx_bits);
   }
 }
 
 }  // namespace
 
 const KernelOps& avx512_ops() noexcept {
-  static constexpr KernelOps ops{&gather_lut_n_avx512, &wired_add_n_avx512,
-                                 &wired_mac_n_avx512};
+  static constexpr KernelOps ops{&gather_lut_n_avx512, &wired_add_n_avx512};
   return ops;
 }
 

@@ -60,10 +60,7 @@ struct PipelineResult {
 
 /// Block size of run_stage: whole records pass through the stage in blocks of
 /// this many samples, so the stage and kernel scratch stays cache-resident
-/// instead of spanning the record. It must stay at or above the kernels'
-/// cold-table threshold (512 samples, arith/kernel.cpp): then a cold product
-/// table still builds in the first block instead of every block falling back
-/// to the scalar multiplier.
+/// instead of spanning the record.
 inline constexpr std::size_t kStageBlock = 1024;
 
 /// Run one stage as a whole-record transform over a freshly built kernel for
@@ -78,19 +75,19 @@ inline constexpr std::size_t kStageBlock = 1024;
                                          arith::OpCounts* ops = nullptr);
 
 /// Pre-build every process-wide lookup table the given stage configuration
-/// can use — the multiplier behavioural model, the signed product table of
-/// each non-zero FIR tap, and (for the squarer) the square table — so
-/// subsequent kernels walk warm tables at any chunk size. Streaming serving
-/// layers call this outside their timed/latency-sensitive regions
-/// (stream::StreamServer::open warms every stage of its spec before it
-/// builds the session), making the cold-build block-size threshold inside the
-/// kernels moot for streaming. The warmed tables are the layout every
-/// dispatched kernel tier walks — 64-byte-aligned i64 rows serve the scalar
-/// loads and the AVX2/AVX-512 gathers alike (arith::kernel_isa()), so a
-/// warm-up stays valid if the selected tier is forced afterwards, and the
-/// streaming hot path never builds a table lazily under any tier
-/// (arith::table_cache_stats(), asserted in test_kernel_dispatch). Exact
-/// configurations are no-ops.
+/// walks — the multiplier behavioural model, the signed product table of
+/// each distinct non-zero FIR tap, and (for the squarer) the square table —
+/// by pushing one zero sample through the stage on a fresh kernel: a kernel
+/// builds its tables on its first call, so this knows no more about them
+/// than the kernel does. Serving layers call it outside their
+/// timed/latency-sensitive regions (stream::StreamServer::open warms every
+/// stage of its spec before it builds the session), so the streaming hot
+/// path never builds a table (arith::table_cache_stats(), asserted in
+/// test_kernel_dispatch). The warmed tables are the layout every dispatched
+/// kernel tier walks — 64-byte-aligned i64 rows serve the scalar loads and
+/// the AVX2/AVX-512 gathers alike (arith::kernel_isa()), so a warm-up stays
+/// valid if the selected tier is forced afterwards. Exact configurations
+/// build nothing.
 void warm_stage_tables(Stage s, const arith::StageArithConfig& cfg);
 
 /// warm_stage_tables for all five stages of a pipeline configuration.

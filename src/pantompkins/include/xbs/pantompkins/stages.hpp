@@ -4,7 +4,7 @@
 ///
 /// Each stage class is one resumable chunk transform: `process_chunk(x, y)`
 /// consumes a chunk of any size, carries the delay-line/window state across
-/// calls, and issues one batched kernel call per chunk (fir_n, mul_n or
+/// calls, and issues one batched kernel call per chunk (fir_n, square_n or
 /// window_sum_n); `reset()` returns it to the fresh-record state. Every
 /// chunking computes exactly the dataflow graph of the per-sample scalar
 /// datapath (same operands, same order, same operation counts), so outputs
@@ -112,9 +112,10 @@ struct StageInventory {
 /// normalization shift and 16-bit saturation of the output (the inter-stage
 /// register width). All arithmetic flows through the kernel, which must
 /// outlive the stage: one batched fir_n call per chunk over the carried
-/// history plus the chunk. The approximate kernel runs the tap chain; the
-/// exact kernel runs the tap set's sparsest difference form, which for the
-/// LPF and HPF taps is the published recursive filter.
+/// history plus the chunk. The approximate kernel runs the tap chain over
+/// one product row per distinct coefficient; the exact kernel runs the tap
+/// set's sparsest difference form, which for the LPF and HPF taps is the
+/// published recursive filter.
 class FirStage {
  public:
   /// Throws std::invalid_argument for an empty tap set.
@@ -139,7 +140,7 @@ class FirStage {
   std::vector<i64> acc_;     ///< chunk scratch: accumulator chain
 };
 
-/// The squarer stage: y = (x * x) >> shift through the kernel's multiplier.
+/// The squarer stage: y = (x * x) >> shift through the kernel's square_n.
 /// The output keeps wide precision (it feeds the adder-only MWI stage); the
 /// shift keeps the downstream MWI sum inside its 32-bit adders. Stateless.
 class SquarerStage {

@@ -33,30 +33,13 @@ arith::OpCounts PipelineResult::total_ops() const noexcept {
 }
 
 void warm_stage_tables(Stage s, const arith::StageArithConfig& cfg) {
-  if (cfg.is_exact()) return;
-  (void)arith::get_multiplier(cfg.mult);
-  switch (s) {
-    case Stage::Lpf:
-      for (const int c : kLpfTaps) {
-        if (c != 0) (void)arith::get_signed_coeff_products(cfg.mult, c);
-      }
-      break;
-    case Stage::Hpf:
-      for (const int c : kHpfTaps) {
-        if (c != 0) (void)arith::get_signed_coeff_products(cfg.mult, c);
-      }
-      break;
-    case Stage::Der:
-      for (const int c : kDerTaps) {
-        if (c != 0) (void)arith::get_signed_coeff_products(cfg.mult, c);
-      }
-      break;
-    case Stage::Sqr:
-      (void)arith::get_square_products(cfg.mult);
-      break;
-    case Stage::Mwi:
-      break;  // adder-only: nothing to tabulate
-  }
+  // The kernel resolves every table its stage walks on first use: one zero
+  // sample through the stage builds them.
+  const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
+  StageProcessor stage(s, *kernel);
+  const i32 zero = 0;
+  std::vector<i32> out;
+  stage.process_chunk(std::span<const i32>(&zero, 1), out);
 }
 
 void warm_pipeline_tables(const PipelineConfig& cfg) {

@@ -67,9 +67,9 @@ void SquarerStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
   in_.resize(n);
   for (std::size_t i = 0; i < n; ++i) in_[i] = saturate_to_bits(x[i], 16);
-  // Element-wise aliasing with out is part of the kernel contract, so the
-  // products overwrite the clamped operands in place.
-  kernel_->mul_n(in_, in_, in_);
+  // square_n may run in place, so the products overwrite the clamped
+  // operands.
+  kernel_->square_n(in_, in_);
   y.resize(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = static_cast<i32>(in_[i] >> out_shift_);
 }

@@ -428,8 +428,10 @@ class StreamServer {
 
   /// One independent slot group: its own lock, cvs, ready list and workers.
   /// `mu` has rank kShard: acquired after a net-conn lock (the front door
-  /// calls open()/reset() under its registry lock), before any table-cache
-  /// lock (Session::reset may rebuild LUTs under it).
+  /// calls open()/reset() under its registry lock). No table cache is
+  /// touched under it: tables are built by warm_pipeline_tables in open(),
+  /// before it takes a shard lock, or by a kernel's first call on a worker,
+  /// which runs Session::push/flush with the shard lock dropped.
   ///
   /// Slot *contents* are guarded by `mu` too, but `GUARDED_BY` cannot name a
   /// mutex living in a different struct — the `XBS_REQUIRES(sh.mu)` on every

@@ -1,6 +1,7 @@
-// Property tests: the batched kernels (exact and approximate backends) are
-// bit-identical to the legacy scalar ExactUnit/ApproxUnit datapath across
-// random operands and every (AdderKind, MultKind, approx_lsbs) combination,
+// Property tests: the batched kernels' counted ops (fir_n, square_n,
+// window_sum_n; exact and approximate backends) are bit-identical to the
+// scalar ExactUnit/ApproxUnit datapath across random operands and every
+// (AdderKind, MultKind, approx_lsbs) combination, cold and warm,
 // the exact kernel's fast fir_n/window_sum_n paths equal the hardware chain
 // and tree over full-range operands, and the stage chunk transforms are
 // bit-identical to streaming the same samples through the per-sample scalar
@@ -28,12 +29,6 @@
 namespace xbs::arith {
 namespace {
 
-// Long enough to exercise the coefficient-product-table fast path of the
-// approximate mac_n/mul_cn (which engages above an internal block-size
-// threshold) as well as the generic loops.
-constexpr std::size_t kBlockLen = 700;
-constexpr std::size_t kShortLen = 33;  // below the table threshold
-
 std::vector<i64> random_adder_operands(Rng& rng, std::size_t n) {
   std::vector<i64> v(n);
   for (i64& x : v) x = rng.uniform_int(-2000000000, 2000000000);
@@ -46,62 +41,64 @@ std::vector<i64> random_mult_operands(Rng& rng, std::size_t n) {
   return v;
 }
 
+/// Index of the first differing element, or -1 (readable failures on long
+/// blocks).
+std::ptrdiff_t first_mismatch(std::span<const i64> a, std::span<const i64> b) {
+  if (a.size() != b.size()) return 0;
+  const auto it = std::mismatch(a.begin(), a.end(), b.begin());
+  return it.first == a.end() ? -1 : it.first - a.begin();
+}
+
+/// FIR taps of the kernel tests: positive, negative, zero and most-negative
+/// 16-bit coefficients, with -6 on two taps (two taps sharing one product
+/// row).
+constexpr std::array<int, 5> kTaps = {31, -6, 0, -32768, -6};
+constexpr std::size_t kWindow = 30;  ///< MWI window of the kernel tests
+constexpr std::size_t kBlockLen = 700;
+
+/// The three counted ops on \p kernel against the scalar reference chain,
+/// square and tree on \p unit (UnitKernel), over one block of \p n outputs:
+/// outputs, then the op counts accumulated so far.
+void expect_ops_match_unit(Kernel& kernel, ArithmeticUnit& unit, Rng& rng, std::size_t n,
+                           const std::string& what) {
+  UnitKernel scalar(unit);
+  std::vector<i64> got(n), want(n);
+
+  const std::vector<i64> x = random_mult_operands(rng, n + kTaps.size() - 1);
+  kernel.fir_n(kTaps, x, got);
+  scalar.fir_n(kTaps, x, want);
+  EXPECT_EQ(first_mismatch(got, want), -1) << what << " fir_n n=" << n;
+
+  const std::vector<i64> m = random_mult_operands(rng, n);
+  kernel.square_n(m, got);
+  scalar.square_n(m, want);
+  EXPECT_EQ(first_mismatch(got, want), -1) << what << " square_n n=" << n;
+
+  const std::vector<i64> a = random_adder_operands(rng, n + kWindow - 1);
+  kernel.window_sum_n(kWindow, a, got);
+  scalar.window_sum_n(kWindow, a, want);
+  EXPECT_EQ(first_mismatch(got, want), -1) << what << " window_sum_n n=" << n;
+
+  EXPECT_EQ(kernel.counts(), unit.counts()) << what << " n=" << n;
+}
+
 class KernelEquivalence
     : public ::testing::TestWithParam<std::tuple<AdderKind, MultKind, int>> {};
 
 TEST_P(KernelEquivalence, BatchedMatchesScalarUnit) {
   const auto [add_kind, mult_kind, lsbs] = GetParam();
   const StageArithConfig cfg = StageArithConfig::uniform(lsbs, add_kind, mult_kind);
-  ApproxUnit unit(cfg);
-  const std::unique_ptr<Kernel> kernel = make_kernel(cfg);
   Rng rng(77 + static_cast<u64>(lsbs) * 31 + static_cast<u64>(add_kind) * 7 +
           static_cast<u64>(mult_kind));
-
-  for (const std::size_t n : {kShortLen, kBlockLen}) {
-    const std::vector<i64> a = random_adder_operands(rng, n);
-    const std::vector<i64> b = random_adder_operands(rng, n);
-    const std::vector<i64> ma = random_mult_operands(rng, n);
-    const std::vector<i64> mb = random_mult_operands(rng, n);
-    std::vector<i64> out(n);
-
-    kernel->add_n(a, b, out);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.add(a[i], b[i])) << i;
-
-    kernel->sub_n(a, b, out);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.sub(a[i], b[i])) << i;
-
-    kernel->mul_n(ma, mb, out);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.mul(ma[i], mb[i])) << i;
-
-    // Constant-coefficient multiply and fused MAC against the scalar chain,
-    // for positive, negative and zero coefficients.
-    for (const i64 c : {i64{31}, i64{-6}, i64{0}, i64{-32768}}) {
-      kernel->mul_cn(c, ma, out);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], unit.mul(c, ma[i])) << i;
-
-      std::vector<i64> acc = a;
-      kernel->mac_n(c, ma, acc);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(acc[i], unit.add(a[i], unit.mul(c, ma[i]))) << i;
-      }
-    }
-  }
-
-  // The long blocks above built the coefficient product tables; a short
-  // block now takes the warm-table fast path, which must stay bit-identical
-  // to the cold generic loop it replaces.
-  {
-    const std::vector<i64> ma = random_mult_operands(rng, kShortLen);
-    const std::vector<i64> a = random_adder_operands(rng, kShortLen);
-    std::vector<i64> out(kShortLen);
-    for (const i64 c : {i64{31}, i64{-6}}) {
-      kernel->mul_cn(c, ma, out);
-      for (std::size_t i = 0; i < kShortLen; ++i) EXPECT_EQ(out[i], unit.mul(c, ma[i])) << i;
-      std::vector<i64> acc = a;
-      kernel->mac_n(c, ma, acc);
-      for (std::size_t i = 0; i < kShortLen; ++i) {
-        EXPECT_EQ(acc[i], unit.add(a[i], unit.mul(c, ma[i]))) << i;
-      }
+  // Two fresh kernels in turn. The first derives its FIR plan and resolves
+  // its tables in its first (1-sample) call, building any the process has
+  // not; the second finds every table warm. Both must equal the scalar unit
+  // at every block length.
+  for (const char* pass : {"cold", "warm"}) {
+    const std::unique_ptr<Kernel> kernel = make_kernel(cfg);
+    ApproxUnit unit(cfg);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{33}, kBlockLen}) {
+      expect_ops_match_unit(*kernel, unit, rng, n, pass);
     }
   }
 }
@@ -116,35 +113,23 @@ TEST(KernelEquivalence, ExactKernelMatchesExactUnit) {
   ExactUnit unit;
   ExactKernel kernel;
   Rng rng(5);
-  const std::vector<i64> a = random_adder_operands(rng, kBlockLen);
-  const std::vector<i64> b = random_adder_operands(rng, kBlockLen);
-  const std::vector<i64> ma = random_mult_operands(rng, kBlockLen);
-  const std::vector<i64> mb = random_mult_operands(rng, kBlockLen);
-  std::vector<i64> out(kBlockLen);
-
-  kernel.add_n(a, b, out);
-  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], unit.add(a[i], b[i]));
-  kernel.sub_n(a, b, out);
-  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], unit.sub(a[i], b[i]));
-  kernel.mul_n(ma, mb, out);
-  for (std::size_t i = 0; i < kBlockLen; ++i) EXPECT_EQ(out[i], unit.mul(ma[i], mb[i]));
-  std::vector<i64> acc = a;
-  kernel.mac_n(-7, ma, acc);
-  for (std::size_t i = 0; i < kBlockLen; ++i) {
-    EXPECT_EQ(acc[i], unit.add(a[i], unit.mul(-7, ma[i])));
-  }
+  expect_ops_match_unit(kernel, unit, rng, kBlockLen, "exact");
 }
 
 TEST(KernelEquivalence, OpCountsMatchScalarTotals) {
   const StageArithConfig cfg = StageArithConfig::uniform(8);
   const std::unique_ptr<Kernel> kernel = make_kernel(cfg);
   Rng rng(11);
-  const std::vector<i64> x = random_mult_operands(rng, kBlockLen);
-  std::vector<i64> acc(kBlockLen, 0);
-  kernel->mul_cn(3, x, acc);
-  kernel->mac_n(5, x, acc);
+  const std::array<int, 3> taps = {3, 0, 5};  // two non-zero taps
+  const std::vector<i64> x = random_mult_operands(rng, kBlockLen + kWindow - 1);
+  std::vector<i64> out(kBlockLen);
+  kernel->fir_n(taps, std::span<const i64>(x).first(kBlockLen + taps.size() - 1), out);
   EXPECT_EQ(kernel->counts().mults, 2 * kBlockLen);
   EXPECT_EQ(kernel->counts().adds, kBlockLen);
+  kernel->square_n(std::span<const i64>(x).first(kBlockLen), out);
+  EXPECT_EQ(kernel->counts().mults, 3 * kBlockLen);
+  kernel->window_sum_n(kWindow, x, out);
+  EXPECT_EQ(kernel->counts().adds, kBlockLen + (kWindow - 1) * kBlockLen);
 }
 
 // The exact kernel's fast paths (fir_n in its difference form on prefix
@@ -172,14 +157,6 @@ std::vector<i64> full_range_operands(Rng& rng, std::size_t n) {
     }
   }
   return v;
-}
-
-/// Index of the first differing element, or -1 (readable failures on long
-/// blocks).
-std::ptrdiff_t first_mismatch(std::span<const i64> a, std::span<const i64> b) {
-  if (a.size() != b.size()) return 0;
-  const auto it = std::mismatch(a.begin(), a.end(), b.begin());
-  return it.first == a.end() ? -1 : it.first - a.begin();
 }
 
 /// Every tap-set shape the difference form must handle: the three stage

@@ -2,6 +2,9 @@
 // approximate arithmetic.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/metrics/peaks.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
@@ -110,10 +113,11 @@ TEST(Pipeline, UniformFactoryAppliesAllStages) {
 }
 
 TEST(Pipeline, RunStageBuildsColdTablesInItsFirstBlock) {
-  // run_stage feeds a record in kStageBlock-sample blocks. A block must reach
-  // the kernels' cold-table threshold (512 samples), or a cold product table
-  // is never built and every block falls back to the scalar multiplier. No
-  // other test here touches this configuration, so its tables start cold.
+  // run_stage feeds a record in kStageBlock-sample blocks through one
+  // kernel, which builds a cold configuration's product tables in its first
+  // block and walks them in every later one: one signed table per distinct
+  // DER tap, once. No other test here touches this configuration, so its
+  // tables start cold.
   const auto cfg = arith::StageArithConfig::uniform(7, AdderKind::Approx3, MultKind::V2,
                                                     ApproxPolicy::Aggressive);
   const auto rec = ecg::nsrdb_like_digitized(0, 3 * kStageBlock);
@@ -122,6 +126,48 @@ TEST(Pipeline, RunStageBuildsColdTablesInItsFirstBlock) {
   const arith::TableCacheStats after = arith::table_cache_stats();
   EXPECT_EQ(after.signed_tables - before.signed_tables, 4u);  // DER taps 2, 1, -1, -2
   EXPECT_EQ(out.size(), rec.adu.size());
+}
+
+TEST(Pipeline, KernelsBuildColdTablesOnFirstUse) {
+  // A kernel resolves every table its op walks on its first call, at any
+  // block size: a 1-sample DER chunk builds the signed tables of taps 2, 1,
+  // -1 and -2, a 1-sample square_n the square table, and later calls build
+  // nothing. No other test here touches these configurations, so their
+  // tables start cold.
+  const auto der_cfg = arith::StageArithConfig::uniform(9, AdderKind::Approx1, MultKind::V2,
+                                                        ApproxPolicy::Conservative);
+  const auto sqr_cfg = arith::StageArithConfig::uniform(11, AdderKind::Approx2, MultKind::V1,
+                                                        ApproxPolicy::Aggressive);
+  const std::unique_ptr<arith::Kernel> der_kernel = arith::make_kernel(der_cfg);
+  const std::unique_ptr<arith::Kernel> sqr_kernel = arith::make_kernel(sqr_cfg);
+  StageProcessor der(Stage::Der, *der_kernel);
+  const std::vector<i32> x = {1234};
+  std::vector<i32> y;
+  std::vector<i64> sq = {-1234};
+
+  const arith::TableCacheStats before = arith::table_cache_stats();
+  der.process_chunk(x, y);
+  const arith::TableCacheStats after_der = arith::table_cache_stats();
+  EXPECT_EQ(after_der.signed_tables - before.signed_tables, 4u);
+  EXPECT_EQ(after_der.square_tables - before.square_tables, 0u);
+
+  sqr_kernel->square_n(sq, sq);
+  const arith::TableCacheStats after_sqr = arith::table_cache_stats();
+  EXPECT_EQ(after_sqr.square_tables - after_der.square_tables, 1u);
+  EXPECT_EQ(after_sqr.signed_tables - after_der.signed_tables, 0u);
+
+  der.process_chunk(x, y);
+  sqr_kernel->square_n(sq, sq);
+  EXPECT_EQ(arith::table_cache_stats(), after_sqr);
+
+  // The first-use path computes what the scalar unit computes.
+  arith::ApproxUnit unit(der_cfg);
+  arith::UnitKernel scalar(unit);
+  StageProcessor der_ref(Stage::Der, scalar);
+  std::vector<i32> want;
+  der_ref.process_chunk(x, want);
+  der_ref.process_chunk(x, want);
+  EXPECT_EQ(y, want);
 }
 
 TEST(Pipeline, MwiOutputNonNegativeEvenApproximate) {

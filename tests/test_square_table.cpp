@@ -1,6 +1,6 @@
 // Exhaustive bit-identity of the precompiled square tables (the SQR-stage
 // kernel) against the behavioural multiplier, for every Fig. 12 SQR
-// configuration, plus coverage of the aliased mul_n fast path and the signed
+// configuration, plus coverage of the in-place square_n walk and the signed
 // per-coefficient tables the FIR stages walk.
 #include <gtest/gtest.h>
 
@@ -61,13 +61,12 @@ TEST(SquareTable, CoversOtherModuleKindsAndPolicies) {
 TEST(SquareTable, AliasedMulNMatchesScalarHook) {
   const StageArithConfig cfg = StageArithConfig::uniform(8);
   ApproxKernel kernel(cfg);
-  (void)get_square_products(cfg.mult);  // warm, so small blocks walk the table
   std::vector<i64> v;
   for (i64 x = -32768; x <= 32767; x += 191) v.push_back(x);
   std::vector<i64> expect;
   expect.reserve(v.size());
   for (const i64 x : v) expect.push_back(kernel.mul1(x, x));
-  kernel.mul_n(v, v, v);  // full in-place aliasing is part of the contract
+  kernel.square_n(v, v);  // in-place squaring is part of the contract
   EXPECT_EQ(v, expect);
 }
 
