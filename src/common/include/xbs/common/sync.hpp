@@ -25,16 +25,15 @@
 ///
 ///   | rank | level        | locks at this level                              |
 ///   |-----:|--------------|--------------------------------------------------|
-///   |   10 | net-conn     | `net::NetServer` registry + completion-notify
-///   |      |              | list locks                                       |
-///   |   20 | shard        | `stream::StreamServer` shard locks, the explore
-///   |      |              | `WorkerPool` coordination lock                   |
-///   |   30 | slot         | explore per-worker work-stealing queue locks     |
+///   |   10 | net-conn     | `net::NetServer` completion-notify list lock     |
+///   |   20 | shard        | `stream::StreamServer` shard locks               |
 ///   |   40 | table-cache  | arith kernel LUT caches, multiplier-model cache,
 ///   |      |              | kernel-ISA + CRC32C dispatch state, the
 ///   |      |              | energy-model synthesis memo                      |
-///   |   50 | stats        | leaf-level counters (reserved; stats are
-///   |      |              | currently atomics)                               |
+///
+/// State that one thread owns takes no lock at all: the `NetServer` token
+/// registry lives on the epoll loop, and the explore `WorkerPool` is a
+/// lock-free fork-join.
 ///
 /// A thread may acquire a lock only if its rank is strictly greater than
 /// every rank it already holds; same-rank nesting is a violation too (locks
@@ -102,11 +101,9 @@ namespace xbs::common {
 /// future level can slot in between without renumbering.
 enum class LockRank : int {
   kUnranked = -1,   ///< exempt from ordering (leaf locks in tests/tools only)
-  kNetConn = 10,    ///< net front door: registry + completion-notify list
-  kShard = 20,      ///< stream shard locks, explore pool coordination
-  kSlot = 30,       ///< explore per-worker stealing-queue locks
+  kNetConn = 10,    ///< net front door: the completion-notify list
+  kShard = 20,      ///< stream shard locks
   kTableCache = 40, ///< process-wide LUT/model/dispatch caches
-  kStats = 50,      ///< leaf counters (reserved)
 };
 
 /// Human-readable level name for diagnostics ("shard", "table-cache", ...).

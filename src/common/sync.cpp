@@ -13,12 +13,8 @@ const char* to_string(LockRank r) noexcept {
       return "net-conn";
     case LockRank::kShard:
       return "shard";
-    case LockRank::kSlot:
-      return "slot";
     case LockRank::kTableCache:
       return "table-cache";
-    case LockRank::kStats:
-      return "stats";
   }
   return "?";
 }
@@ -44,7 +40,7 @@ thread_local int t_n_held = 0;
   std::fprintf(stderr,
                "xbs sync: lock-rank violation: %s: lock of rank %d (%s) while the innermost "
                "held lock has rank %d (%s); acquisitions must strictly ascend the hierarchy "
-               "net-conn(10) < shard(20) < slot(30) < table-cache(40) < stats(50)\n",
+               "net-conn(10) < shard(20) < table-cache(40)\n",
                what, static_cast<int>(rank), to_string(rank), static_cast<int>(held),
                to_string(held));
   std::abort();

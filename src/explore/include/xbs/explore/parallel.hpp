@@ -1,6 +1,6 @@
 /// \file parallel.hpp
-/// \brief The multi-core exploration engine: a small work-stealing worker
-/// pool running exhaustive/heuristic grid shards and independent Algorithm 1
+/// \brief The multi-core exploration engine: a fork-join `WorkerPool`
+/// running exhaustive/heuristic grid shards and independent Algorithm 1
 /// problems, with deterministic merging.
 ///
 /// Design for determinism: the unit of work is a *shard* — a contiguous
@@ -13,8 +13,7 @@
 /// the shard. Results are merged in shard order. Consequently the merged
 /// GridResult — points, evaluation count and cache counters — is
 /// bit-identical for 1, 2 or N threads (asserted in
-/// tests/test_parallel_explore.cpp), and the engine can work-steal freely
-/// for load balance without losing reproducibility.
+/// tests/test_parallel_explore.cpp), whichever thread claims which shard.
 #pragma once
 
 #include <cstddef>
@@ -27,31 +26,26 @@
 
 namespace xbs::explore {
 
-/// A small fork-join worker pool with per-worker deques and work stealing:
-/// parallel_for seeds the workers round-robin, each worker pops its own
-/// deque from the back and steals from a victim's front when empty. Task
-/// outputs must go to per-task slots (the engine's shards do), which keeps
-/// results independent of the stealing order.
+/// A fork-join over a fixed thread count. Each parallel_for starts its
+/// threads (the caller is one of them), they claim task indices from one
+/// atomic counter, and the call joins them all before it returns: no thread
+/// outlives a call and nothing is locked. Task outputs must go to per-task
+/// slots (the engine's shards do), which keeps results independent of which
+/// thread ran which task.
 class WorkerPool {
  public:
-  /// \p threads == 0 picks hardware concurrency. The pool spawns its workers
-  /// once and reuses them across parallel_for calls.
+  /// \p threads == 0 picks hardware concurrency.
   explicit WorkerPool(unsigned threads = 0);
-  ~WorkerPool();
 
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
+  [[nodiscard]] unsigned size() const noexcept { return threads_; }
 
-  [[nodiscard]] unsigned size() const noexcept;
-
-  /// Run fn(0) .. fn(n-1) across the workers; returns when all completed.
-  /// The first exception thrown by any task is rethrown here (remaining
-  /// tasks are skipped on a best-effort basis).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Run fn(0) .. fn(n-1) across the threads; returns when every started
+  /// task has finished. The first exception thrown by any task is rethrown
+  /// here (remaining tasks are skipped on a best-effort basis).
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  unsigned threads_;
 };
 
 /// Builds one evaluator per shard. Capture a SharedRecords (and, for PSNR, a

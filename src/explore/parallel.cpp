@@ -2,150 +2,44 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
+#include <exception>
 #include <thread>
 #include <utility>
-
-#include "xbs/common/sync.hpp"
 
 namespace xbs::explore {
 
 // ------------------------------------------------------------------ WorkerPool
 
-struct WorkerPool::Impl {
-  unsigned nthreads = 1;
-  std::vector<std::thread> workers;
+WorkerPool::WorkerPool(unsigned threads)
+    : threads_(threads != 0 ? threads : std::max(1u, std::thread::hardware_concurrency())) {}
 
-  // Pool coordination lock. Rank kShard: the per-worker queue locks (rank
-  // kSlot) sit above it, though the two are never actually nested today.
-  common::Mutex m{common::LockRank::kShard};
-  common::CondVar cv_start;
-  common::CondVar cv_done;
-  bool stop XBS_GUARDED_BY(m) = false;
-  u64 generation XBS_GUARDED_BY(m) = 0;
-
-  // Current job (valid between a generation bump and the matching cv_done).
-  // `fn` and `queues` are not GUARDED_BY-annotatable: `fn` is read lock-free
-  // by workers (safe via the generation handshake under m), and each queues[i]
-  // is guarded by its own queue_locks[i] — a per-element relationship the
-  // analysis cannot express.
-  const std::function<void(std::size_t)>* fn XBS_GUARDED_BY(m) = nullptr;
-  std::vector<std::deque<std::size_t>> queues;               // one per worker
-  std::vector<std::unique_ptr<common::Mutex>> queue_locks;   // one per worker
-  std::atomic<unsigned> workers_running{0};
-  std::atomic<bool> abort{false};
-  std::exception_ptr error XBS_GUARDED_BY(m);
-
-  bool pop_own(unsigned id, std::size_t& idx) {
-    const common::MutexLock lock(*queue_locks[id]);
-    if (queues[id].empty()) return false;
-    idx = queues[id].back();  // LIFO on the owner side: freshest = most local
-    queues[id].pop_back();
-    return true;
-  }
-
-  bool steal(unsigned id, std::size_t& idx) {
-    for (unsigned off = 1; off < nthreads; ++off) {
-      const unsigned victim = (id + off) % nthreads;
-      const common::MutexLock lock(*queue_locks[victim]);
-      if (queues[victim].empty()) continue;
-      idx = queues[victim].front();  // FIFO on the thief side: largest chunk of
-      queues[victim].pop_front();    // the victim's remaining range
-      return true;
-    }
-    return false;
-  }
-
-  void run_tasks(unsigned id, const std::function<void(std::size_t)>& job) {
-    std::size_t idx = 0;
-    while (!abort.load(std::memory_order_relaxed)) {
-      if (!pop_own(id, idx) && !steal(id, idx)) break;
-      try {
-        job(idx);
-      } catch (...) {
-        const common::MutexLock lock(m);
-        if (error == nullptr) error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  void worker_main(unsigned id) {
-    u64 seen = 0;
-    for (;;) {
-      const std::function<void(std::size_t)>* job = nullptr;
-      {
-        common::MutexLock lock(m);
-        // Explicit wait loop (not a predicate lambda) so the guarded reads
-        // stay in this annotated function where the analysis sees the lock.
-        while (!stop && generation == seen) cv_start.wait(lock);
-        if (stop) return;
-        seen = generation;
-        job = fn;
-      }
-      run_tasks(id, *job);
-      if (workers_running.fetch_sub(1) == 1) {
-        const common::MutexLock lock(m);
-        cv_done.notify_all();
-      }
-    }
-  }
-};
-
-WorkerPool::WorkerPool(unsigned threads) : impl_(std::make_unique<Impl>()) {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  impl_->nthreads = threads == 0 ? hw : threads;
-  impl_->queues.resize(impl_->nthreads);
-  impl_->queue_locks.reserve(impl_->nthreads);
-  for (unsigned t = 0; t < impl_->nthreads; ++t) {
-    impl_->queue_locks.push_back(std::make_unique<common::Mutex>(common::LockRank::kSlot));
-  }
-  impl_->workers.reserve(impl_->nthreads);
-  for (unsigned t = 0; t < impl_->nthreads; ++t) {
-    impl_->workers.emplace_back([this, t] { impl_->worker_main(t); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    const common::MutexLock lock(impl_->m);
-    impl_->stop = true;
-  }
-  impl_->cv_start.notify_all();
-  for (std::thread& t : impl_->workers) t.join();
-}
-
-unsigned WorkerPool::size() const noexcept { return impl_->nthreads; }
-
-void WorkerPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+void WorkerPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) const {
   if (n == 0) return;
-  Impl& im = *impl_;
-  // Seed the deques in contiguous blocks (worker w owns a slice of the
-  // range); stealing rebalances from the front of a victim's remainder.
-  for (unsigned t = 0; t < im.nthreads; ++t) im.queues[t].clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    im.queues[(i * im.nthreads) / n].push_back(i);
-  }
-  im.abort.store(false, std::memory_order_relaxed);
-  im.workers_running.store(im.nthreads, std::memory_order_relaxed);
-  {
-    const common::MutexLock lock(im.m);
-    im.fn = &fn;
-    im.error = nullptr;
-    ++im.generation;
-  }
-  im.cv_start.notify_all();
-  // The error slot is written by workers under the pool mutex; collect it
-  // inside the same critical section that observes completion instead of
-  // reading it after the lock is dropped (correct before only via a
-  // transitive happens-before through the final worker's decrement).
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  // Written once, by the thread that wins the exchange on `failed`; read
+  // only after the joins, which order that write before the read.
   std::exception_ptr error;
+  auto work = [&] {
+    while (!failed.load()) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= n) return;
+      try {
+        fn(i);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+  };
   {
-    common::MutexLock lock(im.m);
-    while (im.workers_running.load() != 0) im.cv_done.wait(lock);
-    error = std::exchange(im.error, nullptr);
-    im.fn = nullptr;
+    // jthreads join on destruction, so even a failed spawn unwinds only
+    // after every started task has finished: the tasks may capture the
+    // caller's locals by reference.
+    const std::size_t nthreads = std::min<std::size_t>(threads_, n);
+    std::vector<std::jthread> helpers;
+    helpers.reserve(nthreads - 1);
+    for (std::size_t t = 1; t < nthreads; ++t) helpers.emplace_back(work);
+    work();  // the calling thread is one of the pool's threads
   }
   if (error != nullptr) std::rethrow_exception(error);
 }

@@ -82,10 +82,10 @@ class NetServer {
     /// would overflow it are shed (counted); control frames that would
     /// overflow 2x the bound kill the connection.
     std::size_t egress_buffer_bytes = 256 * 1024;
-    /// The embedded stream layer's configuration. event_queue_capacity must
-    /// be > 0 (the egress path needs pull-model events); the constructor
-    /// raises a zero to a default rather than serving an event-less wire.
-    /// The notify hook is the front door's own: one set here is replaced.
+    /// The embedded stream layer's configuration. Its event_queue_capacity
+    /// bounds each session's undrained EVENTs between two wake-ups of the
+    /// loop. The notify hook is the front door's own: one set here is
+    /// replaced.
     stream::StreamServer::Options stream{};
   };
 
@@ -173,21 +173,21 @@ class NetServer {
   // --- any thread ---
   void wake_loop();
 
-  // --- registry (reg_mu_) ---
+  // --- token registry (event-loop thread) ---
   enum class TokenState { Attached, Parked, ClosedKept };
   struct TokenEntry {
     stream::SessionId sid{};
     TokenState st = TokenState::Attached;
     u64 lru_seq = 0;
   };
-  WireError admit(const OpenFrame& f, stream::SessionId& sid, StatsAck& ack)
-      XBS_EXCLUDES(reg_mu_);
-  bool evict_one_locked() XBS_REQUIRES(reg_mu_);
+  WireError admit(const OpenFrame& f, stream::SessionId& sid, StatsAck& ack);
+  bool evict_one();
 
   /// Where the stream layer's completion hook lands, from worker (and
   /// producer) threads: one pending list the loop takes on each wake-up.
-  /// Rank kNetConn; never held with reg_mu_. Declared before stream_ so it
-  /// outlives the workers that call it.
+  /// Rank kNetConn, the front door's only lock: the hook runs with no shard
+  /// lock held, and the loop holds it only to swap the list. Declared
+  /// before stream_ so it outlives the workers that call it.
   struct Notify {
     common::Mutex mu{common::LockRank::kNetConn};
     std::vector<stream::SessionId> ids XBS_GUARDED_BY(mu);
@@ -219,13 +219,11 @@ class NetServer {
   std::vector<stream::SessionId> notified_;
   std::vector<stream::Event> evs_;
   u64 next_key_ = 2;  ///< 0 and 1 key the listener and the eventfd
-
-  /// Rank kNetConn: the front door's locks sit at the bottom of the
-  /// hierarchy — admit() calls into the stream layer (shard locks, rank
-  /// kShard) while holding reg_mu_, never the other way around.
-  mutable common::Mutex reg_mu_{common::LockRank::kNetConn};
-  std::unordered_map<u64, TokenEntry> registry_ XBS_GUARDED_BY(reg_mu_);
-  u64 lru_counter_ XBS_GUARDED_BY(reg_mu_) = 0;
+  /// Client token -> its session. OPEN admits through it, and CLOSE and
+  /// park completions move entries to evictable states; all of them run on
+  /// this thread, so it needs no lock.
+  std::unordered_map<u64, TokenEntry> registry_;
+  u64 lru_counter_ = 0;
 
   struct StatsAtomics;
   std::unique_ptr<StatsAtomics> stats_;

@@ -35,10 +35,8 @@ constexpr u32 kMaxDrainTimeoutMs = 5000;
 constexpr u64 kListenKey = 0;
 constexpr u64 kWakeKey = 1;
 
-stream::StreamServer::Options normalize(stream::StreamServer::Options so,
-                                        std::function<void(stream::SessionId)> notify) {
-  // The wire has no event path without pull-model egress: raise a zero.
-  if (so.event_queue_capacity == 0) so.event_queue_capacity = 1024;
+stream::StreamServer::Options with_notify(stream::StreamServer::Options so,
+                                          std::function<void(stream::SessionId)> notify) {
   so.notify = std::move(notify);  // the egress path: the front door owns the hook
   return so;
 }
@@ -125,7 +123,7 @@ struct NetServer::Conn {
 
 NetServer::NetServer(Options opts)
     : opts_(std::move(opts)),
-      stream_(normalize(opts_.stream, [n = &notify_](stream::SessionId id) { n->post(id); })) {
+      stream_(with_notify(opts_.stream, [n = &notify_](stream::SessionId id) { n->post(id); })) {
   stats_ = std::make_unique<StatsAtomics>();
   auto fail = [&](const char* what) {
     if (listen_fd_ >= 0) ::close(listen_fd_);
@@ -234,7 +232,6 @@ NetServer::Stats NetServer::stats() const noexcept {
 // ------------------------------------------------------------------ registry
 
 WireError NetServer::admit(const OpenFrame& f, stream::SessionId& sid, StatsAck& ack) {
-  const common::MutexLock lock(reg_mu_);
   auto it = registry_.find(f.token);
   if (it != registry_.end()) {
     TokenEntry& e = it->second;
@@ -273,7 +270,7 @@ WireError NetServer::admit(const OpenFrame& f, stream::SessionId& sid, StatsAck&
       // At the stream layer's ceiling the front door evicts instead of
       // refusing: stalest Closed-but-unreleased record first, then the
       // stalest parked session.
-      if (!evict_one_locked()) return WireError::SessionLimit;
+      if (!evict_one()) return WireError::SessionLimit;
     }
   }
   registry_[f.token] = TokenEntry{sid, TokenState::Attached, ++lru_counter_};
@@ -282,7 +279,7 @@ WireError NetServer::admit(const OpenFrame& f, stream::SessionId& sid, StatsAck&
   return WireError::None;
 }
 
-bool NetServer::evict_one_locked() {
+bool NetServer::evict_one() {
   auto pick = [&](TokenState st) {
     auto best = registry_.end();
     for (auto it = registry_.begin(); it != registry_.end(); ++it) {
@@ -701,15 +698,12 @@ void NetServer::finish_close(Conn& c) {
   // releases it), and the ack leaves only after: a client that OPENs on the
   // ack must find the slot reclaimable.
   send_stats(c, StatsAck::Close, stream_.session_stats(c.sid));
-  {
-    const common::MutexLock lock(reg_mu_);
-    auto it = registry_.find(c.token);
-    if (it != registry_.end() && it->second.st == TokenState::Attached && it->second.sid == c.sid) {
-      // Closed-but-unreleased: inspectable/evictable until an OPEN reuses
-      // the token or LRU admission reclaims the slot.
-      it->second.st = TokenState::ClosedKept;
-      it->second.lru_seq = ++lru_counter_;
-    }
+  auto it = registry_.find(c.token);
+  if (it != registry_.end() && it->second.st == TokenState::Attached && it->second.sid == c.sid) {
+    // Closed-but-unreleased: inspectable/evictable until an OPEN reuses
+    // the token or LRU admission reclaims the slot.
+    it->second.st = TokenState::ClosedKept;
+    it->second.lru_seq = ++lru_counter_;
   }
   unmap(c);
 }
@@ -748,7 +742,6 @@ void NetServer::start_park(Conn& c) {
 void NetServer::finish_park(Conn& c, bool alive) {
   c.has_session = false;
   unmap(c);
-  const common::MutexLock lock(reg_mu_);
   auto it = registry_.find(c.token);
   if (it == registry_.end() || it->second.st != TokenState::Attached ||
       !(it->second.sid == c.sid)) {

@@ -32,21 +32,21 @@
 /// outlive the server. A session's chunk order is its commit order — one
 /// producer thread per session (the Session contract) keeps it meaningful.
 ///
-/// Event egress happens two ways. SessionSpec::sink remains the push-model:
-/// invoked on worker threads, shared sinks must synchronize internally. With
-/// Options::event_queue_capacity > 0 the server additionally retains each
-/// session's finalized events in a per-session bounded queue that
-/// single-threaded consumers poll with drain_events(id) — no locking
-/// discipline needed, at the cost of the bound: when a consumer lags more
-/// than the capacity, the oldest undrained events are dropped (counted in
-/// SessionStats::events_dropped). reset() discards undrained events of the
-/// abandoned episode the same way. On a fault, the egress queue holds the
-/// events of fully processed chunks; a sink may additionally have observed
-/// part of the chunk that faulted. drain_events() never blocks: a consumer
-/// that must not poll (one thread serving many sessions, like the network
-/// front door) sets Options::notify and drains a session when it is named —
-/// the hook fires when the session's egress queue turns non-empty, when it
-/// lands Closed or Faulted, and when a deferred reset completes.
+/// Event egress is one pull queue per session: the server retains each
+/// session's finalized events in a queue bounded by
+/// Options::event_queue_capacity, which consumers poll with
+/// drain_events(id) — no locking discipline needed, at the cost of the
+/// bound: when a consumer lags more than the capacity, the oldest undrained
+/// events are dropped (counted in SessionStats::events_dropped). reset()
+/// discards undrained events of the abandoned episode the same way. On a
+/// fault, the egress queue holds the events of fully processed chunks.
+/// drain_events() never blocks: a consumer that must not poll (one thread
+/// serving many sessions, like the network front door) sets Options::notify
+/// and drains a session when it is named — the hook fires when the
+/// session's egress queue turns non-empty, when it lands Closed or Faulted,
+/// and when a deferred reset completes. SessionSpec::sink additionally sees
+/// every event on the worker thread that finalizes it (shared sinks must
+/// synchronize internally), part of a faulting chunk's events included.
 ///
 /// Lifecycle: open() provisions a slot (re-using released ones),
 /// close() drains + flushes, reset() re-arms a slot mid-flight for a fresh
@@ -205,11 +205,11 @@ class StreamServer {
     /// onto shards by id; results are bit-identical for any shard count.
     unsigned shards = 0;
 
-    /// Per-session bound on the pull-egress event queue (0 = pull egress
-    /// disabled; events reach sinks only). When a drain_events() consumer
-    /// lags by more than this many events, the oldest undrained ones are
-    /// dropped and counted in SessionStats::events_dropped.
-    std::size_t event_queue_capacity = 0;
+    /// Per-session bound on the pull-egress event queue (0 is refused).
+    /// When a drain_events() consumer lags by more than this many events,
+    /// or no consumer drains at all, the oldest undrained ones are dropped
+    /// and counted in SessionStats::events_dropped.
+    std::size_t event_queue_capacity = 1024;
 
     /// Completion notification (unset = none). Names a session that has
     /// something for its consumer: its egress queue went from empty to
@@ -316,12 +316,12 @@ class StreamServer {
   /// or is released while waiting — including while already blocked.
   PushResult push(SessionId id, std::span<const i32> chunk);
 
-  /// Drain the session's pull-egress queue (Options::event_queue_capacity
-  /// must be > 0): appends every undrained finalized event to \p out in
-  /// delivery order and returns how many were appended. Non-blocking; safe
-  /// from any thread, though a single consumer per session is the intended
-  /// shape. Works on Closed/Faulted sessions too (the tail of a drained
-  /// record stays drainable until reset()/release()). 0 for a stale id.
+  /// Drain the session's pull-egress queue: appends every undrained
+  /// finalized event to \p out in delivery order and returns how many were
+  /// appended. Non-blocking; safe from any thread, though a single consumer
+  /// per session is the intended shape. Works on Closed/Faulted sessions too
+  /// (the tail of a drained record stays drainable until reset()/release()).
+  /// 0 for a stale id.
   std::size_t drain_events(SessionId id, std::vector<Event>& out);
 
   /// Graceful end-of-stream: stops admitting pushes, lets the queue drain,
@@ -405,7 +405,6 @@ class StreamServer {
     std::size_t inflight = 0;  ///< chunks in a worker's batch (still hold queue slots)
     bool busy = false;         ///< a worker is draining this slot right now
     bool enqueued = false;     ///< slot is in the shard's ready list
-    u64 ready_stamp = 0;       ///< when the slot entered the ready list (pop priority)
     u64 final_seq = 0;         ///< bumped whenever a drain lands Closed/Faulted
     SessionState final_state = SessionState::Empty;  ///< what that landing was
     u64 chunks_in = 0;
@@ -427,11 +426,11 @@ class StreamServer {
   };
 
   /// One independent slot group: its own lock, cvs, ready list and workers.
-  /// `mu` has rank kShard: acquired after a net-conn lock (the front door
-  /// calls open()/reset() under its registry lock). No table cache is
-  /// touched under it: tables are built by warm_pipeline_tables in open(),
-  /// before it takes a shard lock, or by a kernel's first call on a worker,
-  /// which runs Session::push/flush with the shard lock dropped.
+  /// `mu` has rank kShard. Options::notify (the front door's hook takes its
+  /// net-conn lock) fires after it is dropped. No table cache is touched
+  /// under it: tables are built by warm_pipeline_tables in open(), before it
+  /// takes a shard lock, or by a kernel's first call on a worker, which runs
+  /// Session::push/flush with the shard lock dropped.
   ///
   /// Slot *contents* are guarded by `mu` too, but `GUARDED_BY` cannot name a
   /// mutex living in a different struct — the `XBS_REQUIRES(sh.mu)` on every
@@ -443,8 +442,9 @@ class StreamServer {
     common::CondVar state_cv;   ///< close/reset/release: state changes
     unsigned index = 0;         ///< position in shards_ (ctor-only)
     std::vector<Slot> slots XBS_GUARDED_BY(mu);
-    std::deque<std::size_t> ready XBS_GUARDED_BY(mu);  ///< local slot indices with runnable work
-    u64 ready_seq XBS_GUARDED_BY(mu) = 0;              ///< monotonic ready_stamp source
+    /// Local slot indices with runnable work, in the order they became
+    /// runnable; workers pop the front.
+    std::deque<std::size_t> ready XBS_GUARDED_BY(mu);
     bool stop XBS_GUARDED_BY(mu) = false;
     bool paused XBS_GUARDED_BY(mu) = false;
     int space_waiters XBS_GUARDED_BY(mu) = 0;   ///< gates space_cv notifies off the hot path

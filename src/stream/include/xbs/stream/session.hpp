@@ -46,9 +46,6 @@ struct SessionSpec {
   /// Per-stage arithmetic + detector constants (as for the batch pipeline).
   pantompkins::PipelineConfig config{};
 
-  /// Run the online QRS detector (off: filtering only).
-  bool detection = true;
-
   /// Accumulate the cumulative DetectionResult (trace + peaks). Turn off for
   /// unbounded serving streams that only consume the emitted events — the
   /// session then holds O(window) state regardless of stream length.
@@ -132,9 +129,10 @@ class Session {
   void deliver(std::span<const pantompkins::PeakEvent> evs);
 
   SessionSpec spec_;
+  /// Built before the kernels: invalid DetectorParams throw before any is made.
+  pantompkins::OnlineDetector detector_;
   std::array<std::unique_ptr<arith::Kernel>, pantompkins::kNumStages> kernels_;
   std::vector<pantompkins::StageProcessor> stages_;  ///< one per pipeline stage
-  std::unique_ptr<pantompkins::OnlineDetector> detector_;  ///< null when detection off
   /// Per-stage chunk outputs, reused across pushes (allocation-free hot path).
   std::array<std::vector<i32>, pantompkins::kNumStages> chain_;
   std::array<std::vector<i32>, pantompkins::kNumStages> signals_;

@@ -59,6 +59,9 @@ StreamServer::StreamServer(Options opts) : opts_(opts) {
   if (opts_.queue_capacity_chunks == 0) {
     throw std::invalid_argument("StreamServer: queue_capacity_chunks == 0");
   }
+  if (opts_.event_queue_capacity == 0) {
+    throw std::invalid_argument("StreamServer: event_queue_capacity == 0");
+  }
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   n_workers_ = opts_.workers == 0 ? hw : opts_.workers;
@@ -205,7 +208,6 @@ void StreamServer::enqueue_ready(Shard& sh, std::size_t local) {
   Slot& s = sh.slots[local];
   if (s.enqueued || s.busy) return;
   s.enqueued = true;
-  s.ready_stamp = ++sh.ready_seq;
   sh.ready.push_back(local);
   sh.work_cv.notify_one();
 }
@@ -232,7 +234,7 @@ void StreamServer::fault(Shard& sh, Slot& s, std::string why) {
 }
 
 void StreamServer::append_egress([[maybe_unused]] Shard& sh, Slot& s, std::vector<Event>& evs) {
-  if (opts_.event_queue_capacity == 0 || evs.empty()) return;
+  if (evs.empty()) return;
   for (Event& e : evs) s.egress.push_back(std::move(e));
   while (s.egress.size() > opts_.event_queue_capacity) {
     s.egress.pop_front();  // the consumer lags: shed oldest-first, keep counting
@@ -302,15 +304,11 @@ void StreamServer::worker_loop(Shard& sh) {
     // this annotated function, where the analysis can see the lock is held.
     while (!sh.stop && (sh.paused || sh.ready.empty())) sh.work_cv.wait(lock);
     if (sh.stop) return;
-    // Oldest-stamp-first pop: deadline-aware service order. A session that
-    // yielded mid-backlog re-enters with a fresh stamp, behind every session
-    // that has been waiting — so service round-robins under contention.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < sh.ready.size(); ++i) {
-      if (sh.slots[sh.ready[i]].ready_stamp < sh.slots[sh.ready[best]].ready_stamp) best = i;
-    }
-    const std::size_t li = sh.ready[best];
-    sh.ready.erase(sh.ready.begin() + static_cast<std::ptrdiff_t>(best));
+    // FIFO: a session that yielded mid-backlog re-enters at the back, behind
+    // every session that has been waiting — so service round-robins under
+    // contention.
+    const std::size_t li = sh.ready.front();
+    sh.ready.pop_front();
     sh.slots[li].enqueued = false;
     drain_slot(sh, lock, li);
   }
@@ -331,7 +329,6 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
   // regression), and a blocked producer wakes once to refill a whole queue.
   std::vector<std::vector<i32>> batch;
   std::vector<Event> evbuf;
-  const bool egress_on = opts_.event_queue_capacity > 0;
   // Options::notify is raised while publishing under the lock and fired
   // right after the next unlock, so it runs outside the shard lock at most
   // once per batch; with no hook set nothing here costs a thing.
@@ -367,7 +364,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
         for (const Event& ev : sess->flush()) {
           ++events;
           beats += ev.is_beat() ? 1 : 0;
-          if (egress_on) evbuf.push_back(ev);
+          evbuf.push_back(ev);
         }
       } catch (const std::exception& e) {
         err = e.what();
@@ -420,7 +417,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
         for (const Event& ev : sess->push(batch[done])) {
           ++events;
           beats += ev.is_beat() ? 1 : 0;
-          if (egress_on) evbuf.push_back(ev);
+          evbuf.push_back(ev);
         }
       } catch (const std::exception& e) {
         err = e.what();
@@ -467,7 +464,7 @@ void StreamServer::drain_slot(Shard& sh, common::MutexLock& lock,
     if (sl.state != SessionState::Open && sl.state != SessionState::Draining) break;
     // Fairness yield: a deep session must not hold this worker for its whole
     // backlog while other sessions wait. If anyone else is ready, hand the
-    // remainder back (fresh stamp: behind every current waiter) and return
+    // remainder back (at the back: behind every current waiter) and return
     // to the pop loop instead of taking another batch.
     if (!sh.ready.empty() && !sl.queue.empty()) {
       requeue = true;

@@ -5,19 +5,13 @@
 
 namespace xbs::stream {
 
-Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
-  if (!spec_.config.detector.valid()) {
-    throw std::invalid_argument("stream::Session: invalid DetectorParams");
-  }
+Session::Session(SessionSpec spec)
+    : spec_(std::move(spec)), detector_(spec_.config.detector, spec_.keep_detection) {
   stages_.reserve(pantompkins::kNumStages);
   for (int s = 0; s < pantompkins::kNumStages; ++s) {
     const auto su = static_cast<std::size_t>(s);
     kernels_[su] = arith::make_kernel(spec_.config.stage[su]);
     stages_.emplace_back(static_cast<pantompkins::Stage>(s), *kernels_[su]);
-  }
-  if (spec_.detection) {
-    detector_ = std::make_unique<pantompkins::OnlineDetector>(spec_.config.detector,
-                                                              spec_.keep_detection);
   }
 }
 
@@ -63,9 +57,7 @@ std::span<const Event> Session::push(std::span<const i32> chunk) {
       signals_[su].insert(signals_[su].end(), chain_[su].begin(), chain_[su].end());
     }
   }
-  if (detector_) {
-    deliver(detector_->push(chain_[4], chain_[1], chunk));  // MWI, HPF, raw
-  }
+  deliver(detector_.push(chain_[4], chain_[1], chunk));  // MWI, HPF, raw
   return fresh_;
 }
 
@@ -73,13 +65,13 @@ std::span<const Event> Session::flush() {
   fresh_.clear();
   if (flushed_) return fresh_;
   flushed_ = true;
-  if (detector_) deliver(detector_->flush());
+  deliver(detector_.flush());
   return fresh_;
 }
 
 void Session::reset(pantompkins::WarmStart warm) {
   for (pantompkins::StageProcessor& st : stages_) st.reset();
-  if (detector_) detector_->reset(warm);
+  detector_.reset(warm);
   for (auto& k : kernels_) k->reset_counts();
   for (auto& sig : signals_) sig.clear();
   n_ = 0;
@@ -91,8 +83,7 @@ void Session::reset(pantompkins::WarmStart warm) {
 }
 
 const pantompkins::DetectionResult& Session::detection() const noexcept {
-  static const pantompkins::DetectionResult kEmpty;
-  return detector_ ? detector_->result() : kEmpty;
+  return detector_.result();
 }
 
 std::array<arith::OpCounts, pantompkins::kNumStages> Session::ops() const noexcept {

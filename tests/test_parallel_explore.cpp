@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "xbs/ecg/dataset.hpp"
@@ -75,6 +77,29 @@ TEST(WorkerPool, ExceptionHandoffIsRaceFreeUnderChurn) {
     pool.parallel_for(8, [&](std::size_t) { ++n; });
     EXPECT_EQ(n.load(), 8);
   }
+}
+
+TEST(WorkerPool, NoTaskOutlivesAThrowingCall) {
+  // The engine's tasks capture the caller's locals by reference, so a call
+  // that rethrows must first have joined every task it started: once the
+  // exception is caught, no task may still be running.
+  const WorkerPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t i) {
+                                   if (i == 0) {
+                                     // Throw once another task is under way.
+                                     while (started.load() == 0) std::this_thread::yield();
+                                     throw std::runtime_error("boom");
+                                   }
+                                   ++started;
+                                   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                                   ++finished;
+                                 }),
+               std::runtime_error);
+  EXPECT_GT(started.load(), 0);
+  EXPECT_EQ(started.load(), finished.load());
 }
 
 TEST(ParallelExhaustive, BitIdenticalAcrossThreadCounts) {

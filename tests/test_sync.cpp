@@ -81,16 +81,12 @@ TEST(LockRank, AscendingAcquisitionIsClean) {
   // serving-stack thread follows.
   Mutex net{LockRank::kNetConn};
   Mutex shard{LockRank::kShard};
-  Mutex slot{LockRank::kSlot};
   Mutex cache{LockRank::kTableCache};
-  Mutex stats{LockRank::kStats};
   const MutexLock l1(net);
   const MutexLock l2(shard);
-  const MutexLock l3(slot);
-  const MutexLock l4(cache);
-  const MutexLock l5(stats);
+  const MutexLock l3(cache);
 #if XBS_LOCK_RANK_CHECKS
-  EXPECT_EQ(detail::held_rank_count(), 5);
+  EXPECT_EQ(detail::held_rank_count(), 3);
 #endif
 }
 
