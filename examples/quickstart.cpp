@@ -68,10 +68,9 @@ int main() {
     }
   }
   for (const stream::Event& ev : session.flush()) live_beats += ev.is_beat() ? 1 : 0;
+  const bool identical = session.detection().peaks == result.detection.peaks;
   std::printf("\nStreaming the same record in %zu-sample chunks: %zu online QRS events, "
               "peak list %s the batch run.\n",
-              chunk, live_beats,
-              session.detection().peaks == result.detection.peaks ? "identical to"
-                                                                  : "DIFFERS from");
-  return 0;
+              chunk, live_beats, identical ? "identical to" : "DIFFERS from");
+  return identical ? 0 : 1;
 }

@@ -243,11 +243,11 @@ class ExactKernel final : public Kernel {
 /// The table walks and the AMA4/AMA5 wired-add loops run through the
 /// runtime-dispatched vector tier (isa.hpp): gathered LUT loads and 4/8-lane
 /// closed-form adds on AVX2/AVX-512 hardware, the scalar loops elsewhere —
-/// every tier bit-identical by construction. Tables are cached process-wide
-/// keyed by (MultiplierConfig, coefficient), matching the get_multiplier()
-/// cache idiom; the caches are internally synchronized and the published
-/// tables immutable, so kernels in different threads (one per
-/// stream::Session) share them safely.
+/// every tier bit-identical by construction. Tables live in the process-wide
+/// table store next to the get_multiplier() models, keyed by
+/// (MultiplierConfig, coefficient): each kind is a common::Memo, internally
+/// synchronized with immutable published tables, so kernels in different
+/// threads (one per stream::Session) share them safely.
 class ApproxKernel final : public Kernel {
  public:
   explicit ApproxKernel(const StageArithConfig& cfg);
@@ -309,22 +309,25 @@ class ApproxKernel final : public Kernel {
 /// otherwise.
 [[nodiscard]] std::unique_ptr<Kernel> make_kernel(const StageArithConfig& cfg);
 
-/// Process-wide cache of full signed per-coefficient product tables
-/// (see ApproxKernel): 2^width entries, `P[u] = mul1(c, sign_extend(u, w))`.
+/// The process-wide full signed per-coefficient product table (see
+/// ApproxKernel), from the table store's memo: 2^width entries,
+/// `P[u] = mul1(c, sign_extend(u, w))`.
 /// A kernel calls it the first time it sees a coefficient; serving layers
 /// reach it through pantompkins::warm_stage_tables to build outside timed
 /// regions.
 [[nodiscard]] std::shared_ptr<const TableVec> get_signed_coeff_products(
     const MultiplierConfig& cfg, i64 coeff);
 
-/// Process-wide cache of per-config square tables: 2^width entries,
-/// `S[u] = mul1(x, x)` for `x = sign_extend(u, w)` — the SQR-stage kernel.
+/// The process-wide per-config square table, from the table store's memo:
+/// 2^width entries, `S[u] = mul1(x, x)` for `x = sign_extend(u, w)` — the
+/// SQR-stage kernel.
 [[nodiscard]] std::shared_ptr<const TableVec> get_square_products(
     const MultiplierConfig& cfg);
 
-/// Cumulative build counters of the process-wide table caches (plus the
-/// multiplier behavioural-model cache) — each counts published cold builds,
-/// not cache hits (a racing builder's discarded duplicate is not counted).
+/// Cumulative build counters of the table store's four memos (the
+/// multiplier behavioural models and the three table kinds) — each counts
+/// published cold builds, not hits (a racing builder's discarded duplicate
+/// is not counted).
 /// Serving layers warm tables outside their latency-sensitive regions; tests
 /// snapshot these counters around a streaming run to prove nothing is built
 /// lazily on the hot path (tests/test_kernel_dispatch.cpp).

@@ -49,9 +49,6 @@ class RecursiveMultiplier {
   /// around the unsigned array (operands truncated to `width`-bit signed).
   [[nodiscard]] i64 multiply_signed(i64 a, i64 b) const noexcept;
 
-  /// Reference exact product (for error measurements).
-  [[nodiscard]] u64 exact_u(u64 a, u64 b) const noexcept;
-
  private:
   /// Elementary 2x2 product of the module whose output starts at \p base.
   [[nodiscard]] u64 elem(u64 a, u64 b, int base) const noexcept;
@@ -86,18 +83,12 @@ class RecursiveMultiplier {
   std::vector<const u16*> lut8_by_base_;
 };
 
-/// Process-wide cache of multiplier behavioural models: exploration sweeps
-/// re-use configurations heavily, and each model owns non-trivial lookup
-/// tables. Thread-safe: a cold model is built outside the cache lock, so
-/// warm lookups never wait for it, and is published insert-if-absent —
-/// threads racing on one cold config all receive the same model.
+/// The process-wide behavioural model of a configuration: exploration
+/// sweeps re-use configurations heavily, and each model owns non-trivial
+/// lookup tables. Thread-safe: the table store's common::Memo builds a cold
+/// model outside its lock and publishes it insert-if-absent, so threads
+/// racing on one cold config all receive the same model.
 [[nodiscard]] std::shared_ptr<const RecursiveMultiplier> get_multiplier(
     const MultiplierConfig& cfg);
-
-/// Cumulative count of behavioural models get_multiplier has published
-/// (cold builds, not hits; a racer's discarded duplicate is not counted) —
-/// one input of arith::table_cache_stats(), which tests snapshot to prove
-/// the streaming hot path never builds a model lazily.
-[[nodiscard]] u64 multiplier_model_builds() noexcept;
 
 }  // namespace xbs::arith

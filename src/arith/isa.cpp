@@ -17,7 +17,7 @@ namespace {
 // pointer. kernel_isa()'s returned reference is stable storage — callers
 // that force tiers concurrently with readers get torn notes, which is why
 // forcing is documented as a setup-time knob.
-// Rank kTableCache: process-wide dispatch state, a leaf like the LUT caches.
+// Rank kTableCache: process-wide dispatch state, a leaf like every common::Memo.
 common::Mutex g_mutex{common::LockRank::kTableCache};
 IsaSelection g_selection XBS_GUARDED_BY(g_mutex);  // NOLINT(cert-err58-cpp) — trivial until first use
 bool g_resolved XBS_GUARDED_BY(g_mutex) = false;

@@ -1,11 +1,9 @@
 #include "xbs/arith/kernel.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "xbs/arith/isa.hpp"
 #include "xbs/common/bitops.hpp"
-#include "xbs/common/sync.hpp"
 
 namespace xbs::arith {
 namespace {
@@ -361,158 +359,6 @@ void ApproxKernel::square_n_impl(std::span<const i64> x, std::span<i64> out) {
 std::unique_ptr<Kernel> make_kernel(const StageArithConfig& cfg) {
   if (cfg.is_exact()) return std::make_unique<ExactKernel>();
   return std::make_unique<ApproxKernel>(cfg);
-}
-
-// ------------------------------------------------- product table caches
-
-namespace {
-
-/// Cache key: the multiplier configuration plus the operand the table is
-/// specialized on — the coefficient magnitude of a magnitude row, the
-/// sign-extended coefficient of a signed table, 0 for the square table.
-struct TableKey {
-  MultiplierConfig cfg;
-  i64 operand = 0;
-
-  friend bool operator==(const TableKey&, const TableKey&) = default;
-};
-
-// Cache entries are cache-line aligned: the process-wide caches are walked
-// concurrently by every stream::StreamServer worker, and a 64-byte entry
-// stride keeps one worker's entry (and the vector growth that publishes a
-// neighbour) from false-sharing another's hot line.
-using TablePtr = std::shared_ptr<const TableVec>;
-
-struct alignas(64) CacheEntry {
-  TableKey key;
-  TablePtr table;
-};
-
-/// One process-wide table cache. Caches are shared by every kernel in the
-/// process and hit from the concurrent sessions of a stream::StreamServer and
-/// the parallel exploration workers, so lookups and publishes are serialized;
-/// the tables themselves are immutable once published. Rank kTableCache: a
-/// leaf — table fills run *outside* the lock, and nothing else is ever
-/// acquired under it.
-class TableCache {
- public:
-  [[nodiscard]] TablePtr find(const TableKey& key) const XBS_EXCLUDES(mutex_) {
-    const common::MutexLock lock(mutex_);
-    return find_locked(key);
-  }
-
-  /// Insert-if-absent: a racing builder of the same key may have published
-  /// first, and then every caller gets that table (this copy is dropped and
-  /// not counted as a build).
-  TablePtr publish(const TableKey& key, TablePtr table) XBS_EXCLUDES(mutex_) {
-    const common::MutexLock lock(mutex_);
-    if (auto won = find_locked(key)) return won;
-    ++builds_;
-    return entries_.emplace_back(CacheEntry{key, std::move(table)}).table;
-  }
-
-  /// Tables published so far (cold builds, not hits).
-  [[nodiscard]] u64 builds() const XBS_EXCLUDES(mutex_) {
-    const common::MutexLock lock(mutex_);
-    return builds_;
-  }
-
- private:
-  [[nodiscard]] TablePtr find_locked(const TableKey& key) const XBS_REQUIRES(mutex_) {
-    for (const CacheEntry& e : entries_) {
-      if (e.key == key) return e.table;
-    }
-    return nullptr;
-  }
-
-  mutable common::Mutex mutex_{common::LockRank::kTableCache};
-  std::vector<CacheEntry> entries_ XBS_GUARDED_BY(mutex_);
-  u64 builds_ XBS_GUARDED_BY(mutex_) = 0;
-};
-
-struct TableCaches {
-  /// Magnitude-indexed product rows M[m] = multiply_u(|c|, m) — the
-  /// expensive build, shared between +c and -c.
-  TableCache magnitude;
-  /// Full signed per-coefficient tables P[u] = mul1(c, sign_extend(u, w)).
-  TableCache signed_coeff;
-  /// Per-config square tables S[u] = mul1(x, x), x = sign_extend(u, w).
-  TableCache square;
-};
-
-TableCaches& caches() {
-  static TableCaches c;
-  return c;
-}
-
-std::shared_ptr<const TableVec> get_magnitude_products(const MultiplierConfig& cfg,
-                                                       u64 magnitude) {
-  const TableKey key{cfg, static_cast<i64>(magnitude)};
-  if (auto warm = caches().magnitude.find(key)) return warm;
-  // Build outside the lock (the fill is the expensive part).
-  const auto model = get_multiplier(cfg);
-  // Operand magnitudes of a w-bit signed multiplier span [0, 2^(w-1)]
-  // (the upper bound is the magnitude of the most negative value).
-  const std::size_t n = (std::size_t{1} << (cfg.width - 1)) + 1;
-  auto table = std::make_shared<TableVec>(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    // Same operand order as multiply_signed(c, x): the coefficient drives
-    // the A port. Approximate arrays are not commutative, so this matters.
-    (*table)[m] = static_cast<i64>(model->multiply_u(magnitude, static_cast<u64>(m)));
-  }
-  return caches().magnitude.publish(key, std::move(table));
-}
-
-}  // namespace
-
-std::shared_ptr<const TableVec> get_signed_coeff_products(const MultiplierConfig& cfg,
-                                                          i64 coeff) {
-  const int w = cfg.width;
-  const TableKey key{cfg, sign_extend(to_unsigned_bits(coeff, w), w)};
-  if (auto warm = caches().signed_coeff.find(key)) return warm;
-  const bool neg = key.operand < 0;
-  const u64 mag = neg ? static_cast<u64>(-key.operand) : static_cast<u64>(key.operand);
-  // Spread the magnitude row over both operand halves; bit-identical to
-  // mul1(c, x) by the sign-magnitude wrapper identity.
-  const TableVec& row = *get_magnitude_products(cfg, mag);
-  const std::size_t n = std::size_t{1} << w;
-  const std::size_t half = n / 2;
-  auto table = std::make_shared<TableVec>(n);
-  TableVec& t = *table;
-  // Non-negative operands u: |x| = u, and the product takes c's sign.
-  for (std::size_t u = 0; u < half; ++u) t[u] = neg ? -row[u] : row[u];
-  // Negative operands mirror them: |x| = n - u, and the opposite sign.
-  for (std::size_t u = half; u < n; ++u) t[u] = neg ? row[n - u] : -row[n - u];
-  return caches().signed_coeff.publish(key, std::move(table));
-}
-
-std::shared_ptr<const TableVec> get_square_products(const MultiplierConfig& cfg) {
-  const TableKey key{cfg, 0};
-  if (auto warm = caches().square.find(key)) return warm;
-  const auto model = get_multiplier(cfg);
-  const std::size_t n = std::size_t{1} << cfg.width;
-  const std::size_t half = n / 2;
-  auto table = std::make_shared<TableVec>(n);
-  TableVec& t = *table;
-  // The sign-magnitude wrapper makes mul1(x, x) = +multiply_u(|x|, |x|):
-  // the non-negative operands u hold the square diagonal, and the negative
-  // ones mirror it (|x| = n - u; the most negative value's magnitude, half,
-  // is the one entry with no non-negative twin).
-  for (std::size_t m = 0; m < half; ++m) {
-    t[m] = static_cast<i64>(model->multiply_u(static_cast<u64>(m), static_cast<u64>(m)));
-  }
-  t[half] = static_cast<i64>(model->multiply_u(half, half));
-  for (std::size_t u = half + 1; u < n; ++u) t[u] = t[n - u];
-  return caches().square.publish(key, std::move(table));
-}
-
-TableCacheStats table_cache_stats() noexcept {
-  TableCacheStats s;
-  s.multiplier_models = multiplier_model_builds();
-  s.magnitude_tables = caches().magnitude.builds();
-  s.signed_tables = caches().signed_coeff.builds();
-  s.square_tables = caches().square.builds();
-  return s;
 }
 
 }  // namespace xbs::arith

@@ -1,15 +1,12 @@
 #include "xbs/arith/multiplier.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <stdexcept>
-#include <utility>
 
 #include "ripple_add.hpp"
 #include "xbs/arith/mult2x2.hpp"
 #include "xbs/common/bitops.hpp"
-#include "xbs/common/sync.hpp"
 
 namespace xbs::arith {
 namespace {
@@ -134,59 +131,6 @@ i64 RecursiveMultiplier::multiply_signed(i64 a, i64 b) const noexcept {
   const u64 mb = static_cast<u64>(sb < 0 ? -sb : sb);
   const u64 p = multiply_u(ma, mb);
   return neg ? -static_cast<i64>(p) : static_cast<i64>(p);
-}
-
-u64 RecursiveMultiplier::exact_u(u64 a, u64 b) const noexcept {
-  return (a & low_mask(cfg_.width)) * (b & low_mask(cfg_.width));
-}
-
-namespace {
-
-struct MultCacheEntry {
-  MultiplierConfig cfg;
-  std::shared_ptr<const RecursiveMultiplier> model;
-};
-
-std::atomic<u64> g_model_builds{0};
-
-// Rank kTableCache: a leaf like the kernel LUT caches — nothing else is
-// ever acquired under it. Namespace scope (constexpr-constructible Mutex)
-// rather than function-static so the guarded members can be annotated.
-common::Mutex g_cache_mutex{common::LockRank::kTableCache};
-std::vector<MultCacheEntry>& mult_cache() XBS_REQUIRES(g_cache_mutex) {
-  static std::vector<MultCacheEntry> cache;
-  return cache;
-}
-
-std::shared_ptr<const RecursiveMultiplier> find_model(const MultiplierConfig& cfg)
-    XBS_REQUIRES(g_cache_mutex) {
-  for (const auto& e : mult_cache())
-    if (e.cfg == cfg) return e.model;
-  return nullptr;
-}
-
-}  // namespace
-
-std::shared_ptr<const RecursiveMultiplier> get_multiplier(const MultiplierConfig& cfg) {
-  // Serialized lookups: kernels are built concurrently by stream::StreamServer
-  // sessions and the exploration workers. The models themselves are
-  // immutable once published.
-  {
-    const common::MutexLock lock(g_cache_mutex);
-    if (auto warm = find_model(cfg)) return warm;
-  }
-  // Build outside the lock, so a cold build never stalls warm lookups, then
-  // publish insert-if-absent: a racer that published first wins.
-  auto model = std::make_shared<const RecursiveMultiplier>(cfg);
-  const common::MutexLock lock(g_cache_mutex);
-  if (auto won = find_model(cfg)) return won;
-  mult_cache().push_back(MultCacheEntry{cfg, model});
-  g_model_builds.fetch_add(1, std::memory_order_relaxed);
-  return model;
-}
-
-u64 multiplier_model_builds() noexcept {
-  return g_model_builds.load(std::memory_order_relaxed);
 }
 
 }  // namespace xbs::arith

@@ -2,7 +2,6 @@
 /// \brief Bit-manipulation helpers for the bit-accurate arithmetic simulators.
 #pragma once
 
-#include <bit>
 #include <cassert>
 
 #include "xbs/common/types.hpp"
@@ -39,11 +38,6 @@ XBS_NO_SANITIZE_INTEGER [[nodiscard]] constexpr i64 sign_extend(u64 v, int bits)
 /// Truncate a signed value to its low \p bits bits (two's complement wrap).
 [[nodiscard]] constexpr u64 to_unsigned_bits(i64 v, int bits) noexcept {
   return static_cast<u64>(v) & low_mask(bits);
-}
-
-/// Number of bits needed to represent \p v (v >= 0); bit_width(0) == 0.
-[[nodiscard]] constexpr int bit_width_u(u64 v) noexcept {
-  return std::bit_width(v);
 }
 
 }  // namespace xbs

@@ -1,18 +1,14 @@
 /// \file fixed.hpp
-/// \brief Fixed-point (Qm.n) helpers and saturating conversions.
+/// \brief Saturating conversions of the fixed-point datapath.
 ///
 /// The Pan-Tompkins datapath in the paper is an integer/fixed-point ASIC
-/// pipeline fed by a 16-bit ADC. These helpers centralize quantization,
-/// saturation and rescaling so every stage states its numeric contract
-/// explicitly.
+/// pipeline fed by a 16-bit ADC. These helpers centralize its saturation so
+/// every stage states its numeric contract explicitly.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
-#include <span>
-#include <vector>
 
 #include "xbs/common/types.hpp"
 
@@ -27,83 +23,10 @@ namespace xbs {
   return std::clamp(v, lo, hi);
 }
 
-/// Saturate to the canonical 16-bit ADC range.
-[[nodiscard]] constexpr i32 saturate_i16(i64 v) noexcept {
-  return static_cast<i32>(saturate_to_bits(v, 16));
-}
-
 /// Saturate to 32-bit.
 [[nodiscard]] constexpr i32 saturate_i32(i64 v) noexcept {
   return static_cast<i32>(
       std::clamp<i64>(v, std::numeric_limits<i32>::min(), std::numeric_limits<i32>::max()));
 }
-
-/// Arithmetic shift right with rounding-to-nearest (ties away from zero).
-/// A non-positive \p shift means a left shift by -shift, saturated to the
-/// i64 range. All intermediate arithmetic runs on u64 magnitudes: the naive
-/// forms (`v << -shift`, `v + bias`, `-v`) are signed-overflow UB at the
-/// range boundaries (e.g. INT64_MIN), which long-running streams will
-/// eventually feed through accumulated datapaths.
-/// The u64 magnitude trick below (`u64{0} - mag` two's-complement negation,
-/// left-shifting a sign-extended bit pattern) is deliberate modular
-/// arithmetic — exempt from the -fsanitize=integer wrap checks.
-XBS_NO_SANITIZE_INTEGER [[nodiscard]] constexpr i64 shift_round(i64 v, int shift) noexcept {
-  assert(shift > -64 && shift < 64);
-  constexpr i64 hi = std::numeric_limits<i64>::max();
-  constexpr i64 lo = std::numeric_limits<i64>::min();
-  if (shift <= 0) {
-    const int left = -shift;
-    if (v == 0 || left == 0) return v;
-    if (left >= 64 || v > (hi >> left) || v < (lo >> left)) return v > 0 ? hi : lo;
-    return static_cast<i64>(static_cast<u64>(v) << left);
-  }
-  if (shift >= 64) return 0;
-  // Round the magnitude in u64 (no overflow: |v| + bias <= 2^63 + 2^62),
-  // then restore the sign; the rounded magnitude never exceeds 2^62, so the
-  // cast back and the negation are in range.
-  u64 mag = static_cast<u64>(v);
-  if (v < 0) mag = u64{0} - mag;
-  const u64 r = (mag + (u64{1} << (shift - 1))) >> shift;
-  return v < 0 ? -static_cast<i64>(r) : static_cast<i64>(r);
-}
-
-/// Description of a Qm.n fixed-point format (m integer bits incl. sign, n
-/// fractional bits).
-struct QFormat {
-  int integer_bits = 16;   ///< including the sign bit
-  int fraction_bits = 0;   ///< number of fractional bits
-
-  [[nodiscard]] constexpr int total_bits() const noexcept {
-    return integer_bits + fraction_bits;
-  }
-  [[nodiscard]] constexpr double scale() const noexcept {
-    return static_cast<double>(u64{1} << fraction_bits);
-  }
-  [[nodiscard]] constexpr double max_value() const noexcept {
-    return (std::pow(2.0, total_bits() - 1) - 1.0) / scale();
-  }
-  [[nodiscard]] constexpr double min_value() const noexcept {
-    return -std::pow(2.0, total_bits() - 1) / scale();
-  }
-};
-
-/// Quantize a real value into a Qm.n integer with saturation.
-[[nodiscard]] inline i64 quantize(double v, const QFormat& q) noexcept {
-  const double scaled = std::nearbyint(v * q.scale());
-  const double hi = std::pow(2.0, q.total_bits() - 1) - 1.0;
-  const double lo = -std::pow(2.0, q.total_bits() - 1);
-  return static_cast<i64>(std::clamp(scaled, lo, hi));
-}
-
-/// Convert a Qm.n integer back to a real value.
-[[nodiscard]] constexpr double dequantize(i64 v, const QFormat& q) noexcept {
-  return static_cast<double>(v) / q.scale();
-}
-
-/// Quantize a whole real-valued signal into fixed point (saturating).
-[[nodiscard]] std::vector<i32> quantize_signal(std::span<const double> signal, const QFormat& q);
-
-/// Convert a fixed-point signal back to doubles.
-[[nodiscard]] std::vector<double> dequantize_signal(std::span<const i32> signal, const QFormat& q);
 
 }  // namespace xbs

@@ -27,9 +27,9 @@
 ///   |-----:|--------------|--------------------------------------------------|
 ///   |   10 | net-conn     | `net::NetServer` completion-notify list lock     |
 ///   |   20 | shard        | `stream::StreamServer` shard locks               |
-///   |   40 | table-cache  | arith kernel LUT caches, multiplier-model cache,
-///   |      |              | kernel-ISA + CRC32C dispatch state, the
-///   |      |              | energy-model synthesis memo                      |
+///   |   40 | table-cache  | every common::Memo (memo.hpp): the arith table
+///   |      |              | store's models and tables, the energy-model
+///   |      |              | synthesis memo; kernel-ISA + CRC32C dispatch     |
 ///
 /// State that one thread owns takes no lock at all: the `NetServer` token
 /// registry lives on the epoll loop, and the explore `WorkerPool` is a
@@ -103,7 +103,7 @@ enum class LockRank : int {
   kUnranked = -1,   ///< exempt from ordering (leaf locks in tests/tools only)
   kNetConn = 10,    ///< net front door: the completion-notify list
   kShard = 20,      ///< stream shard locks
-  kTableCache = 40, ///< process-wide LUT/model/dispatch caches
+  kTableCache = 40, ///< common::Memo and the ISA/CRC dispatch state
 };
 
 /// Human-readable level name for diagnostics ("shard", "table-cache", ...).

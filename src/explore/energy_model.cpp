@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "xbs/hwmodel/block_cost.hpp"
 #include "xbs/netlist/builders.hpp"
@@ -66,18 +68,7 @@ hwmodel::Cost StageEnergyModel::compute(Stage s, const arith::StageArithConfig& 
 }
 
 hwmodel::Cost StageEnergyModel::stage_cost(Stage s, const arith::StageArithConfig& cfg) const {
-  {
-    const common::MutexLock lock(cache_mutex_);
-    for (const auto& e : cache_) {
-      if (e.stage == s && e.cfg == cfg) return e.cost;
-    }
-  }
-  // Synthesize outside the lock; a racing duplicate insert is harmless (the
-  // cost is a pure function of the key, so both entries agree).
-  const hwmodel::Cost c = compute(s, cfg);
-  const common::MutexLock lock(cache_mutex_);
-  cache_.push_back(CacheEntry{s, cfg, c});
-  return c;
+  return *costs_.get({s, cfg}, [&] { return std::make_shared<hwmodel::Cost>(compute(s, cfg)); });
 }
 
 double StageEnergyModel::stage_energy_fj(Stage s, const arith::StageArithConfig& cfg) const {

@@ -1,5 +1,8 @@
 #include "xbs/explore/exhaustive.hpp"
 
+#include <functional>
+#include <utility>
+
 namespace xbs::explore {
 
 const GridPoint* GridResult::best() const noexcept {
@@ -41,31 +44,6 @@ void enumerate(const std::vector<StageSpace>& spaces, const ModuleLists& lists,
   }
 }
 
-GridResult run_grid(const std::vector<StageSpace>& spaces, const ModuleLists& lists,
-                    bool per_stage_modules, QualityEvaluator& evaluator,
-                    const StageEnergyModel& energy, double quality_constraint) {
-  GridResult result;
-  // The enumeration varies the last stage in `spaces` fastest, so when the
-  // caller lists stages in pipeline order every inner-loop step changes only
-  // a suffix of the pipeline and the evaluator's stage cache serves the
-  // unchanged prefix without re-simulation.
-  const StageCacheStats cache_before =
-      evaluator.cache_stats() != nullptr ? *evaluator.cache_stats() : StageCacheStats{};
-  for (const Design& d : enumerate_grid_designs(spaces, lists, per_stage_modules)) {
-    GridPoint p;
-    p.design = d;
-    p.quality = evaluator.evaluate(d);
-    p.energy_reduction = energy.energy_reduction(d);
-    p.satisfied = p.quality >= quality_constraint;
-    result.points.push_back(std::move(p));
-  }
-  result.evaluations = static_cast<int>(result.points.size());
-  if (evaluator.cache_stats() != nullptr) {
-    result.cache = *evaluator.cache_stats() - cache_before;
-  }
-  return result;
-}
-
 }  // namespace
 
 std::vector<Design> enumerate_grid_designs(const std::vector<StageSpace>& spaces,
@@ -88,16 +66,39 @@ std::vector<Design> enumerate_grid_designs(const std::vector<StageSpace>& spaces
   return designs;
 }
 
+GridResult evaluate_designs(std::span<const Design> designs, QualityEvaluator& evaluator,
+                            const StageEnergyModel& energy, double quality_constraint) {
+  GridResult result;
+  result.points.reserve(designs.size());
+  const StageCacheStats cache_before =
+      evaluator.cache_stats() != nullptr ? *evaluator.cache_stats() : StageCacheStats{};
+  for (const Design& d : designs) {
+    GridPoint p;
+    p.design = d;
+    p.quality = evaluator.evaluate(d);
+    p.energy_reduction = energy.energy_reduction(d);
+    p.satisfied = p.quality >= quality_constraint;
+    result.points.push_back(std::move(p));
+  }
+  result.evaluations = static_cast<int>(result.points.size());
+  if (evaluator.cache_stats() != nullptr) {
+    result.cache = *evaluator.cache_stats() - cache_before;
+  }
+  return result;
+}
+
 GridResult exhaustive_explore(const std::vector<StageSpace>& spaces, const ModuleLists& lists,
                               QualityEvaluator& evaluator, const StageEnergyModel& energy,
                               double quality_constraint) {
-  return run_grid(spaces, lists, true, evaluator, energy, quality_constraint);
+  return evaluate_designs(enumerate_grid_designs(spaces, lists, true), evaluator, energy,
+                          quality_constraint);
 }
 
 GridResult heuristic_explore(const std::vector<StageSpace>& spaces, const ModuleLists& lists,
                              QualityEvaluator& evaluator, const StageEnergyModel& energy,
                              double quality_constraint) {
-  return run_grid(spaces, lists, false, evaluator, energy, quality_constraint);
+  return evaluate_designs(enumerate_grid_designs(spaces, lists, false), evaluator, energy,
+                          quality_constraint);
 }
 
 }  // namespace xbs::explore

@@ -9,9 +9,9 @@
 /// (no optimization) is available for the ablation bench.
 #pragma once
 
-#include <vector>
+#include <utility>
 
-#include "xbs/common/sync.hpp"
+#include "xbs/common/memo.hpp"
 #include "xbs/explore/design.hpp"
 #include "xbs/hwmodel/cell_library.hpp"
 
@@ -55,21 +55,16 @@ class StageEnergyModel {
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
  private:
-  struct CacheEntry {
-    pantompkins::Stage stage;
-    arith::StageArithConfig cfg;
-    hwmodel::Cost cost;
-  };
+  using CostKey = std::pair<pantompkins::Stage, arith::StageArithConfig>;
+
   [[nodiscard]] hwmodel::Cost compute(pantompkins::Stage s,
                                       const arith::StageArithConfig& cfg) const;
 
   Mode mode_;
-  /// The synthesis-cost memo is shared by the parallel exploration workers
-  /// (one model serves every shard), so lookups/inserts are serialized; the
-  /// costs themselves are deterministic pure functions of (stage, cfg).
-  /// Rank kTableCache: a leaf — synthesis runs outside the lock.
-  mutable common::Mutex cache_mutex_{common::LockRank::kTableCache};
-  mutable std::vector<CacheEntry> cache_ XBS_GUARDED_BY(cache_mutex_);
+  /// The synthesis-cost memo, shared by the parallel exploration workers
+  /// (one model serves every shard). Synthesis runs outside its lock, and a
+  /// racing duplicate keeps the first published cost.
+  mutable common::Memo<CostKey, hwmodel::Cost> costs_;
 };
 
 }  // namespace xbs::explore

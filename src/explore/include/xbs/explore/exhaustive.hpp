@@ -2,7 +2,7 @@
 /// \brief Exhaustive and heuristic baseline explorers (paper §6.1, Fig. 11).
 #pragma once
 
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "xbs/explore/design.hpp"
@@ -40,6 +40,18 @@ struct GridResult {
 [[nodiscard]] std::vector<Design> enumerate_grid_designs(
     const std::vector<StageSpace>& spaces, const ModuleLists& lists,
     bool per_stage_modules);
+
+/// Evaluate \p designs in order with one evaluator: each point's quality,
+/// energy reduction and constraint check, the evaluation count, and the
+/// evaluator's stage-cache delta over the call. The serial explorers run it
+/// over the whole grid, the parallel engine over each shard. In
+/// enumerate_grid_designs order every step changes only a suffix of the
+/// pipeline, so a memoizing evaluator serves the unchanged prefix from its
+/// stage cache.
+[[nodiscard]] GridResult evaluate_designs(std::span<const Design> designs,
+                                          QualityEvaluator& evaluator,
+                                          const StageEnergyModel& energy,
+                                          double quality_constraint);
 
 /// Exhaustively evaluate the cross product of every stage's LSB list with
 /// the given module lists applied per stage (the 9x9 = 81-combination

@@ -98,7 +98,6 @@ class MemoizedPipelineRunner {
       std::size_t i, const pantompkins::PipelineConfig& cfg);
 
   [[nodiscard]] const StageCacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = StageCacheStats{}; }
 
  private:
   struct RecordCache {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -48,11 +49,6 @@ void WorkerPool::parallel_for(std::size_t n, const std::function<void(std::size_
 
 namespace {
 
-struct ShardResult {
-  std::vector<GridPoint> points;
-  StageCacheStats cache{};
-};
-
 GridResult run_grid_parallel(const std::vector<StageSpace>& spaces, const ModuleLists& lists,
                              bool per_stage_modules, const EvaluatorFactory& factory,
                              const StageEnergyModel& energy, double quality_constraint,
@@ -63,37 +59,23 @@ GridResult run_grid_parallel(const std::vector<StageSpace>& spaces, const Module
   // Shard boundaries depend on the grain and the grid only — never on the
   // thread count — so the merged result is bit-identical for any pool size.
   const std::size_t n_shards = (designs.size() + grain - 1) / grain;
-  std::vector<ShardResult> shards(n_shards);
+  std::vector<GridResult> shards(n_shards);
 
   WorkerPool pool(opts.threads);
   pool.parallel_for(n_shards, [&](std::size_t s) {
     const std::size_t begin = s * grain;
     const std::size_t end = std::min(designs.size(), begin + grain);
-    const std::unique_ptr<QualityEvaluator> evaluator = factory();
-    ShardResult& out = shards[s];
-    out.points.reserve(end - begin);
-    const StageCacheStats before =
-        evaluator->cache_stats() != nullptr ? *evaluator->cache_stats() : StageCacheStats{};
-    for (std::size_t i = begin; i < end; ++i) {
-      GridPoint p;
-      p.design = designs[i];
-      p.quality = evaluator->evaluate(designs[i]);
-      p.energy_reduction = energy.energy_reduction(designs[i]);
-      p.satisfied = p.quality >= quality_constraint;
-      out.points.push_back(std::move(p));
-    }
-    if (evaluator->cache_stats() != nullptr) {
-      out.cache = *evaluator->cache_stats() - before;
-    }
+    shards[s] = evaluate_designs(std::span(designs).subspan(begin, end - begin), *factory(),
+                                 energy, quality_constraint);
   });
 
   GridResult result;
   result.points.reserve(designs.size());
-  for (ShardResult& s : shards) {
+  for (GridResult& s : shards) {
     for (GridPoint& p : s.points) result.points.push_back(std::move(p));
+    result.evaluations += s.evaluations;
     result.cache = result.cache + s.cache;
   }
-  result.evaluations = static_cast<int>(result.points.size());
   return result;
 }
 

@@ -28,10 +28,4 @@ Cost cell_cost(AdderKind kind) noexcept { return kAdderCosts[static_cast<std::si
 
 Cost cell_cost(MultKind kind) noexcept { return kMultCosts[static_cast<std::size_t>(kind)]; }
 
-Cost register_bit_cost() noexcept {
-  // Typical 65 nm DFF: ~2x the accurate FA area, clocked power dominated by
-  // the clock tree (excluded here, as in the paper).
-  return Cost{20.2, 0.0, 0.0, 0.0};
-}
-
 }  // namespace xbs::hwmodel

@@ -38,8 +38,4 @@ struct Cost {
 /// Table 1, multiplier half: per elementary 2x2 multiplier.
 [[nodiscard]] Cost cell_cost(MultKind kind) noexcept;
 
-/// Per-bit register (flip-flop) cost; the paper excludes registers from the
-/// approximation analysis, so this is only used for absolute-area context.
-[[nodiscard]] Cost register_bit_cost() noexcept;
-
 }  // namespace xbs::hwmodel

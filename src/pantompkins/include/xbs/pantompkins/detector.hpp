@@ -135,7 +135,6 @@ class OnlineDetector {
 
   [[nodiscard]] const DetectorParams& params() const noexcept { return p_; }
   [[nodiscard]] bool flushed() const noexcept { return flushed_; }
-  [[nodiscard]] u64 samples_seen() const noexcept { return n_; }
 
   /// Cumulative detection output (empty when keep_result is off). Peaks are
   /// kept sorted and deduplicated at all times; after flush() this equals

@@ -48,7 +48,7 @@ const Tables& tables() noexcept {
 
 using CrcFn = u32 (*)(u32, const void*, std::size_t) noexcept;
 
-// Rank kTableCache: process-wide dispatch state, a leaf like the LUT caches.
+// Rank kTableCache: process-wide dispatch state, a leaf like every common::Memo.
 common::Mutex g_mutex{common::LockRank::kTableCache};
 std::atomic<CrcFn> g_fn{nullptr};
 std::atomic<CrcImpl> g_impl{CrcImpl::Portable};

@@ -6,7 +6,6 @@
 
 #include "xbs/ecg/adc.hpp"
 #include "xbs/ecg/dataset.hpp"
-#include "xbs/ecg/ecgsyn.hpp"
 #include "xbs/ecg/noise.hpp"
 #include "xbs/ecg/template_gen.hpp"
 
@@ -83,28 +82,6 @@ TEST(TemplateGen, NoBeatsInBoundaryGuard) {
   const EcgRecord rec = generate_template_ecg(p, 20000, 3);
   // No annotation within the last 0.3 s (60 samples) — undetectable region.
   EXPECT_LT(rec.r_peaks.back(), 20000u - 60u);
-}
-
-TEST(EcgSyn, ProducesPlausibleRhythm) {
-  EcgSynParams p;
-  p.hr_bpm = 66.0;
-  const EcgRecord rec = generate_ecgsyn(p, 8000, 17);
-  ASSERT_EQ(rec.mv.size(), 8000u);
-  // Beat count ~ 40 s * 66/60 = ~44.
-  EXPECT_NEAR(static_cast<double>(rec.r_peaks.size()), 44.0, 6.0);
-  // R amplitude rescaled to ~target.
-  double peak = -1e9;
-  for (const double v : rec.mv) peak = std::max(peak, v);
-  EXPECT_NEAR(peak, p.target_r_mv, 0.15);
-}
-
-TEST(EcgSyn, AnnotationsNearSignalMaxima) {
-  EcgSynParams p;
-  const EcgRecord rec = generate_ecgsyn(p, 6000, 23);
-  ASSERT_GT(rec.r_peaks.size(), 10u);
-  for (const std::size_t r : rec.r_peaks) {
-    EXPECT_GT(rec.mv[r], 0.6) << "annotation off-peak at " << r;
-  }
 }
 
 TEST(Noise, AddsPowerWithoutResizing) {
