@@ -1,7 +1,8 @@
-// Scalar-vs-batched datapath throughput on a FIR workload (the ISSUE-1
-// acceptance bench). Streams a random 16-bit signal through the LPF stage
-// four ways — scalar/batched x exact/approximate — and emits one JSON object
-// so future PRs have a machine-readable perf baseline to regress against.
+// Scalar-vs-batched datapath throughput on a FIR workload. Streams a random
+// 16-bit signal through the LPF stage four ways — scalar/batched x
+// exact/approximate, the scalar path being the test oracle's per-sample
+// units (tests/scalar_unit.hpp) — and emits one JSON object as a
+// machine-readable perf baseline to regress against.
 // The `configs` array additionally reports the batched exact-vs-approximate
 // per-op gap for every elementary MultKind x ApproxPolicy combination, so
 // regressions in any table-compilation path are visible per configuration.
@@ -20,9 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "scalar_unit.hpp"
 #include "xbs/arith/isa.hpp"
 #include "xbs/arith/kernel.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/pantompkins/stages.hpp"
 
@@ -61,12 +62,12 @@ u64 checksum_of(const std::vector<i64>& y) {
 
 /// Run the signal through the FIR stage over a scalar unit (the per-op
 /// virtual-dispatch datapath: every add and multiply is one unit call).
-PathResult run_scalar(arith::ArithmeticUnit& unit, const std::vector<i32>& x, int iters) {
+PathResult run_scalar(oracle::ArithmeticUnit& unit, const std::vector<i32>& x, int iters) {
   PathResult r;
   double best = 1e300;
   std::vector<i32> y;
   for (int it = 0; it < iters; ++it) {
-    arith::UnitKernel kernel(unit);
+    oracle::UnitKernel kernel(unit);
     pantompkins::FirStage fir(pantompkins::kLpfTaps, pantompkins::kLpfShift, kernel);
     const double t0 = now_s();
     fir.process_chunk(x, y);
@@ -114,12 +115,12 @@ int main(int argc, char** argv) {
 
   const arith::StageArithConfig approx_cfg = arith::StageArithConfig::uniform(lsbs);
 
-  arith::ExactUnit exact_unit;
+  oracle::ExactUnit exact_unit;
   const PathResult scalar_exact = run_scalar(exact_unit, x, iters);
   arith::ExactKernel exact_kernel;
   const PathResult batched_exact = run_batched(exact_kernel, x, iters);
 
-  arith::ApproxUnit approx_unit(approx_cfg);
+  oracle::ApproxUnit approx_unit(approx_cfg);
   const PathResult scalar_approx = run_scalar(approx_unit, x, iters);
   const std::unique_ptr<arith::Kernel> approx_kernel = arith::make_kernel(approx_cfg);
   {
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
       const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
       (void)run_batched(*kernel, x, 1);  // untimed table warm-up
       const PathResult batched = run_batched(*kernel, x, iters);
-      arith::ApproxUnit unit(cfg);
+      oracle::ApproxUnit unit(cfg);
       ConfigRow row;
       row.mult_kind = mk;
       row.policy = pol;

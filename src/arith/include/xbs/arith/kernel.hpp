@@ -1,18 +1,18 @@
 /// \file kernel.hpp
-/// \brief Batched arithmetic kernels — the block-granular datapath API.
+/// \brief Batched arithmetic kernels — the datapath every Pan-Tompkins stage
+/// runs on.
 ///
-/// The scalar ArithmeticUnit interface pays one virtual dispatch, one config
-/// decode and one lookup-table resolution *per sample operation*. A Kernel
-/// amortizes all of that over a whole signal block: config decoding, LUT
-/// pointer resolution and operation counting happen once per `*_n` call, and
-/// the inner loops are tight non-virtual code. The scalar units in unit.hpp
-/// are thin adapters over these kernels, so both views of the datapath are
-/// bit-identical by construction (asserted in tests/test_kernel_equivalence).
+/// A Kernel evaluates whole signal blocks: config decoding, lookup-table
+/// resolution and operation counting happen once per `*_n` call, and the
+/// inner loops are tight non-virtual code. Two backends serve every stage
+/// configuration: the exact native datapath and the bit-accurate approximate
+/// one. The per-sample scalar datapath they are checked against is the test
+/// oracle in tests/scalar_unit.hpp (asserted in
+/// tests/test_kernel_equivalence).
 ///
 /// Operand convention: every value is a sign-extended signed 64-bit integer
-/// carrying the block's `width`-bit two's-complement result, exactly like the
-/// scalar API. Adds/subs model the 32-bit adder block; multiplies model the
-/// 16x16 signed multiplier block.
+/// carrying the block's `width`-bit two's-complement result. Adds model the
+/// 32-bit adder block; multiplies model the 16x16 signed multiplier block.
 #pragma once
 
 #include <array>
@@ -34,8 +34,8 @@ namespace xbs::arith {
 /// never false-shares with neighbouring allocations.
 using TableVec = std::vector<i64, AlignedAllocator<i64, 64>>;
 
-/// Datapath operation counters (shared vocabulary with the scalar units;
-/// reset between runs to attribute operations to stages).
+/// Datapath operation counters (reset between runs to attribute operations
+/// to stages).
 struct OpCounts {
   u64 adds = 0;
   u64 mults = 0;
@@ -79,13 +79,11 @@ struct StageArithConfig {
 
 /// Block-granular datapath. The public counted ops are the three the
 /// Pan-Tompkins stages issue — fir_n (LPF, HPF, DER), square_n (SQR) and
-/// window_sum_n (MWI). Each counts operations once per block (identical
-/// totals to the scalar path) and dispatches a single virtual call; the
-/// `*_impl` hooks run the tight loops.
-///
-/// The uncounted scalar hooks (`add1/sub1/mul1`) exist for the ArithmeticUnit
-/// adapters (unit.hpp); add1 and mul1 compute exactly one element of the
-/// batched ops' adds and multiplies, written add/mul below.
+/// window_sum_n (MWI). Each counts the hardware datapath's operations once
+/// per block and dispatches a single virtual call; the backends' `*_impl`
+/// hooks run the tight loops. Below, add(a, b) is one 32-bit adder-block add
+/// and mul(a, b) one 16x16 multiplier-block product of the stage's
+/// configuration.
 ///
 /// A kernel is single-consumer: its op counters, scratch and per-tap-set
 /// plans are plain members, so give each stage of each session its own.
@@ -93,12 +91,6 @@ class Kernel {
  public:
   virtual ~Kernel() = default;
 
-  // --- uncounted scalar compute (one element of the batched ops) ---
-  [[nodiscard]] virtual i64 add1(i64 a, i64 b) const = 0;
-  [[nodiscard]] virtual i64 sub1(i64 a, i64 b) const = 0;
-  [[nodiscard]] virtual i64 mul1(i64 a, i64 b) const = 0;
-
-  // --- counted batched ops ---
   /// Whole FIR convolution over a history-prefixed input: with T = taps.size()
   /// and n = acc.size(), `padded` holds T-1 carried samples followed by the n
   /// new ones (padded.size() == n + T - 1), and tap j of output i reads
@@ -106,9 +98,8 @@ class Kernel {
   /// tap order and accumulated through the chain acc = add(acc, mul(c_j, x_j))
   /// (the coefficient on the multiplier's A port, the accumulator on the
   /// adder's — approximate units are not commutative), counted as n
-  /// multiplies per non-zero tap and n adds per accumulation. The default
-  /// implementation evaluates that chain over mul1/add1. \p padded must not
-  /// alias \p acc.
+  /// multiplies per non-zero tap and n adds per accumulation. \p padded must
+  /// not alias \p acc.
   void fir_n(std::span<const int> taps, std::span<const i64> padded, std::span<i64> acc) {
     std::size_t nonzero = 0;
     for (const int c : taps) nonzero += (c != 0);
@@ -130,10 +121,9 @@ class Kernel {
   /// padded[i .. i+w-1] through the balanced pairwise tree of
   /// netlist::build_mwi_stage: each level adds adjacent terms in pairs,
   /// oldest first, and carries an odd leftover to the end of the next level.
-  /// Counted as the tree's w-1 adds per output. The default implementation
-  /// evaluates that tree (one add_n_impl per pair per level), which is what
-  /// an approximate adder requires — its adds are not associative; a backend
-  /// whose add is associative may evaluate the same sum in any order.
+  /// Counted as the tree's w-1 adds per output. An approximate adder needs
+  /// that exact tree — its adds are not associative; a backend whose add is
+  /// associative may evaluate the same sum in any order.
   /// Requires w >= 1; \p padded must not alias \p out.
   void window_sum_n(std::size_t w, std::span<const i64> padded, std::span<i64> out) {
     counts_.adds += out.size() * (w - 1);
@@ -144,29 +134,14 @@ class Kernel {
   void reset_counts() noexcept { counts_ = OpCounts{}; }
 
  protected:
-  /// out[i] = add(a[i], b[i]): one adder level of the MWI tree (uncounted —
-  /// the public op counts). \p out may alias \p a or \p b element-wise.
-  virtual void add_n_impl(std::span<const i64> a, std::span<const i64> b, std::span<i64> out);
   virtual void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                          std::span<i64> acc);
-  virtual void square_n_impl(std::span<const i64> x, std::span<i64> out);
+                          std::span<i64> acc) = 0;
+  virtual void square_n_impl(std::span<const i64> x, std::span<i64> out) = 0;
   virtual void window_sum_n_impl(std::size_t w, std::span<const i64> padded,
-                                 std::span<i64> out);
+                                 std::span<i64> out) = 0;
 
  private:
   OpCounts counts_;
-  /// window_sum_n scratch of the reference tree (reused across chunks).
-  /// Level outputs ping-pong between the two pools by level parity, so a
-  /// level recycles its grandparent level's buffers: levels strictly shrink,
-  /// and a carried odd leftover always has the highest index of its parity,
-  /// so it is never overwritten before its last read. `terms`/`next` hold
-  /// the current level's operands.
-  struct TreeScratch {
-    std::array<std::vector<std::vector<i64>>, 2> pool;
-    std::vector<std::span<const i64>> terms;
-    std::vector<std::span<const i64>> next;
-  };
-  TreeScratch tree_;
 };
 
 /// Exact native backend (the golden reference datapath): 32-bit wrapping
@@ -174,11 +149,11 @@ class Kernel {
 ///
 /// Why fir_n and window_sum_n may skip the hardware's evaluation order: the
 /// exact chain computes sum_j sext16(c_j) * sext16(x_j) mod 2^32,
-/// sign-extended (mul1 is an exact 16x16 product, add1 wraps at 32 bits),
-/// and the exact MWI tree computes sum_k x_k mod 2^32. Z/2^32 is a ring, so
-/// any evaluation of the same linear form mod 2^32 yields the same bits for
-/// every input — operands outside 16 (32) bits are truncated exactly as
-/// mul1 (add1) truncates them, and intermediate wraps cancel. So:
+/// sign-extended (mul is an exact 16x16 product, add wraps at 32 bits), and
+/// the exact MWI tree computes sum_k x_k mod 2^32. Z/2^32 is a ring, so any
+/// evaluation of the same linear form mod 2^32 yields the same bits for
+/// every input — operands outside 16 (32) bits are truncated exactly as mul
+/// (add) truncates them, and intermediate wraps cancel. So:
 ///  - window_sum_n is a running sum mod 2^32: one add per output instead of
 ///    a w-1 add tree;
 ///  - fir_n evaluates the tap set in its sparsest difference form: the d-th
@@ -194,11 +169,6 @@ class Kernel {
 /// operations (the public wrappers count before dispatch), not the
 /// software evaluation's.
 class ExactKernel final : public Kernel {
- public:
-  [[nodiscard]] i64 add1(i64 a, i64 b) const override;
-  [[nodiscard]] i64 sub1(i64 a, i64 b) const override;
-  [[nodiscard]] i64 mul1(i64 a, i64 b) const override;
-
  protected:
   void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
                   std::span<i64> acc) override;
@@ -229,17 +199,19 @@ class ExactKernel final : public Kernel {
 /// into branch-free table-driven inner loops.
 ///
 /// Hoisted out of the inner loops, once per kernel lifetime: the
-/// ripple-carry adder model (config decode + approx-region clamp) and the
-/// recursive-multiplier behavioural model. On first use, at any block size:
+/// ripple-carry adder model (config decode + approx-region clamp). On first
+/// use, at any block size:
 ///  - fir_n derives one plan per tap set, resolving a full *signed* product
-///    table `P[u] = mul1(c, sign_extend(u, w))` for each distinct non-zero
+///    table `P[u] = mul(c, sign_extend(u, w))` for each distinct non-zero
 ///    coefficient. Each call then gathers one product row per distinct
 ///    coefficient over the padded window and accumulates the taps' shifted
 ///    row views in tap order, the accumulator on the adder's A port —
 ///    exactly the chain's table loads and adds, with no multiplier
 ///    simulation in the loop;
-///  - square_n resolves the per-config square table (`S[u] = mul1(x, x)`),
-///    one masked load per sample.
+///  - square_n resolves the per-config square table (`S[u] = mul(x, x)`),
+///    one masked load per sample;
+///  - window_sum_n evaluates the MWI tree level by level, one batched add
+///    per pair of terms.
 /// The table walks and the AMA4/AMA5 wired-add loops run through the
 /// runtime-dispatched vector tier (isa.hpp): gathered LUT loads and 4/8-lane
 /// closed-form adds on AVX2/AVX-512 hardware, the scalar loops elsewhere —
@@ -252,20 +224,19 @@ class ApproxKernel final : public Kernel {
  public:
   explicit ApproxKernel(const StageArithConfig& cfg);
 
-  [[nodiscard]] const StageArithConfig& config() const noexcept { return cfg_; }
-
-  [[nodiscard]] i64 add1(i64 a, i64 b) const override;
-  [[nodiscard]] i64 sub1(i64 a, i64 b) const override;
-  [[nodiscard]] i64 mul1(i64 a, i64 b) const override;
-
  protected:
-  void add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                  std::span<i64> out) override;
   void fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
                   std::span<i64> acc) override;
   void square_n_impl(std::span<const i64> x, std::span<i64> out) override;
+  void window_sum_n_impl(std::size_t w, std::span<const i64> padded,
+                         std::span<i64> out) override;
 
  private:
+  /// out[i] = add(a[i], b[i]): one adder level of the FIR chain or the MWI
+  /// tree (uncounted — the public ops count). \p out may alias \p a or \p b
+  /// element-wise.
+  void add_n(std::span<const i64> a, std::span<const i64> b, std::span<i64> out);
+
   /// One non-zero tap of a plan: where its products sit in its row.
   struct PlanTap {
     std::size_t row = 0;     ///< index into FirPlan::tables / rows
@@ -298,10 +269,20 @@ class ApproxKernel final : public Kernel {
   /// Decoded wired-add parameters handed to the dispatched vector loops
   /// (valid only when add_path_ != Generic).
   WiredAddParams wired_params_{};
-  std::shared_ptr<const RecursiveMultiplier> mult_owner_;
-  const RecursiveMultiplier* mult_;  ///< hoisted raw pointer for the loops
   FirPlan plan_;
   std::shared_ptr<const TableVec> square_;  ///< resolved on first square_n
+  /// window_sum_n scratch of the tree (reused across chunks). Level outputs
+  /// ping-pong between the two pools by level parity, so a level recycles
+  /// its grandparent level's buffers: levels strictly shrink, and a carried
+  /// odd leftover always has the highest index of its parity, so it is never
+  /// overwritten before its last read. `terms`/`next` hold the current
+  /// level's operands.
+  struct TreeScratch {
+    std::array<std::vector<std::vector<i64>>, 2> pool;
+    std::vector<std::span<const i64>> terms;
+    std::vector<std::span<const i64>> next;
+  };
+  TreeScratch tree_;
 };
 
 /// Build the right backend for a stage configuration: the exact native kernel
@@ -311,7 +292,8 @@ class ApproxKernel final : public Kernel {
 
 /// The process-wide full signed per-coefficient product table (see
 /// ApproxKernel), from the table store's memo: 2^width entries,
-/// `P[u] = mul1(c, sign_extend(u, w))`.
+/// `P[u] = multiply_signed(c, sign_extend(u, w))` of the configuration's
+/// get_multiplier() model.
 /// A kernel calls it the first time it sees a coefficient; serving layers
 /// reach it through pantompkins::warm_stage_tables to build outside timed
 /// regions.
@@ -319,8 +301,8 @@ class ApproxKernel final : public Kernel {
     const MultiplierConfig& cfg, i64 coeff);
 
 /// The process-wide per-config square table, from the table store's memo:
-/// 2^width entries, `S[u] = mul1(x, x)` for `x = sign_extend(u, w)` — the
-/// SQR-stage kernel.
+/// 2^width entries, `S[u] = multiply_signed(x, x)` for
+/// `x = sign_extend(u, w)` — the SQR-stage kernel.
 [[nodiscard]] std::shared_ptr<const TableVec> get_square_products(
     const MultiplierConfig& cfg);
 

@@ -32,86 +32,7 @@ constexpr std::size_t kWrapBlock = std::size_t{1} << 16;
 
 }  // namespace
 
-// ---------------------------------------------------------------- Kernel base
-
-void Kernel::add_n_impl(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = add1(a[i], b[i]);
-}
-
-void Kernel::fir_n_impl(std::span<const int> taps, std::span<const i64> padded,
-                        std::span<i64> acc) {
-  // Reference chain: the first non-zero tap's products, then one
-  // accumulation per subsequent tap, in tap order — the scalar per-sample
-  // dataflow, batched.
-  const std::size_t T = taps.size();
-  const std::size_t n = acc.size();
-  bool first = true;
-  for (std::size_t j = 0; j < T; ++j) {
-    const i64 c = taps[j];
-    if (c == 0) continue;
-    const i64* x = padded.data() + (T - 1 - j);
-    if (first) {
-      for (std::size_t i = 0; i < n; ++i) acc[i] = mul1(c, x[i]);
-      first = false;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) acc[i] = add1(acc[i], mul1(c, x[i]));
-    }
-  }
-  if (first) std::fill(acc.begin(), acc.end(), i64{0});
-}
-
-void Kernel::square_n_impl(std::span<const i64> x, std::span<i64> out) {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = mul1(x[i], x[i]);
-}
-
-void Kernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
-                               std::span<i64> out) {
-  // The balanced pairwise tree of netlist::build_mwi_stage, one add_n per
-  // pair per level. Terms are spans over the padded input (level 0,
-  // leftovers) or level outputs from the scratch pool; the root's add writes
-  // straight into `out`.
-  const std::size_t n = out.size();
-  if (w == 1) {
-    std::copy_n(padded.begin(), n, out.begin());
-    return;
-  }
-  tree_.terms.clear();
-  for (std::size_t k = 0; k < w; ++k) tree_.terms.push_back(padded.subspan(k, n));
-  std::size_t parity = 0;
-  while (tree_.terms.size() > 2) {
-    const std::vector<std::span<const i64>>& terms = tree_.terms;
-    std::vector<std::vector<i64>>& pool = tree_.pool[parity];
-    tree_.next.clear();
-    std::size_t used = 0;  // recycle this parity's buffers (written two levels up)
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-      if (used == pool.size()) pool.emplace_back();
-      std::vector<i64>& buf = pool[used++];
-      buf.resize(n);
-      add_n_impl(terms[i], terms[i + 1], buf);
-      tree_.next.push_back(buf);
-    }
-    if (terms.size() % 2 == 1) tree_.next.push_back(terms.back());
-    tree_.terms.swap(tree_.next);
-    parity ^= 1;
-  }
-  add_n_impl(tree_.terms[0], tree_.terms[1], out);
-}
-
 // ----------------------------------------------------------------- ExactKernel
-
-i64 ExactKernel::add1(i64 a, i64 b) const {
-  return sign_extend(to_unsigned_bits(a + b, 32), 32);
-}
-
-i64 ExactKernel::sub1(i64 a, i64 b) const {
-  return sign_extend(to_unsigned_bits(a - b, 32), 32);
-}
-
-i64 ExactKernel::mul1(i64 a, i64 b) const {
-  const i64 sa = sign_extend(to_unsigned_bits(a, 16), 16);
-  const i64 sb = sign_extend(to_unsigned_bits(b, 16), 16);
-  return sa * sb;
-}
 
 // The exact loops avoid per-element helper calls: truncate-then-sign-extend
 // of the low 32 (16) bits is exactly a cast through i32 (i16) in C++20
@@ -155,10 +76,10 @@ ExactKernel::DiffForm& ExactKernel::diff_form(std::span<const int> taps) {
   DiffForm& f = form_;
   if (std::equal(taps.begin(), taps.end(), f.taps.begin(), f.taps.end())) return f;
   f.taps.assign(taps.begin(), taps.end());
-  // The coefficients as mul1 sees them, then successive differences
-  // e_d[k] = e_{d-1}[k] - e_{d-1}[k-1] (one entry longer per order). Cost of
-  // order d: its non-zero terms plus d sequential prefix passes; ties keep
-  // the lower order. |e_2[k]| <= 4 * 2^15.
+  // The coefficients as the 16-bit multiplier sees them, then successive
+  // differences e_d[k] = e_{d-1}[k] - e_{d-1}[k-1] (one entry longer per
+  // order). Cost of order d: its non-zero terms plus d sequential prefix
+  // passes; ties keep the lower order. |e_2[k]| <= 4 * 2^15.
   std::vector<i64> e(taps.size());
   for (std::size_t j = 0; j < taps.size(); ++j) e[j] = sext16(taps[j]);
   auto nonzero = [](const std::vector<i64>& v) {
@@ -195,9 +116,10 @@ void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pad
   }
   // Output i sits at window position T-1+i; term (k, e_k) reads X[T-1+i-k].
   // Operand is the type X and e fit in: for d = 0 both are 16-bit values
-  // (the coefficients as mul1 sees them, and the operands read in place), so
-  // the products are widening 16x16 multiplies; otherwise X is a 32-bit
-  // prefix sum and |e_k * X| <= 2^17 * 2^31, exact in i64 before its wrap.
+  // (the coefficients as the multiplier sees them, and the operands read in
+  // place), so the products are widening 16x16 multiplies; otherwise X is a
+  // 32-bit prefix sum and |e_k * X| <= 2^17 * 2^31, exact in i64 before its
+  // wrap.
   const std::size_t last = taps.size() - 1;
   i64* XBS_RESTRICT pa = acc.data();
   const auto apply = [&](const i64* x, auto operand) {
@@ -253,11 +175,7 @@ void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pad
 
 // ---------------------------------------------------------------- ApproxKernel
 
-ApproxKernel::ApproxKernel(const StageArithConfig& cfg)
-    : cfg_(cfg),
-      adder_(cfg.adder),
-      mult_owner_(get_multiplier(cfg.mult)),
-      mult_(mult_owner_.get()) {
+ApproxKernel::ApproxKernel(const StageArithConfig& cfg) : cfg_(cfg), adder_(cfg.adder) {
   // Decode the adder once: the carry-free mirror adders take the dispatched
   // wired-add loops (see AddFastPath). Positions below `approx_bits` are
   // approximate.
@@ -272,19 +190,12 @@ ApproxKernel::ApproxKernel(const StageArithConfig& cfg)
   wired_params_.sum_is_b = add_path_ == AddFastPath::SumIsB;
 }
 
-i64 ApproxKernel::add1(i64 a, i64 b) const { return adder_.add_signed(a, b); }
-
-i64 ApproxKernel::sub1(i64 a, i64 b) const { return adder_.sub_signed(a, b); }
-
-i64 ApproxKernel::mul1(i64 a, i64 b) const { return mult_->multiply_signed(a, b); }
-
 // The batched loop bodies live behind the runtime ISA dispatch (isa.hpp):
 // one atomic table-pointer load per *_n call selects the scalar baseline or
 // the AVX2/AVX-512 vector loops, all bit-identical to the adder's closed
 // form (asserted per forced ISA in tests/test_kernel_dispatch.cpp).
 
-void ApproxKernel::add_n_impl(std::span<const i64> a, std::span<const i64> b,
-                              std::span<i64> out) {
+void ApproxKernel::add_n(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) {
   const std::size_t n = out.size();
   if (add_path_ != AddFastPath::Generic) {
     kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, wired_params_);
@@ -322,8 +233,8 @@ void ApproxKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pa
   // so gather the signed products P_c[x] once per *distinct* coefficient over
   // the whole padded window and reduce the tap loop to adds over shifted row
   // views. Bit-identical to the chain acc = add(acc, mul(c_j, x_j)): the
-  // products are the table loads mul1 equals, the adds are the adder's, in
-  // tap order with the accumulator on the A port.
+  // products are the table loads of the multiplier's products, the adds are
+  // the adder's, in tap order with the accumulator on the A port.
   FirPlan& p = fir_plan(taps);
   if (p.chain.empty()) {
     std::fill(acc.begin(), acc.end(), i64{0});
@@ -341,8 +252,8 @@ void ApproxKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pa
   };
   const std::span<const i64> first = view(p.chain.front());
   std::copy(first.begin(), first.end(), acc.begin());
-  // In-place accumulate (out aliases a element-wise — add_n_impl's contract).
-  for (std::size_t k = 1; k < p.chain.size(); ++k) add_n_impl(acc, view(p.chain[k]), acc);
+  // In-place accumulate (out aliases a element-wise — add_n's contract).
+  for (std::size_t k = 1; k < p.chain.size(); ++k) add_n(acc, view(p.chain[k]), acc);
 }
 
 void ApproxKernel::square_n_impl(std::span<const i64> x, std::span<i64> out) {
@@ -352,6 +263,39 @@ void ApproxKernel::square_n_impl(std::span<const i64> x, std::span<i64> out) {
   if (square_ == nullptr) square_ = get_square_products(cfg_.mult);
   kernel_ops().gather_lut_n(square_->data(), low_mask(cfg_.mult.width), x.data(), out.data(),
                             out.size());
+}
+
+void ApproxKernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
+                                     std::span<i64> out) {
+  // The balanced pairwise tree of netlist::build_mwi_stage, one add_n per
+  // pair per level. Terms are spans over the padded input (level 0,
+  // leftovers) or level outputs from the scratch pool; the root's add writes
+  // straight into `out`.
+  const std::size_t n = out.size();
+  if (w == 1) {
+    std::copy_n(padded.begin(), n, out.begin());
+    return;
+  }
+  tree_.terms.clear();
+  for (std::size_t k = 0; k < w; ++k) tree_.terms.push_back(padded.subspan(k, n));
+  std::size_t parity = 0;
+  while (tree_.terms.size() > 2) {
+    const std::vector<std::span<const i64>>& terms = tree_.terms;
+    std::vector<std::vector<i64>>& pool = tree_.pool[parity];
+    tree_.next.clear();
+    std::size_t used = 0;  // recycle this parity's buffers (written two levels up)
+    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
+      if (used == pool.size()) pool.emplace_back();
+      std::vector<i64>& buf = pool[used++];
+      buf.resize(n);
+      add_n(terms[i], terms[i + 1], buf);
+      tree_.next.push_back(buf);
+    }
+    if (terms.size() % 2 == 1) tree_.next.push_back(terms.back());
+    tree_.terms.swap(tree_.next);
+    parity ^= 1;
+  }
+  add_n(tree_.terms[0], tree_.terms[1], out);
 }
 
 // -------------------------------------------------------------------- factory

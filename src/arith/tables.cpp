@@ -20,10 +20,12 @@ struct TableStore {
   /// Magnitude-indexed product rows M[m] = multiply_u(|c|, m) — the
   /// expensive build, shared between +c and -c.
   common::Memo<std::pair<MultiplierConfig, u64>, TableVec> magnitude;
-  /// Full signed per-coefficient tables P[u] = mul1(c, sign_extend(u, w)),
-  /// keyed by the sign-extended coefficient.
+  /// Full signed per-coefficient tables
+  /// P[u] = multiply_signed(c, sign_extend(u, w)), keyed by the
+  /// sign-extended coefficient.
   common::Memo<std::pair<MultiplierConfig, i64>, TableVec> signed_coeff;
-  /// Per-config square tables S[u] = mul1(x, x), x = sign_extend(u, w).
+  /// Per-config square tables S[u] = multiply_signed(x, x),
+  /// x = sign_extend(u, w).
   common::Memo<MultiplierConfig, TableVec> square;
 };
 
@@ -63,7 +65,7 @@ std::shared_ptr<const TableVec> get_signed_coeff_products(const MultiplierConfig
     const bool neg = c < 0;
     const u64 mag = neg ? static_cast<u64>(-c) : static_cast<u64>(c);
     // Spread the magnitude row over both operand halves; bit-identical to
-    // mul1(c, x) by the sign-magnitude wrapper identity.
+    // multiply_signed(c, x) by the sign-magnitude wrapper identity.
     const TableVec& row = *get_magnitude_products(cfg, mag);
     const std::size_t n = std::size_t{1} << w;
     const std::size_t half = n / 2;
@@ -84,10 +86,11 @@ std::shared_ptr<const TableVec> get_square_products(const MultiplierConfig& cfg)
     const std::size_t half = n / 2;
     auto table = std::make_shared<TableVec>(n);
     TableVec& t = *table;
-    // The sign-magnitude wrapper makes mul1(x, x) = +multiply_u(|x|, |x|):
-    // the non-negative operands u hold the square diagonal, and the negative
-    // ones mirror it (|x| = n - u; the most negative value's magnitude, half,
-    // is the one entry with no non-negative twin).
+    // The sign-magnitude wrapper makes multiply_signed(x, x) =
+    // +multiply_u(|x|, |x|): the non-negative operands u hold the square
+    // diagonal, and the negative ones mirror it (|x| = n - u; the most
+    // negative value's magnitude, half, is the one entry with no
+    // non-negative twin).
     for (std::size_t m = 0; m < half; ++m) {
       t[m] = static_cast<i64>(model->multiply_u(static_cast<u64>(m), static_cast<u64>(m)));
     }

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "xbs/arith/unit.hpp"
+#include "xbs/arith/kernel.hpp"
 #include "xbs/common/kinds.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
 #include "xbs/pantompkins/stages.hpp"

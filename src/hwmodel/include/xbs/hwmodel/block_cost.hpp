@@ -10,9 +10,9 @@
 /// logic elimination), which is what the paper's synthesized designs reflect.
 #pragma once
 
+#include "xbs/arith/kernel.hpp"
 #include "xbs/arith/multiplier.hpp"
 #include "xbs/arith/rca.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/hwmodel/cell_library.hpp"
 
 namespace xbs::hwmodel {

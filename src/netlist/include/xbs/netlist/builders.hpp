@@ -6,9 +6,9 @@
 #include <span>
 #include <vector>
 
+#include "xbs/arith/kernel.hpp"
 #include "xbs/arith/multiplier.hpp"
 #include "xbs/arith/rca.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/netlist/netlist.hpp"
 
 namespace xbs::netlist {

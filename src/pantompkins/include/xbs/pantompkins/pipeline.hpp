@@ -7,7 +7,7 @@
 #include <span>
 #include <vector>
 
-#include "xbs/arith/unit.hpp"
+#include "xbs/arith/kernel.hpp"
 #include "xbs/common/types.hpp"
 #include "xbs/pantompkins/detector.hpp"
 #include "xbs/pantompkins/stages.hpp"

@@ -3,8 +3,9 @@
 /// over the batched kernel API, and the integer coefficient sets they run.
 ///
 /// Each stage class is one resumable chunk transform: `process_chunk(x, y)`
-/// consumes a chunk of any size, carries the delay-line/window state across
-/// calls, and issues one batched kernel call per chunk (fir_n, square_n or
+/// consumes a chunk of any size, carries its last T-1 (FIR) or w-1 (MWI)
+/// inputs across calls as the history prefix of its padded kernel input, and
+/// issues one batched kernel call per chunk (fir_n, square_n or
 /// window_sum_n); `reset()` returns it to the fresh-record state. Every
 /// chunking computes exactly the dataflow graph of the per-sample scalar
 /// datapath (same operands, same order, same operation counts), so outputs
@@ -121,23 +122,23 @@ class FirStage {
   /// Throws std::invalid_argument for an empty tap set.
   FirStage(std::span<const int> taps, int out_shift, arith::Kernel& kernel);
 
-  /// Resumable chunked transform: continues from the carried delay line and
+  /// Resumable chunked transform: continues from the carried history and
   /// carries it forward. \p y is resized to the chunk length and must not
   /// alias \p x (allocation-free once the scratch has grown).
   void process_chunk(std::span<const i32> x, std::vector<i32>& y);
 
-  /// Zero the delay line in place: the state of a fresh record.
+  /// Zero the carried history: the state of a fresh record.
   void reset();
 
  private:
   std::vector<i32> taps_;
   int out_shift_;
   arith::Kernel* kernel_;
-  /// Carried delay-line ring (xbs/common/ring.hpp conventions).
-  std::vector<i32> delay_;
-  std::size_t head_ = 0;
-  std::vector<i64> padded_;  ///< chunk scratch: history-prefixed input
-  std::vector<i64> acc_;     ///< chunk scratch: accumulator chain
+  /// History-prefixed kernel input: between chunks it holds exactly the
+  /// last T-1 inputs, oldest first (zeros for a fresh record); a chunk
+  /// appends its samples and then drops all but the last T-1.
+  std::vector<i64> padded_;
+  std::vector<i64> acc_;  ///< chunk scratch: accumulator chain
 };
 
 /// The squarer stage: y = (x * x) >> shift through the kernel's square_n.
@@ -173,13 +174,13 @@ class MwiStage {
   void reset();
 
  private:
+  std::size_t window_;
   int out_shift_;
   arith::Kernel* kernel_;
-  /// Carried window ring (xbs/common/ring.hpp conventions).
-  std::vector<i32> window_;
-  std::size_t head_ = 0;
-  std::vector<i64> padded_;  ///< chunk scratch: history-prefixed input
-  std::vector<i64> sum_;     ///< chunk scratch: window sums
+  /// History-prefixed kernel input: between chunks it holds exactly the
+  /// last w-1 inputs, oldest first (zeros for a fresh record).
+  std::vector<i64> padded_;
+  std::vector<i64> sum_;  ///< chunk scratch: window sums
 };
 
 /// One wired pipeline stage — taps/shift/window resolved from the

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "xbs/common/fixed.hpp"
-#include "xbs/common/ring.hpp"
 
 namespace xbs::pantompkins {
 
@@ -22,28 +21,24 @@ const StageInventory& stage_inventory(Stage s) noexcept {
 // ------------------------------------------------------------------- FirStage
 
 FirStage::FirStage(std::span<const int> taps, int out_shift, arith::Kernel& kernel)
-    : taps_(taps.begin(), taps.end()),
-      out_shift_(out_shift),
-      kernel_(&kernel),
-      delay_(taps.size(), 0) {
+    : taps_(taps.begin(), taps.end()), out_shift_(out_shift), kernel_(&kernel) {
   if (taps.empty()) throw std::invalid_argument("FirStage: empty taps");
+  reset();
 }
 
 void FirStage::reset() {
-  std::fill(delay_.begin(), delay_.end(), 0);
-  head_ = 0;
+  padded_.assign(taps_.size() - 1, 0);
 }
 
 void FirStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
-  const std::size_t taps = taps_.size();
-  // History-prefixed copy of the input: the first T-1 elements are the last
-  // T-1 carried samples oldest-first, element T-1+i is x[i]. Tap j of output
-  // i reads offset T-1-j+i — exactly the carried delay line of the per-sample
-  // datapath (all zeros for a fresh state).
-  padded_.resize(n + taps - 1);
-  ring_history_prefix(delay_, head_, padded_);
-  for (std::size_t i = 0; i < n; ++i) padded_[taps - 1 + i] = x[i];
+  const std::size_t history = taps_.size() - 1;
+  // The chunk goes behind the carried history: the first T-1 elements are
+  // the last T-1 inputs oldest-first, element T-1+i is x[i]. Tap j of output
+  // i reads offset T-1-j+i — exactly the carried delay line of the
+  // per-sample datapath.
+  padded_.resize(history + n);
+  std::copy(x.begin(), x.end(), padded_.begin() + static_cast<std::ptrdiff_t>(history));
   acc_.resize(n);
 
   // One batched FIR call: the kernel runs the per-sample accumulation chain
@@ -58,7 +53,8 @@ void FirStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
     y[i] = static_cast<i32>(saturate_to_bits(acc_[i] >> out_shift_, 16));
   }
 
-  ring_carry(delay_, head_, x);
+  // Keep the last T-1 inputs as the next chunk's history.
+  padded_.erase(padded_.begin(), padded_.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 // --------------------------------------------------------------- SquarerStage
@@ -77,38 +73,37 @@ void SquarerStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
 // ------------------------------------------------------------------- MwiStage
 
 MwiStage::MwiStage(int window, int out_shift, arith::Kernel& kernel)
-    : out_shift_(out_shift), kernel_(&kernel) {
+    : window_(static_cast<std::size_t>(window)), out_shift_(out_shift), kernel_(&kernel) {
   if (window < 2) throw std::invalid_argument("MwiStage: window must be >= 2");
-  window_.assign(static_cast<std::size_t>(window), 0);
+  reset();
 }
 
 void MwiStage::reset() {
-  std::fill(window_.begin(), window_.end(), 0);
-  head_ = 0;
+  padded_.assign(window_ - 1, 0);
 }
 
 void MwiStage::process_chunk(std::span<const i32> x, std::vector<i32>& y) {
   const std::size_t n = x.size();
-  const std::size_t w = window_.size();
-  // History-prefixed input: for output i the window contents oldest-first
-  // are term k = padded[i + k] (k = 0..w-1); the first w-1 elements are the
-  // carried window samples oldest-first (all zeros for a fresh state).
-  padded_.resize(n + w - 1);
-  ring_history_prefix(window_, head_, padded_);
-  for (std::size_t i = 0; i < n; ++i) padded_[w - 1 + i] = x[i];
+  const std::size_t history = window_ - 1;
+  // The chunk goes behind the carried history: for output i the window
+  // contents oldest-first are term k = padded[i + k] (k = 0..w-1); the first
+  // w-1 elements are the last w-1 inputs oldest-first.
+  padded_.resize(history + n);
+  std::copy(x.begin(), x.end(), padded_.begin() + static_cast<std::ptrdiff_t>(history));
 
   // One batched window sum: the kernel runs the adder tree of
   // netlist::build_mwi_stage (or, on the exact datapath, the same sum mod
   // 2^32 as a running sum).
   sum_.resize(n);
-  kernel_->window_sum_n(w, padded_, sum_);
+  kernel_->window_sum_n(window_, padded_, sum_);
 
   y.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = static_cast<i32>(saturate_i32(sum_[i] >> out_shift_));
   }
 
-  ring_carry(window_, head_, x);
+  // Keep the last w-1 inputs as the next chunk's history.
+  padded_.erase(padded_.begin(), padded_.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 // ------------------------------------------------------------- StageProcessor

@@ -107,7 +107,7 @@ enum class SessionState {
   Empty,     ///< not provisioned (or released)
   Open,      ///< streaming: accepts pushes, a worker drains its queue
   Draining,  ///< close() requested: queued chunks flush through, no new pushes
-  Closed,    ///< flushed; Session retained for inspection until release()
+  Closed,    ///< flushed; release() hands the Session back
   Faulted,   ///< quarantined: error captured, queue dropped, pushes refused
 };
 
@@ -373,11 +373,6 @@ class StreamServer {
   /// while paused). Used by tests to make backpressure deterministic.
   void pause();
   void resume();
-
-  /// Read-only view of a slot's Session. Stable while the id stays valid,
-  /// but concurrently mutated by workers while Open/Draining — inspect
-  /// results only once Closed or Faulted. Null for a stale id.
-  [[nodiscard]] const Session* session(SessionId id) const;
 
   [[nodiscard]] SessionStats session_stats(SessionId id) const;
   [[nodiscard]] ServerStats stats() const;

@@ -9,10 +9,11 @@
 /// detector parameters + retention/sink options), accepts arbitrarily sized
 /// sample chunks via push(), and returns the QRS decisions those samples
 /// finalized. Internally it owns one kernel and one resumable StageProcessor
-/// per pipeline stage (explicit carry-over state) plus an OnlineDetector, so
-/// memory stays bounded for unbounded streams while output remains
-/// bit-identical to the whole-record PanTompkinsPipeline::run for any
-/// chunking — one sample at a time included.
+/// per pipeline stage (each carrying only its last T-1 or w-1 inputs between
+/// chunks) plus an OnlineDetector, so memory stays bounded for unbounded
+/// streams while output remains bit-identical to the whole-record
+/// PanTompkinsPipeline::run for any chunking — one sample at a time
+/// included.
 #pragma once
 
 #include <array>
@@ -92,8 +93,8 @@ class Session {
   /// push() after flush() throws.
   std::span<const Event> flush();
 
-  /// Re-arm for a fresh record on the same wiring: resets every stage
-  /// carry-over (delay lines/window rings in place), the online detector,
+  /// Re-arm for a fresh record on the same wiring: zeroes every stage's
+  /// carried input history in place, resets the online detector,
   /// retained signals, counters, kernel op counts and the flushed flag. With
   /// WarmStart::Cold (the default) the session behaves exactly like a newly
   /// constructed one afterwards — without rebuilding kernels or touching the

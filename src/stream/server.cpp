@@ -763,13 +763,6 @@ void StreamServer::resume() {
   }
 }
 
-const Session* StreamServer::session(SessionId id) const {
-  Shard& sh = shard_of(id);
-  const common::MutexLock lock(sh.mu);
-  const Slot* s = find(sh, id);
-  return s == nullptr ? nullptr : s->session.get();
-}
-
 StreamServer::SessionStats StreamServer::session_stats(SessionId id) const {
   Shard& sh = shard_of(id);
   const common::MutexLock lock(sh.mu);

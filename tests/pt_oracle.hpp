@@ -6,8 +6,8 @@
 ///  - the double-precision chain (whole-record FIR filtering, the original
 ///    recursive 1985 LPF/HPF, frequency responses), which pins the integer
 ///    tap sets to the published filters;
-///  - the per-sample scalar datapath of each stage over an
-///    arith::ArithmeticUnit: one sample in, one out, every add and multiply a
+///  - the per-sample scalar datapath of each stage over an ArithmeticUnit
+///    (scalar_unit.hpp): one sample in, one out, every add and multiply a
 ///    separate unit call. The chunked stage transforms must match it bit for
 ///    bit, operation counts included, for any chunking.
 #pragma once
@@ -18,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "xbs/arith/unit.hpp"
+#include "scalar_unit.hpp"
 #include "xbs/common/fixed.hpp"
 #include "xbs/common/types.hpp"
 #include "xbs/pantompkins/stages.hpp"
@@ -120,7 +120,7 @@ inline std::vector<double> pt_recursive_hpf(std::span<const double> x) {
 /// normalization shift and the 16-bit inter-stage register.
 class ScalarFirStage {
  public:
-  ScalarFirStage(std::span<const int> taps, int out_shift, arith::ArithmeticUnit& unit)
+  ScalarFirStage(std::span<const int> taps, int out_shift, ArithmeticUnit& unit)
       : taps_(taps.begin(), taps.end()),
         delay_(taps.size(), 0),
         out_shift_(out_shift),
@@ -148,13 +148,13 @@ class ScalarFirStage {
   std::vector<i32> delay_;
   std::size_t head_ = 0;
   int out_shift_;
-  arith::ArithmeticUnit* unit_;
+  ArithmeticUnit* unit_;
 };
 
 /// pantompkins::SquarerStage, one sample at a time.
 class ScalarSquarerStage {
  public:
-  ScalarSquarerStage(int out_shift, arith::ArithmeticUnit& unit)
+  ScalarSquarerStage(int out_shift, ArithmeticUnit& unit)
       : out_shift_(out_shift), unit_(&unit) {}
 
   i32 process(i32 x) {
@@ -164,15 +164,14 @@ class ScalarSquarerStage {
 
  private:
   int out_shift_;
-  arith::ArithmeticUnit* unit_;
+  ArithmeticUnit* unit_;
 };
 
-/// pantompkins::MwiStage, one sample at a time: a balanced feed-forward adder
-/// tree over the window contents, oldest first, whose pairwise reduction
-/// order mirrors netlist::build_mwi_stage.
+/// pantompkins::MwiStage, one sample at a time: the balanced feed-forward
+/// adder tree (tree_sum) over the window contents, oldest first.
 class ScalarMwiStage {
  public:
-  ScalarMwiStage(int window, int out_shift, arith::ArithmeticUnit& unit)
+  ScalarMwiStage(int window, int out_shift, ArithmeticUnit& unit)
       : window_(static_cast<std::size_t>(window), 0), out_shift_(out_shift), unit_(&unit) {}
 
   i32 process(i32 x) {
@@ -185,23 +184,14 @@ class ScalarMwiStage {
       terms.push_back(window_[idx]);
       idx = (idx + 1) % window_.size();
     }
-    while (terms.size() > 1) {
-      std::vector<i64> next;
-      next.reserve(terms.size() / 2 + 1);
-      for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-        next.push_back(unit_->add(terms[i], terms[i + 1]));
-      }
-      if (terms.size() % 2 == 1) next.push_back(terms.back());
-      terms = std::move(next);
-    }
-    return static_cast<i32>(saturate_i32(terms[0] >> out_shift_));
+    return static_cast<i32>(saturate_i32(tree_sum(terms, *unit_) >> out_shift_));
   }
 
  private:
   std::vector<i32> window_;
   std::size_t head_ = 0;
   int out_shift_;
-  arith::ArithmeticUnit* unit_;
+  ArithmeticUnit* unit_;
 };
 
 }  // namespace xbs::oracle

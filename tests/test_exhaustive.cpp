@@ -1,12 +1,11 @@
-// Tests for the exhaustive/heuristic baseline explorers, the Pareto front
-// and the exploration-time model.
+// Tests for the exhaustive/heuristic baseline explorers and the
+// exploration-time model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/explore/exhaustive.hpp"
-#include "xbs/explore/pareto.hpp"
 #include "xbs/explore/timing.hpp"
 
 namespace xbs::explore {
@@ -62,31 +61,6 @@ TEST(Heuristic, GlobalModulePairGrid) {
   const auto grid = heuristic_explore({lpf, hpf}, lists, eval, energy, 30.0);
   // 2 global module pairs x 2 x 2 LSB grid = 8 evaluations.
   EXPECT_EQ(grid.evaluations, 8);
-}
-
-TEST(Pareto, FrontExtractsNonDominated) {
-  std::vector<GridPoint> pts(5);
-  // (quality, energy): A(100, 2) B(99, 5) C(98, 4) D(95, 9) E(100, 1)
-  pts[0].quality = 100;
-  pts[0].energy_reduction = 2;
-  pts[1].quality = 99;
-  pts[1].energy_reduction = 5;
-  pts[2].quality = 98;
-  pts[2].energy_reduction = 4;  // dominated by B
-  pts[3].quality = 95;
-  pts[3].energy_reduction = 9;
-  pts[4].quality = 100;
-  pts[4].energy_reduction = 1;  // dominated by A
-  const auto front = pareto_front(pts);
-  EXPECT_EQ(front, (std::vector<std::size_t>{0, 1, 3}));
-}
-
-TEST(Pareto, EmptyAndSingle) {
-  EXPECT_TRUE(pareto_front({}).empty());
-  std::vector<GridPoint> one(1);
-  one[0].quality = 50;
-  one[0].energy_reduction = 3;
-  EXPECT_EQ(pareto_front(one).size(), 1u);
 }
 
 TEST(TimeModel, PaperEvaluationUnit) {

@@ -1,8 +1,8 @@
 // Property tests: the batched kernels' counted ops (fir_n, square_n,
 // window_sum_n; exact and approximate backends) are bit-identical to the
-// scalar ExactUnit/ApproxUnit datapath across random operands and every
-// (AdderKind, MultKind, approx_lsbs) combination, cold and warm,
-// the exact kernel's fast fir_n/window_sum_n paths equal the hardware chain
+// scalar ExactUnit/ApproxUnit oracle (scalar_unit.hpp) across random
+// operands and every (AdderKind, MultKind, approx_lsbs) combination, cold and
+// warm, the exact kernel's fast fir_n/window_sum_n paths equal the hardware chain
 // and tree over full-range operands, and the stage chunk transforms are
 // bit-identical to streaming the same samples through the per-sample scalar
 // oracle (pt_oracle.hpp) — including operation counts.
@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "pt_oracle.hpp"
+#include "scalar_unit.hpp"
 #include "xbs/arith/kernel.hpp"
-#include "xbs/arith/unit.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/core/paper_configs.hpp"
 #include "xbs/ecg/dataset.hpp"
@@ -28,6 +28,11 @@
 
 namespace xbs::arith {
 namespace {
+
+using oracle::ApproxUnit;
+using oracle::ArithmeticUnit;
+using oracle::ExactUnit;
+using oracle::UnitKernel;
 
 std::vector<i64> random_adder_operands(Rng& rng, std::size_t n) {
   std::vector<i64> v(n);
@@ -326,7 +331,7 @@ TEST_P(StageBlockEquivalence, FirBlockMatchesStreaming) {
   const std::vector<i32> x = sample_signal(900, 3);
   const std::vector<i32> tail = {1000, -2000, 3000};
 
-  arith::ApproxUnit scalar_unit(cfg);
+  oracle::ApproxUnit scalar_unit(cfg);
   oracle::ScalarFirStage scalar(kLpfTaps, kLpfShift, scalar_unit);
   std::vector<i32> want, want_tail;
   for (const i32 v : x) want.push_back(scalar.process(v));
@@ -351,7 +356,7 @@ TEST_P(StageBlockEquivalence, MwiBlockMatchesStreaming) {
   for (i32& v : x) v = v < 0 ? -v : v;  // MWI input (squared signal) is non-negative
   const std::vector<i32> tail = {500, 700, 900};
 
-  arith::ApproxUnit scalar_unit(cfg);
+  oracle::ApproxUnit scalar_unit(cfg);
   oracle::ScalarMwiStage scalar(kMwiWindow, kMwiShift, scalar_unit);
   std::vector<i32> want, want_tail;
   for (const i32 v : x) want.push_back(scalar.process(v));
@@ -371,7 +376,7 @@ TEST_P(StageBlockEquivalence, SquarerBlockMatchesStreaming) {
   const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(GetParam());
   const std::vector<i32> x = sample_signal(600, 5);
 
-  arith::ApproxUnit scalar_unit(cfg);
+  oracle::ApproxUnit scalar_unit(cfg);
   oracle::ScalarSquarerStage scalar(kSqrShift, scalar_unit);
   std::vector<i32> want;
   for (const i32 v : x) want.push_back(scalar.process(v));
@@ -415,7 +420,7 @@ TEST_P(ExactStageChunking, FirStagesMatchScalarOracle) {
   const std::vector<std::pair<std::span<const int>, int>> stages = {
       {kLpfTaps, kLpfShift}, {kHpfTaps, kHpfShift}, {kDerTaps, kDerShift}};
   for (const auto& [taps, shift] : stages) {
-    arith::ExactUnit unit;
+    oracle::ExactUnit unit;
     oracle::ScalarFirStage scalar(taps, shift, unit);
     std::vector<i32> want;
     for (const i32 v : x) want.push_back(scalar.process(v));
@@ -431,7 +436,7 @@ TEST_P(ExactStageChunking, MwiStageMatchesScalarOracle) {
   const std::vector<i32> x = full_range_signal(5000, 32);
   const std::size_t chunk = GetParam() == 0 ? x.size() : GetParam();
   for (const int window : {2, kMwiWindow, 40}) {
-    arith::ExactUnit unit;
+    oracle::ExactUnit unit;
     oracle::ScalarMwiStage scalar(window, kMwiShift, unit);
     std::vector<i32> want;
     for (const i32 v : x) want.push_back(scalar.process(v));
@@ -459,13 +464,13 @@ TEST_P(PipelineBlockEquivalence, BlockPipelineMatchesStreamedStages) {
   const PanTompkinsPipeline pipe(cfg);
   const PipelineResult block = pipe.run_filters(rec.adu);
 
-  std::array<std::unique_ptr<arith::ArithmeticUnit>, kNumStages> units;
+  std::array<std::unique_ptr<oracle::ArithmeticUnit>, kNumStages> units;
   for (int s = 0; s < kNumStages; ++s) {
     const auto& sc = cfg.stage[static_cast<std::size_t>(s)];
     if (sc.is_exact()) {
-      units[static_cast<std::size_t>(s)] = std::make_unique<arith::ExactUnit>();
+      units[static_cast<std::size_t>(s)] = std::make_unique<oracle::ExactUnit>();
     } else {
-      units[static_cast<std::size_t>(s)] = std::make_unique<arith::ApproxUnit>(sc);
+      units[static_cast<std::size_t>(s)] = std::make_unique<oracle::ApproxUnit>(sc);
     }
   }
   oracle::ScalarFirStage lpf(kLpfTaps, kLpfShift, *units[0]);

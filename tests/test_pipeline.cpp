@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "scalar_unit.hpp"
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/metrics/peaks.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
@@ -31,10 +32,9 @@ TEST(Pipeline, AccurateDetects100Percent) {
 }
 
 TEST(Pipeline, ApproxUnitAtZeroLsbsBitIdenticalToExact) {
-  // Force the ApproxUnit path with k=0 on one stage by using an approximate
-  // kind with zero approximated LSBs... k=0 means the exact fast path is
-  // taken; instead configure k>0 with *accurate* elementary modules, which
-  // must also be bit-identical to exact.
+  // k=0 never reaches the approximate kernel (make_kernel takes the exact
+  // path), so configure k>0 with *accurate* elementary modules instead:
+  // the approximate kernel must then be bit-identical to exact.
   const auto rec = ecg::nsrdb_like_digitized(0, 6000);
   const PanTompkinsPipeline exact;
   PipelineConfig cfg;
@@ -161,8 +161,8 @@ TEST(Pipeline, KernelsBuildColdTablesOnFirstUse) {
   EXPECT_EQ(arith::table_cache_stats(), after_sqr);
 
   // The first-use path computes what the scalar unit computes.
-  arith::ApproxUnit unit(der_cfg);
-  arith::UnitKernel scalar(unit);
+  oracle::ApproxUnit unit(der_cfg);
+  oracle::UnitKernel scalar(unit);
   StageProcessor der_ref(Stage::Der, scalar);
   std::vector<i32> want;
   der_ref.process_chunk(x, want);

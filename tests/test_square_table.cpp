@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "xbs/arith/kernel.hpp"
+#include "xbs/arith/multiplier.hpp"
 #include "xbs/common/bitops.hpp"
 #include "xbs/core/paper_configs.hpp"
 
@@ -28,16 +29,16 @@ std::vector<StageArithConfig> fig12_sqr_configs() {
   return cfgs;
 }
 
-TEST(SquareTable, BitIdenticalToMul1OverAllInputsForFig12Configs) {
+TEST(SquareTable, BitIdenticalToMultiplierOverAllInputsForFig12Configs) {
   const std::vector<StageArithConfig> cfgs = fig12_sqr_configs();
   ASSERT_FALSE(cfgs.empty());
   for (const StageArithConfig& cfg : cfgs) {
-    const ApproxKernel kernel(cfg);
+    const auto mult = get_multiplier(cfg.mult);
     const auto table = get_square_products(cfg.mult);
     ASSERT_EQ(table->size(), std::size_t{1} << cfg.mult.width);
     for (std::size_t u = 0; u < table->size(); ++u) {
       const i64 x = sign_extend(static_cast<u64>(u), cfg.mult.width);
-      ASSERT_EQ((*table)[u], kernel.mul1(x, x))
+      ASSERT_EQ((*table)[u], mult->multiply_signed(x, x))
           << "lsbs=" << cfg.mult.approx_lsbs << " u=" << u;
     }
   }
@@ -48,37 +49,38 @@ TEST(SquareTable, CoversOtherModuleKindsAndPolicies) {
     for (const ApproxPolicy pol :
          {ApproxPolicy::Conservative, ApproxPolicy::Moderate, ApproxPolicy::Aggressive}) {
       const StageArithConfig cfg = StageArithConfig::uniform(8, AdderKind::Approx4, mk, pol);
-      const ApproxKernel kernel(cfg);
+      const auto mult = get_multiplier(cfg.mult);
       const auto table = get_square_products(cfg.mult);
       for (std::size_t u = 0; u < table->size(); u += 17) {  // stride sample
         const i64 x = sign_extend(static_cast<u64>(u), cfg.mult.width);
-        ASSERT_EQ((*table)[u], kernel.mul1(x, x));
+        ASSERT_EQ((*table)[u], mult->multiply_signed(x, x));
       }
     }
   }
 }
 
-TEST(SquareTable, AliasedMulNMatchesScalarHook) {
+TEST(SquareTable, AliasedSquareNMatchesMultiplier) {
   const StageArithConfig cfg = StageArithConfig::uniform(8);
   ApproxKernel kernel(cfg);
+  const auto mult = get_multiplier(cfg.mult);
   std::vector<i64> v;
   for (i64 x = -32768; x <= 32767; x += 191) v.push_back(x);
   std::vector<i64> expect;
   expect.reserve(v.size());
-  for (const i64 x : v) expect.push_back(kernel.mul1(x, x));
+  for (const i64 x : v) expect.push_back(mult->multiply_signed(x, x));
   kernel.square_n(v, v);  // in-place squaring is part of the contract
   EXPECT_EQ(v, expect);
 }
 
-TEST(SignedCoeffTable, MatchesMul1ForEveryOperandPattern) {
+TEST(SignedCoeffTable, MatchesMultiplierForEveryOperandPattern) {
   const StageArithConfig cfg = StageArithConfig::uniform(12);
-  const ApproxKernel kernel(cfg);
+  const auto mult = get_multiplier(cfg.mult);
   for (const i64 c : {i64{31}, i64{-1}, i64{6}, i64{-2}}) {
     const auto table = get_signed_coeff_products(cfg.mult, c);
     ASSERT_EQ(table->size(), std::size_t{1} << cfg.mult.width);
     for (std::size_t u = 0; u < table->size(); u += 13) {  // stride sample
       const i64 x = sign_extend(static_cast<u64>(u), cfg.mult.width);
-      ASSERT_EQ((*table)[u], kernel.mul1(c, x)) << "c=" << c << " u=" << u;
+      ASSERT_EQ((*table)[u], mult->multiply_signed(c, x)) << "c=" << c << " u=" << u;
     }
   }
 }

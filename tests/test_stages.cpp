@@ -1,11 +1,15 @@
 // Tests for the fixed-point Pan-Tompkins stage datapaths.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "pt_oracle.hpp"
-#include "xbs/arith/unit.hpp"
+#include "xbs/arith/rca.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/pantompkins/stages.hpp"
 
@@ -117,17 +121,56 @@ TEST(Mwi, InvalidWindowThrows) {
   EXPECT_THROW(MwiStage(1, 0, kernel), std::invalid_argument);
 }
 
+/// \p stage one sample per chunk over \p x, each behind an empty chunk: the
+/// outputs.
+template <typename StageT>
+std::vector<i32> run_per_sample(StageT& stage, const std::vector<i32>& x) {
+  std::vector<i32> out, y;
+  for (const i32 v : x) {
+    stage.process_chunk({}, y);
+    EXPECT_TRUE(y.empty());
+    stage.process_chunk(std::span<const i32>(&v, 1), y);
+    out.insert(out.end(), y.begin(), y.end());
+  }
+  return out;
+}
+
+TEST(StageHistory, DegenerateWidthsStreamLikeOneChunk) {
+  // A one-tap FIR stage carries no history and a window-2 MWI stage one
+  // input: fed one sample at a time, with an empty chunk before each, both
+  // must give what one chunk gives, op counts included, on the exact and
+  // the approximate kernel.
+  Rng rng(12);
+  std::vector<i32> x(300);
+  for (i32& v : x) v = static_cast<i32>(rng.uniform_int(-30000, 30000));
+  const std::array<int, 1> one_tap = {-3};
+  for (const int lsbs : {0, 6}) {
+    const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(lsbs);
+    const std::unique_ptr<arith::Kernel> whole = arith::make_kernel(cfg);
+    const std::unique_ptr<arith::Kernel> split = arith::make_kernel(cfg);
+    FirStage fir_whole(one_tap, 1, *whole);
+    FirStage fir_split(one_tap, 1, *split);
+    EXPECT_EQ(run_per_sample(fir_split, x), run(fir_whole, x)) << "lsbs=" << lsbs;
+    MwiStage mwi_whole(2, 1, *whole);
+    MwiStage mwi_split(2, 1, *split);
+    EXPECT_EQ(run_per_sample(mwi_split, x), run(mwi_whole, x)) << "lsbs=" << lsbs;
+    EXPECT_EQ(split->counts(), whole->counts()) << "lsbs=" << lsbs;
+  }
+}
+
 TEST(ApproxUnitVsExact, IdenticalAtZeroLsbs) {
   // The bit-accurate datapath with k = 0 must match native arithmetic
   // exactly — the foundational correctness property of the whole pipeline.
-  arith::ExactUnit exact;
-  arith::ApproxUnit approx(arith::StageArithConfig::uniform(0));
+  const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(0);
+  oracle::ExactUnit exact;
+  oracle::ApproxUnit approx(cfg);
+  const arith::RippleCarryAdder adder(cfg.adder);
   Rng rng(9);
   for (int t = 0; t < 2000; ++t) {
     const i64 a = rng.uniform_int(-2000000, 2000000);
     const i64 b = rng.uniform_int(-2000000, 2000000);
     EXPECT_EQ(approx.add(a, b), exact.add(a, b));
-    EXPECT_EQ(approx.sub(a, b), exact.sub(a, b));
+    EXPECT_EQ(adder.sub_signed(a, b), a - b);
     const i64 ma = rng.uniform_int(-32768, 32767);
     const i64 mb = rng.uniform_int(-32768, 32767);
     EXPECT_EQ(approx.mul(ma, mb), exact.mul(ma, mb));

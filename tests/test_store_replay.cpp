@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,10 +77,9 @@ DriveResult finish(StreamServer& server, SessionId id, std::vector<Event>&& even
   r.samples = st.samples;
   r.events_n = st.events;
   r.beats = st.beats;
-  const stream::Session* s = server.session(id);
+  const std::unique_ptr<stream::Session> s = server.release(id);
   EXPECT_NE(s, nullptr);
   if (s != nullptr) r.ops = s->total_ops();
-  (void)server.release(id);
   return r;
 }
 

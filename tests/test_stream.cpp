@@ -106,10 +106,12 @@ TEST(StreamChunkInvariance, EveryPaperConfigAnyChunking) {
 
   for (const auto& [name, cfg] : configs) {
     const PipelineResult batch = PanTompkinsPipeline(cfg).run(rec.adu);
-    // Fixed sizes 1 / 7 / 64, the whole record as one chunk, and a seeded
-    // ragged split: all must reproduce the batch result bit for bit.
-    const std::array<std::pair<std::size_t, u64>, 5> plans = {
-        {{1, 0}, {7, 0}, {64, 0}, {0, 0}, {0, 1234}}};
+    // Fixed sizes 1 / 7 / 29 / 31 / 32 / 33 / 64 (around the MWI's 29-sample
+    // and the HPF's 31-sample carried history), the whole record as one
+    // chunk, and a seeded ragged split: all must reproduce the batch result
+    // bit for bit.
+    const std::array<std::pair<std::size_t, u64>, 9> plans = {
+        {{1, 0}, {7, 0}, {29, 0}, {31, 0}, {32, 0}, {33, 0}, {64, 0}, {0, 0}, {0, 1234}}};
     for (const auto& [fixed, seed] : plans) {
       const auto plan = chunk_plan(rec.adu.size(), fixed, seed);
       const Session s = stream_record(cfg, rec.adu, plan);
@@ -371,9 +373,6 @@ TEST(StreamServer, OpenPushCloseBitIdenticalToOneShotPath) {
   ASSERT_EQ(server.close(id), SessionState::Closed);
 
   expect_same_events(log.events, want, "server vs one-shot");
-  const Session* s = server.session(id);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->detection().peaks, batch.detection.peaks);
 
   const auto st = server.session_stats(id);
   EXPECT_EQ(st.state, SessionState::Closed);
@@ -583,7 +582,6 @@ TEST(StreamServer, StaleIdsAndSlotReuse) {
   EXPECT_EQ(server.try_push(first, std::vector<i32>(16, 0)), PushResult::NoSuchSession);
   EXPECT_EQ(server.close(first), SessionState::Empty);
   EXPECT_FALSE(server.reset(first));
-  EXPECT_EQ(server.session(first), nullptr);
   EXPECT_EQ(server.release(first), nullptr);
   EXPECT_EQ(server.session_stats(first).state, SessionState::Empty);
 
@@ -785,7 +783,7 @@ TEST(StreamServerSharded, ShardCountIsObservablyInvariant) {
       out[i].events = st.events;
       out[i].beats = st.beats;
       out[i].events_dropped = st.events_dropped;
-      const Session* s = server.session(ids[i]);
+      const std::unique_ptr<Session> s = server.release(ids[i]);
       if (s != nullptr) out[i].ops = s->ops();
       EXPECT_EQ(st.chunks_in, st.chunks_processed + st.queued_chunks + st.dropped_chunks)
           << "session " << i;
@@ -1412,7 +1410,9 @@ TEST(StreamServer, DeferredResetCompletesOnTheWorkerAndKeepsLaterChunks) {
   const auto done = server.session_stats(id);
   EXPECT_EQ(done.chunks_in, done.chunks_processed + done.queued_chunks + done.dropped_chunks);
   // The fresh record is exactly the chunk committed after the start.
-  EXPECT_EQ(server.session(id)->samples_pushed(), 2000u);
+  const std::unique_ptr<Session> fresh = server.release(id);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->samples_pushed(), 2000u);
 }
 
 TEST(StreamServer, OpenPlacesSessionsOnTheLeastLoadedShard) {
