@@ -1,9 +1,12 @@
-// Multi-core exploration-engine throughput (the ISSUE-3 acceptance bench).
+// Multi-core exploration-engine throughput.
 // Runs the same exhaustive grid and the same batch of Algorithm 1 problems
-// at 1, 2 and 8 worker threads, measures wall time, verifies the merged
-// results are bit-identical across thread counts (points, evaluation counts
-// and stage-cache counters), and emits one JSON object so future PRs have a
-// machine-readable baseline (committed as BENCH_explore.json).
+// at 1, 2 and 8 worker threads, measures wall time, and verifies the results
+// are bit-identical across thread counts: the grid's points, evaluation count
+// and stage-cache counters; every Algorithm 1 job's result and every entry of
+// its log. It also checks that the batch evaluates the same number of
+// distinct designs (`alg1_distinct_evaluations`) at every thread count, and
+// emits one JSON object so future PRs have a machine-readable baseline
+// (committed as BENCH_explore.json).
 //
 //   ./bench_explore_throughput [--records N] [--samples M] [--shard S]
 //                              [--iters K]
@@ -69,8 +72,24 @@ bool same_alg1(const std::vector<Algorithm1Result>& a, const std::vector<Algorit
         a[j].evaluations != b[j].evaluations || a[j].log.size() != b[j].log.size()) {
       return false;
     }
+    for (std::size_t i = 0; i < a[j].log.size(); ++i) {
+      const explore::ExploredPoint& p = a[j].log[i];
+      const explore::ExploredPoint& q = b[j].log[i];
+      if (!(p.design == q.design) || p.quality != q.quality || p.satisfied != q.satisfied ||
+          p.phase != q.phase) {
+        return false;
+      }
+    }
   }
   return true;
+}
+
+/// Designs the batch evaluated: its stage-cache runs over all jobs per record.
+/// The batch memo makes it the number of distinct designs in the logs.
+u64 distinct_evaluations(const std::vector<Algorithm1Result>& batch, int records) {
+  u64 runs = 0;
+  for (const Algorithm1Result& r : batch) runs += r.cache.runs;
+  return runs / static_cast<u64>(records);
 }
 
 }  // namespace
@@ -145,6 +164,11 @@ int main(int argc, char** argv) {
       same_points(grids[0], grids[1]) && same_points(grids[0], grids[2]);
   const bool alg1_identical =
       same_alg1(batches[0], batches[1]) && same_alg1(batches[0], batches[2]);
+  const u64 alg1_distinct = distinct_evaluations(batches[0], records);
+  const bool alg1_distinct_identical = distinct_evaluations(batches[1], records) == alg1_distinct &&
+                                       distinct_evaluations(batches[2], records) == alg1_distinct;
+  int alg1_logical = 0;
+  for (const Algorithm1Result& r : batches[0]) alg1_logical += r.evaluations;
 
   std::printf(
       "{\n"
@@ -168,7 +192,10 @@ int main(int argc, char** argv) {
       "  \"alg1_wall_s_threads2\": %.3f,\n"
       "  \"alg1_wall_s_threads8\": %.3f,\n"
       "  \"alg1_speedup_1_to_8\": %.2f,\n"
-      "  \"alg1_identical_across_threads\": %s\n"
+      "  \"alg1_identical_across_threads\": %s,\n"
+      "  \"alg1_evaluations\": %d,\n"
+      "  \"alg1_distinct_evaluations\": %llu,\n"
+      "  \"alg1_distinct_identical_across_threads\": %s\n"
       "}\n",
       static_cast<int>(to_string(arith::kernel_isa().selected).size()),
       to_string(arith::kernel_isa().selected).data(),
@@ -176,8 +203,10 @@ int main(int argc, char** argv) {
       iters, grid_wall[0], grid_wall[1], grid_wall[2], grid_wall[0] / grid_wall[2],
       grid_identical ? "true" : "false", grids[0].cache.stage_hit_rate(), jobs.size(),
       alg1_wall[0], alg1_wall[1], alg1_wall[2], alg1_wall[0] / alg1_wall[2],
-      alg1_identical ? "true" : "false");
+      alg1_identical ? "true" : "false", alg1_logical,
+      static_cast<unsigned long long>(alg1_distinct), alg1_distinct_identical ? "true" : "false");
 
-  // Non-zero exit when determinism is violated — the engine's core contract.
-  return (grid_identical && alg1_identical) ? 0 : 1;
+  // Non-zero exit when determinism is violated — the engine's core contract —
+  // or when the batch's evaluated-design count depends on the thread count.
+  return (grid_identical && alg1_identical && alg1_distinct_identical) ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 /// \file memo.hpp
-/// \brief The process-wide lookup-or-build memo: one implementation behind
-/// the multiplier models, the product and square tables and the energy-model
-/// stage costs.
+/// \brief The lookup-or-build memo: one implementation behind the
+/// process-wide multiplier models, product and square tables and
+/// energy-model stage costs, and behind the design memo an Algorithm 1 batch
+/// keeps for the length of one call (explore/parallel.cpp).
 #pragma once
 
 #include <memory>

@@ -29,7 +29,8 @@
 ///   |   20 | shard        | `stream::StreamServer` shard locks               |
 ///   |   40 | table-cache  | every common::Memo (memo.hpp): the arith table
 ///   |      |              | store's models and tables, the energy-model
-///   |      |              | synthesis memo; kernel-ISA + CRC32C dispatch     |
+///   |      |              | synthesis memo, an Algorithm 1 batch's design
+///   |      |              | memo; kernel-ISA + CRC32C dispatch               |
 ///
 /// State that one thread owns takes no lock at all: the `NetServer` token
 /// registry lives on the epoll loop, and the explore `WorkerPool` is a
@@ -120,7 +121,8 @@ void rank_try_acquired(const void* mu, LockRank rank) noexcept;
 void rank_release(const void* mu, LockRank rank) noexcept;
 void rank_wait(const void* mu, LockRank rank) noexcept;
 void rank_assert_held(const void* mu, LockRank rank) noexcept;
-/// Ranked locks the calling thread currently holds (test observability).
+/// Ranked locks the calling thread currently holds (test observability, and
+/// the explore batch's Debug assert that a worker sleeps holding none).
 [[nodiscard]] int held_rank_count() noexcept;
 }  // namespace detail
 

@@ -1,6 +1,9 @@
 #include "xbs/explore/exhaustive.hpp"
 
+#include <algorithm>
+#include <array>
 #include <functional>
+#include <numeric>
 #include <utility>
 
 namespace xbs::explore {
@@ -66,17 +69,39 @@ std::vector<Design> enumerate_grid_designs(const std::vector<StageSpace>& spaces
   return designs;
 }
 
-GridResult evaluate_designs(std::span<const Design> designs, QualityEvaluator& evaluator,
+std::vector<std::size_t> pipeline_order(const std::vector<Design>& designs,
+                                        const ModuleLists& lists) {
+  const auto position = [](const auto& list, auto kind) {
+    return static_cast<int>(std::find(list.begin(), list.end(), kind) - list.begin());
+  };
+  // Each design's (LSBs, multiplier, adder) choice per stage, in pipeline order.
+  using Key = std::array<std::array<int, 3>, pantompkins::kNumStages>;
+  std::vector<Key> keys(designs.size());
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    for (const StageDesign& sd : designs[i]) {
+      keys[i][static_cast<std::size_t>(sd.stage)] = {sd.lsbs, position(lists.mults, sd.mult_kind),
+                                                     position(lists.adders, sd.add_kind)};
+    }
+  }
+  std::vector<std::size_t> order(designs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+  return order;
+}
+
+GridResult evaluate_designs(const std::vector<Design>& designs,
+                            std::span<const std::size_t> order, QualityEvaluator& evaluator,
                             const StageEnergyModel& energy, double quality_constraint) {
   GridResult result;
-  result.points.reserve(designs.size());
+  result.points.reserve(order.size());
   const StageCacheStats cache_before =
       evaluator.cache_stats() != nullptr ? *evaluator.cache_stats() : StageCacheStats{};
-  for (const Design& d : designs) {
+  for (const std::size_t i : order) {
     GridPoint p;
-    p.design = d;
-    p.quality = evaluator.evaluate(d);
-    p.energy_reduction = energy.energy_reduction(d);
+    p.design = designs[i];
+    p.quality = evaluator.evaluate(p.design);
+    p.energy_reduction = energy.energy_reduction(p.design);
     p.satisfied = p.quality >= quality_constraint;
     result.points.push_back(std::move(p));
   }
@@ -87,18 +112,34 @@ GridResult evaluate_designs(std::span<const Design> designs, QualityEvaluator& e
   return result;
 }
 
+namespace {
+
+/// The serial grid: evaluated in pipeline_order, reported in enumeration order.
+GridResult explore_grid(const std::vector<Design>& designs, const ModuleLists& lists,
+                        QualityEvaluator& evaluator, const StageEnergyModel& energy,
+                        double quality_constraint) {
+  const std::vector<std::size_t> order = pipeline_order(designs, lists);
+  GridResult result = evaluate_designs(designs, order, evaluator, energy, quality_constraint);
+  std::vector<GridPoint> points(designs.size());
+  for (std::size_t k = 0; k < order.size(); ++k) points[order[k]] = std::move(result.points[k]);
+  result.points = std::move(points);
+  return result;
+}
+
+}  // namespace
+
 GridResult exhaustive_explore(const std::vector<StageSpace>& spaces, const ModuleLists& lists,
                               QualityEvaluator& evaluator, const StageEnergyModel& energy,
                               double quality_constraint) {
-  return evaluate_designs(enumerate_grid_designs(spaces, lists, true), evaluator, energy,
-                          quality_constraint);
+  return explore_grid(enumerate_grid_designs(spaces, lists, true), lists, evaluator, energy,
+                      quality_constraint);
 }
 
 GridResult heuristic_explore(const std::vector<StageSpace>& spaces, const ModuleLists& lists,
                              QualityEvaluator& evaluator, const StageEnergyModel& energy,
                              double quality_constraint) {
-  return evaluate_designs(enumerate_grid_designs(spaces, lists, false), evaluator, energy,
-                          quality_constraint);
+  return explore_grid(enumerate_grid_designs(spaces, lists, false), lists, evaluator, energy,
+                      quality_constraint);
 }
 
 }  // namespace xbs::explore

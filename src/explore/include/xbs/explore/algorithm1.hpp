@@ -42,7 +42,10 @@ struct Algorithm1Result {
   std::vector<ExploredPoint> log;     ///< every evaluated design, in order
   int evaluations = 0;                ///< == log.size()
   bool feasible = false;              ///< some satisfying design was found
-  StageCacheStats cache{};            ///< stage-cache activity during the run
+  /// Stage-cache activity of the evaluator during the run. In a
+  /// design_generation_batch it counts only the designs this job evaluated
+  /// itself, not those another job of the batch evaluated first.
+  StageCacheStats cache{};
 };
 
 /// Run Algorithm 1 over the given stages.

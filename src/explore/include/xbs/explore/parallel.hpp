@@ -1,19 +1,25 @@
 /// \file parallel.hpp
 /// \brief The multi-core exploration engine: a fork-join `WorkerPool`
-/// running exhaustive/heuristic grid shards and independent Algorithm 1
+/// running exhaustive/heuristic grid shards and batches of Algorithm 1
 /// problems, with deterministic merging.
 ///
-/// Design for determinism: the unit of work is a *shard* — a contiguous
-/// slice of the enumeration order whose boundaries depend only on the
+/// Grids: the unit of work is a *shard* — a contiguous slice of the
+/// evaluation order (pipeline_order) whose boundaries depend only on the
 /// problem (fixed shard grain), never on the thread count or on scheduling.
 /// Each shard is evaluated by a fresh evaluator built from a caller-supplied
 /// factory (per-thread MemoizedPipelineRunners over a shared immutable
 /// workload/accurate reference — see SharedRecords / SharedPsnrReference),
 /// so a shard's points *and its stage-cache deltas* are a pure function of
-/// the shard. Results are merged in shard order. Consequently the merged
-/// GridResult — points, evaluation count and cache counters — is
-/// bit-identical for 1, 2 or N threads (asserted in
+/// the shard. Each point is written back to its enumeration-order slot.
+/// Consequently the merged GridResult — points, evaluation count and cache
+/// counters — is bit-identical for 1, 2 or N threads (asserted in
 /// tests/test_parallel_explore.cpp), whichever thread claims which shard.
+///
+/// Algorithm 1 batches: one evaluator per job, and one memo per call, shared
+/// by the jobs, from candidate design to quality, so each distinct design is
+/// evaluated once per batch. Every job's result is bit-identical across
+/// thread counts and to serial design_generation, except
+/// Algorithm1Result::cache (see design_generation_batch).
 #pragma once
 
 #include <cstddef>
@@ -48,8 +54,9 @@ class WorkerPool {
   unsigned threads_;
 };
 
-/// Builds one evaluator per shard. Capture a SharedRecords (and, for PSNR, a
-/// SharedPsnrReference) so shards share the workload instead of copying it:
+/// Builds one evaluator per grid shard or Algorithm 1 job. Capture a
+/// SharedRecords (and, for PSNR, a SharedPsnrReference) so they share the
+/// workload instead of copying it:
 ///
 ///   auto recs = share_records(std::move(records));
 ///   auto factory = [recs] { return std::make_unique<AccuracyEvaluator>(recs); };
@@ -67,6 +74,7 @@ struct ParallelExploreOptions {
 
 /// exhaustive_explore over all cores: identical design sequence, identical
 /// points, deterministic cache counters (the sum of the per-shard deltas).
+/// A grid's designs are distinct by construction, so it takes no design memo.
 [[nodiscard]] GridResult exhaustive_explore_parallel(const std::vector<StageSpace>& spaces,
                                                      const ModuleLists& lists,
                                                      const EvaluatorFactory& factory,
@@ -91,10 +99,26 @@ struct Algorithm1Job {
 };
 
 /// Run a batch of Algorithm 1 problems across the pool, one evaluator per
-/// job, results in job order — Algorithm 1 itself is inherently sequential
+/// job, results in job order. Algorithm 1 itself is inherently sequential
 /// (each phase depends on the previous accept/reject), so the engine
-/// parallelizes across problems, not within one. Bit-identical to running
-/// the jobs serially in order.
+/// parallelizes across problems, not within one.
+///
+/// The call owns one memo, shared by its jobs, from the pipeline
+/// configuration a candidate runs (to_pipeline_config) to its quality. The
+/// first job to ask for a design evaluates it with no lock held; a job that
+/// asks for a design another job is evaluating waits for that quality. The
+/// memo dies with the call, so consecutive batches each do their own work,
+/// and it assumes that every evaluator \p factory makes is interchangeable
+/// (same records, same AccuracyEvaluator base design). An evaluation that
+/// throws reaches every job that asked for the design, and the batch
+/// rethrows it.
+///
+/// Every field of every job's result is bit-identical across thread counts
+/// and to serial design_generation, with evaluations() and the log still
+/// counting every request, except Algorithm1Result::cache: it reports the
+/// work the job's own evaluator did, which depends on which job reached a
+/// shared design first. The batch's summed cache.runs is deterministic:
+/// records x distinct designs in the logs.
 [[nodiscard]] std::vector<Algorithm1Result> design_generation_batch(
     const std::vector<Algorithm1Job>& jobs, const EvaluatorFactory& factory,
     const StageEnergyModel& energy, unsigned threads = 0);

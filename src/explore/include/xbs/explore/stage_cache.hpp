@@ -5,10 +5,10 @@
 /// Stage s of the Pan-Tompkins chain depends only on the record and on the
 /// arithmetic configurations of stages 0..s. During exploration (Algorithm 1,
 /// the exhaustive/heuristic grids), consecutive candidate designs usually
-/// differ in a suffix of the pipeline — the enumeration loops vary the
-/// deepest stages fastest — so the runner caches each stage's output per
-/// record, keyed by its StageArithConfig, and recomputes only from the first
-/// stage whose configuration changed. An unchanged prefix is never
+/// differ in a suffix of the pipeline — the grids evaluate in pipeline_order,
+/// which varies the deepest stage fastest — so the runner caches each stage's
+/// output per record, keyed by its StageArithConfig, and recomputes only from
+/// the first stage whose configuration changed. An unchanged prefix is never
 /// re-simulated. Detection (native control logic) is likewise reused when no
 /// filter stage changed.
 #pragma once

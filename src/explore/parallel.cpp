@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <exception>
+#include <future>
 #include <span>
 #include <thread>
 #include <utility>
+
+#include "xbs/common/memo.hpp"
 
 namespace xbs::explore {
 
@@ -55,9 +59,11 @@ GridResult run_grid_parallel(const std::vector<StageSpace>& spaces, const Module
                              const ParallelExploreOptions& opts) {
   const std::vector<Design> designs =
       enumerate_grid_designs(spaces, lists, per_stage_modules);
+  const std::vector<std::size_t> order = pipeline_order(designs, lists);
   const std::size_t grain = std::max<std::size_t>(1, opts.shard_designs);
-  // Shard boundaries depend on the grain and the grid only — never on the
-  // thread count — so the merged result is bit-identical for any pool size.
+  // Shards are slices of the evaluation order whose boundaries depend on the
+  // grain and the grid only — never on the thread count — so the merged
+  // result is bit-identical for any pool size.
   const std::size_t n_shards = (designs.size() + grain - 1) / grain;
   std::vector<GridResult> shards(n_shards);
 
@@ -65,16 +71,18 @@ GridResult run_grid_parallel(const std::vector<StageSpace>& spaces, const Module
   pool.parallel_for(n_shards, [&](std::size_t s) {
     const std::size_t begin = s * grain;
     const std::size_t end = std::min(designs.size(), begin + grain);
-    shards[s] = evaluate_designs(std::span(designs).subspan(begin, end - begin), *factory(),
-                                 energy, quality_constraint);
+    shards[s] = evaluate_designs(designs, std::span(order).subspan(begin, end - begin),
+                                 *factory(), energy, quality_constraint);
   });
 
   GridResult result;
-  result.points.reserve(designs.size());
-  for (GridResult& s : shards) {
-    for (GridPoint& p : s.points) result.points.push_back(std::move(p));
-    result.evaluations += s.evaluations;
-    result.cache = result.cache + s.cache;
+  result.points.resize(designs.size());
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    for (std::size_t k = 0; k < shards[s].points.size(); ++k) {
+      result.points[order[s * grain + k]] = std::move(shards[s].points[k]);
+    }
+    result.evaluations += shards[s].evaluations;
+    result.cache = result.cache + shards[s].cache;
   }
   return result;
 }
@@ -101,15 +109,78 @@ GridResult heuristic_explore_parallel(const std::vector<StageSpace>& spaces,
 
 // ------------------------------------------------------- Algorithm 1 batches
 
+namespace {
+
+/// A batch's memo from the pipeline configuration a candidate runs to its
+/// quality. The entry is published in flight, before the quality exists, so a
+/// job that asks for a design another job is evaluating finds it.
+using DesignMemo = common::Memo<pantompkins::PipelineConfig, std::shared_future<double>>;
+
+/// One job's evaluator in a batch: the factory's evaluator behind the batch's
+/// DesignMemo. The first job to ask for a design evaluates it with no lock
+/// held; every other job that asks waits for that quality instead of scoring
+/// the design again. evaluations() stays logical — every request counts, as
+/// in serial design_generation — while cache_stats() is the work this job's
+/// own evaluator did.
+///
+/// The key assumes that every evaluator one factory makes is interchangeable:
+/// the same records and, for an AccuracyEvaluator, the same base design. The
+/// engine's determinism already relies on that. Algorithm 1 lists only the
+/// stages it approximates, so the key fixes the merged design too: equal keys
+/// mean equal qualities.
+class SharedDesignEvaluator final : public QualityEvaluator {
+ public:
+  SharedDesignEvaluator(std::unique_ptr<QualityEvaluator> inner, DesignMemo& memo)
+      : inner_(std::move(inner)), memo_(memo) {}
+
+  [[nodiscard]] std::string_view metric_name() const noexcept override {
+    return inner_->metric_name();
+  }
+  [[nodiscard]] const StageCacheStats* cache_stats() const noexcept override {
+    return inner_->cache_stats();
+  }
+
+ protected:
+  [[nodiscard]] double evaluate_impl(const Design& d) override {
+    // The owner's promise is the entry's guard: if the owner leaves without
+    // filling it, its destructor stores broken_promise, so no waiter waits
+    // forever. An evaluation that throws is stored, and the owner and every
+    // waiter rethrow it from get().
+    std::promise<double> promise;
+    DesignMemo::Ptr mine;
+    const DesignMemo::Ptr entry = memo_.get(to_pipeline_config(d), [&] {
+      mine = std::make_shared<const std::shared_future<double>>(promise.get_future().share());
+      return mine;
+    });
+    if (entry == mine) {
+      try {
+        promise.set_value(inner_->evaluate(d));
+      } catch (...) {
+        promise.set_exception(std::current_exception());
+      }
+    }
+    // A worker may sleep here on another job's design, never holding a lock.
+    assert(common::detail::held_rank_count() == 0);
+    return entry->get();
+  }
+
+ private:
+  std::unique_ptr<QualityEvaluator> inner_;
+  DesignMemo& memo_;
+};
+
+}  // namespace
+
 std::vector<Algorithm1Result> design_generation_batch(const std::vector<Algorithm1Job>& jobs,
                                                       const EvaluatorFactory& factory,
                                                       const StageEnergyModel& energy,
                                                       unsigned threads) {
+  DesignMemo memo;
   std::vector<Algorithm1Result> results(jobs.size());
   WorkerPool pool(threads);
   pool.parallel_for(jobs.size(), [&](std::size_t j) {
-    const std::unique_ptr<QualityEvaluator> evaluator = factory();
-    results[j] = design_generation(jobs[j].spaces, jobs[j].lists, *evaluator, energy,
+    SharedDesignEvaluator evaluator(factory(), memo);
+    results[j] = design_generation(jobs[j].spaces, jobs[j].lists, evaluator, energy,
                                    jobs[j].quality_constraint);
   });
   return results;

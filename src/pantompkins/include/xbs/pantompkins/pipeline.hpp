@@ -40,6 +40,10 @@ struct PipelineConfig {
       ApproxPolicy policy = ApproxPolicy::Moderate) noexcept {
     return from_lsbs(LsbVector{lsbs, lsbs, lsbs, lsbs, lsbs}, add_kind, mult_kind, policy);
   }
+
+  /// Equality is what lets an Algorithm 1 batch key its shared design memo
+  /// on the configuration a candidate runs (explore/parallel.cpp).
+  friend constexpr bool operator==(const PipelineConfig&, const PipelineConfig&) = default;
 };
 
 /// Per-stage signals plus detection output.

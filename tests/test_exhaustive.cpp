@@ -63,6 +63,30 @@ TEST(Heuristic, GlobalModulePairGrid) {
   EXPECT_EQ(grid.evaluations, 8);
 }
 
+TEST(Exhaustive, EvaluatesInPipelineOrderReportsInListedOrder) {
+  // SQR listed before DER, as dse_paper lists them: the explorer still varies
+  // the deepest pipeline stage fastest, so it does exactly the stage work of
+  // the pipeline-ordered listing, and reports points in the listed order.
+  const std::vector<ecg::DigitizedRecord> recs = {ecg::nsrdb_like_digitized(0, 3000)};
+  const StageEnergyModel energy;
+  const StageSpace lpf{Stage::Lpf, {0, 8}, 1.0};
+  const StageSpace sqr{Stage::Sqr, {0, 4, 8}, 1.0};
+  const StageSpace der{Stage::Der, {0, 2}, 1.0};
+  const ModuleLists lists{{AdderKind::Approx5, AdderKind::Approx2}, {MultKind::V1}};
+
+  AccuracyEvaluator listed_eval(recs);
+  const GridResult listed = exhaustive_explore({lpf, sqr, der}, lists, listed_eval, energy, 99.0);
+  AccuracyEvaluator piped_eval(recs);
+  const GridResult piped = exhaustive_explore({lpf, der, sqr}, lists, piped_eval, energy, 99.0);
+  EXPECT_EQ(listed.cache, piped.cache);
+
+  const std::vector<Design> designs = enumerate_grid_designs({lpf, sqr, der}, lists, true);
+  ASSERT_EQ(listed.points.size(), designs.size());
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    EXPECT_EQ(listed.points[i].design, designs[i]) << "point " << i;
+  }
+}
+
 TEST(TimeModel, PaperEvaluationUnit) {
   const ExplorationTimeModel t;
   // One 20k-sample evaluation ~ 300 s (paper §6.1): 81 evaluations ~ 6.75 h,

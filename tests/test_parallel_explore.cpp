@@ -1,9 +1,12 @@
-// Determinism of the multi-core exploration engine: the merged results —
+// Determinism of the multi-core exploration engine: the merged grid results —
 // points, evaluation counts AND stage-cache counters — must be bit-identical
 // for any thread count, and the parallel grids must agree point-for-point
-// with the serial explorers.
+// with the serial explorers. An Algorithm 1 batch matches serial
+// design_generation in every field but the per-job cache counters, and
+// evaluates each distinct design exactly once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -165,6 +168,8 @@ TEST(ParallelHeuristic, BitIdenticalAcrossThreadCounts) {
   expect_same_points(serial, results[0]);
 }
 
+/// Every field but `cache`, which reports the work the job's own evaluator
+/// did and so depends on which job of a batch reached a shared design first.
 void expect_same_alg1(const Algorithm1Result& a, const Algorithm1Result& b) {
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.best_quality, b.best_quality);
@@ -178,7 +183,32 @@ void expect_same_alg1(const Algorithm1Result& a, const Algorithm1Result& b) {
     EXPECT_EQ(a.log[i].satisfied, b.log[i].satisfied) << "log " << i;
     EXPECT_EQ(a.log[i].phase, b.log[i].phase) << "log " << i;
   }
-  EXPECT_EQ(a.cache, b.cache);
+}
+
+/// Designs a batch's logs name, each counted once (by the configuration it
+/// runs, the batch memo's key).
+std::size_t distinct_designs(const std::vector<Algorithm1Result>& batch) {
+  std::vector<pantompkins::PipelineConfig> seen;
+  for (const Algorithm1Result& r : batch) {
+    for (const ExploredPoint& p : r.log) {
+      const pantompkins::PipelineConfig cfg = to_pipeline_config(p.design);
+      if (std::find(seen.begin(), seen.end(), cfg) == seen.end()) seen.push_back(cfg);
+    }
+  }
+  return seen.size();
+}
+
+/// Stage-cache runs summed over a batch's jobs.
+u64 summed_runs(const std::vector<Algorithm1Result>& batch) {
+  u64 runs = 0;
+  for (const Algorithm1Result& r : batch) runs += r.cache.runs;
+  return runs;
+}
+
+StageSpace space_of(const StageEnergyModel& energy, Stage s) {
+  return StageSpace{s, default_lsb_list(s),
+                    energy.stage_energy_reduction(
+                        s, StageDesign{s, default_lsb_list(s).back()}.arith_config())};
 }
 
 TEST(DesignGenerationBatch, BitIdenticalAcrossThreadCountsAndToSerial) {
@@ -188,14 +218,9 @@ TEST(DesignGenerationBatch, BitIdenticalAcrossThreadCountsAndToSerial) {
   };
   const StageEnergyModel energy;
 
-  const auto space_of = [&](Stage s) {
-    return StageSpace{s, default_lsb_list(s),
-                      energy.stage_energy_reduction(
-                          s, StageDesign{s, default_lsb_list(s).back()}.arith_config())};
-  };
   std::vector<Algorithm1Job> jobs;
   for (const double constraint : {99.5, 99.0, 97.0}) {
-    jobs.push_back(Algorithm1Job{{space_of(Stage::Lpf), space_of(Stage::Hpf)},
+    jobs.push_back(Algorithm1Job{{space_of(energy, Stage::Lpf), space_of(energy, Stage::Hpf)},
                                  ModuleLists{},
                                  constraint});
   }
@@ -208,6 +233,10 @@ TEST(DesignGenerationBatch, BitIdenticalAcrossThreadCountsAndToSerial) {
     ASSERT_EQ(runs[0].size(), runs[r].size());
     for (std::size_t j = 0; j < jobs.size(); ++j) expect_same_alg1(runs[0][j], runs[r][j]);
   }
+  // Each distinct design runs once over every record, whichever job got it.
+  for (const auto& run : runs) {
+    EXPECT_EQ(summed_runs(run), recs->size() * distinct_designs(run));
+  }
 
   // Job order in the batch result matches serial execution of each job.
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -215,6 +244,135 @@ TEST(DesignGenerationBatch, BitIdenticalAcrossThreadCountsAndToSerial) {
     const Algorithm1Result serial = design_generation(
         jobs[j].spaces, jobs[j].lists, serial_eval, energy, jobs[j].quality_constraint);
     expect_same_alg1(serial, runs[0][j]);
+  }
+}
+
+/// A cheap stand-in for the pipeline evaluators: quality falls with the LSBs
+/// a design approximates, and every call counts in a counter shared by all
+/// the evaluators of one factory. A call on `poison` throws.
+class CountingEvaluator final : public QualityEvaluator {
+ public:
+  explicit CountingEvaluator(std::atomic<int>& calls, Design poison = {})
+      : calls_(calls), poison_(std::move(poison)) {}
+  [[nodiscard]] std::string_view metric_name() const noexcept override { return "synthetic"; }
+
+ protected:
+  [[nodiscard]] double evaluate_impl(const Design& d) override {
+    ++calls_;
+    // Long enough for the batch's jobs to meet on an in-flight design.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (!poison_.empty() && d == poison_) throw std::runtime_error("poisoned design");
+    double q = 100.0;
+    for (const StageDesign& sd : d) {
+      q -= 0.01 * (1 + static_cast<int>(sd.stage)) * sd.lsbs * sd.lsbs;
+    }
+    return q;
+  }
+
+ private:
+  std::atomic<int>& calls_;
+  Design poison_;
+};
+
+/// The dse_paper batch shape: eight constraints over the same three stages.
+std::vector<Algorithm1Job> eight_jobs(const StageEnergyModel& energy) {
+  std::vector<Algorithm1Job> jobs;
+  for (const double q : {99.9, 99.5, 99.0, 98.5, 98.0, 97.0, 96.0, 95.0}) {
+    jobs.push_back(Algorithm1Job{{space_of(energy, Stage::Lpf), space_of(energy, Stage::Hpf),
+                                  space_of(energy, Stage::Mwi)},
+                                 ModuleLists{},
+                                 q});
+  }
+  return jobs;
+}
+
+TEST(DesignGenerationBatch, EvaluatesEachDistinctDesignOnce) {
+  const StageEnergyModel energy;
+  const std::vector<Algorithm1Job> jobs = eight_jobs(energy);
+  std::atomic<int> calls{0};
+  const EvaluatorFactory factory = [&calls] {
+    return std::make_unique<CountingEvaluator>(calls);
+  };
+
+  std::vector<Algorithm1Result> first;
+  for (int rep = 0; rep < 5; ++rep) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      calls = 0;
+      const std::vector<Algorithm1Result> batch =
+          design_generation_batch(jobs, factory, energy, threads);
+      const std::size_t distinct = distinct_designs(batch);
+      EXPECT_EQ(static_cast<std::size_t>(calls.load()), distinct)
+          << "rep " << rep << ", " << threads << " threads";
+      int logical = 0;
+      for (const Algorithm1Result& r : batch) logical += r.evaluations;
+      EXPECT_LT(distinct, static_cast<std::size_t>(logical));  // the jobs do share designs
+      if (first.empty()) first = batch;
+      for (std::size_t j = 0; j < jobs.size(); ++j) expect_same_alg1(first[j], batch[j]);
+    }
+  }
+}
+
+TEST(DesignGenerationBatch, MemoDoesNotOutliveItsCall) {
+  const StageEnergyModel energy;
+  const std::vector<Algorithm1Job> jobs = eight_jobs(energy);
+  std::atomic<int> calls{0};
+  const EvaluatorFactory factory = [&calls] {
+    return std::make_unique<CountingEvaluator>(calls);
+  };
+  (void)design_generation_batch(jobs, factory, energy, 4);
+  const int once = calls.load();
+  EXPECT_GT(once, 0);
+  (void)design_generation_batch(jobs, factory, energy, 4);
+  EXPECT_EQ(calls.load(), 2 * once);
+}
+
+TEST(DesignGenerationBatch, RethrowsAnEvaluationErrorEveryJobShares) {
+  const StageEnergyModel energy;
+  const std::vector<Algorithm1Job> jobs = eight_jobs(energy);
+  std::atomic<int> calls{0};
+  // Every job opens phase 1 on the same design, so all of them reach it:
+  // the owner throws and the jobs waiting on its entry rethrow.
+  const Design shared_first = [&] {
+    CountingEvaluator eval(calls);
+    return design_generation(jobs[0].spaces, jobs[0].lists, eval, energy,
+                             jobs[0].quality_constraint)
+        .log.front()
+        .design;
+  }();
+  const EvaluatorFactory factory = [&calls, &shared_first] {
+    return std::make_unique<CountingEvaluator>(calls, shared_first);
+  };
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    calls = 0;
+    EXPECT_THROW((void)design_generation_batch(jobs, factory, energy, threads),
+                 std::runtime_error)
+        << threads << " threads";
+    EXPECT_EQ(calls.load(), 1) << threads << " threads";
+  }
+}
+
+TEST(DesignGenerationBatch, BaseDesignMatchesSerial) {
+  // The final quality stage: a fixed pre-processing design under every
+  // candidate, as AccuracyEvaluator's base.
+  const SharedRecords recs = small_workload();
+  const Design base = {StageDesign{Stage::Lpf, 8}, StageDesign{Stage::Hpf, 8}};
+  const EvaluatorFactory factory = [recs, base] {
+    return std::make_unique<AccuracyEvaluator>(recs, base);
+  };
+  const StageEnergyModel energy;
+  std::vector<Algorithm1Job> jobs;
+  for (const double constraint : {99.5, 98.0, 95.0}) {
+    jobs.push_back(Algorithm1Job{{space_of(energy, Stage::Sqr), space_of(energy, Stage::Mwi)},
+                                 ModuleLists{},
+                                 constraint});
+  }
+  const std::vector<Algorithm1Result> batch = design_generation_batch(jobs, factory, energy, 8);
+  EXPECT_EQ(summed_runs(batch), recs->size() * distinct_designs(batch));
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    AccuracyEvaluator serial_eval(recs, base);
+    const Algorithm1Result serial = design_generation(
+        jobs[j].spaces, jobs[j].lists, serial_eval, energy, jobs[j].quality_constraint);
+    expect_same_alg1(serial, batch[j]);
   }
 }
 
