@@ -1,12 +1,13 @@
 // Multi-core exploration-engine throughput.
 // Runs the same exhaustive grid and the same batch of Algorithm 1 problems
-// at 1, 2 and 8 worker threads, measures wall time, and verifies the results
-// are bit-identical across thread counts: the grid's points, evaluation count
-// and stage-cache counters; every Algorithm 1 job's result and every entry of
-// its log. It also checks that the batch evaluates the same number of
-// distinct designs (`alg1_distinct_evaluations`) at every thread count, and
-// emits one JSON object so future PRs have a machine-readable baseline
-// (committed as BENCH_explore.json).
+// at 1, 2 and 8 worker threads after one untimed warm-up run of each,
+// measures wall time, and verifies the results are bit-identical across
+// thread counts: the grid's points, evaluation count and stage-cache
+// counters; every Algorithm 1 job's result and every entry of its log. It
+// also checks that the batch evaluates the same number of distinct designs
+// (`alg1_distinct_evaluations`) at every thread count, and emits one JSON
+// object so future PRs have a machine-readable baseline (committed as
+// BENCH_explore.json).
 //
 //   ./bench_explore_throughput [--records N] [--samples M] [--shard S]
 //                              [--iters K]
@@ -134,14 +135,20 @@ int main(int argc, char** argv) {
         q});
   }
 
+  // One untimed grid and batch first: they build the process-wide tables,
+  // which would otherwise be charged to the first timed leg (1 thread).
+  explore::ParallelExploreOptions opts;
+  opts.shard_designs = shard;
+  (void)explore::exhaustive_explore_parallel(spaces, explore::ModuleLists{}, factory, energy,
+                                             99.0, opts);
+  (void)explore::design_generation_batch(jobs, factory, energy, opts.threads);
+
   double grid_wall[3] = {0, 0, 0};
   double alg1_wall[3] = {0, 0, 0};
   std::vector<GridResult> grids;
   std::vector<std::vector<Algorithm1Result>> batches;
   for (int t = 0; t < 3; ++t) {
-    explore::ParallelExploreOptions opts;
     opts.threads = thread_counts[t];
-    opts.shard_designs = shard;
     double best_g = 1e300;
     double best_a = 1e300;
     for (int it = 0; it < iters; ++it) {

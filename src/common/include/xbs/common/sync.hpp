@@ -31,6 +31,7 @@
 ///   |      |              | store's models and tables, the energy-model
 ///   |      |              | synthesis memo, an Algorithm 1 batch's design
 ///   |      |              | memo; kernel-ISA + CRC32C dispatch               |
+///   |   50 | record-share | an Algorithm 1 batch's record share (a leaf)     |
 ///
 /// State that one thread owns takes no lock at all: the `NetServer` token
 /// registry lives on the epoll loop, and the explore `WorkerPool` is a
@@ -101,10 +102,11 @@ namespace xbs::common {
 /// The global lock hierarchy (see the file comment). Values are spaced so a
 /// future level can slot in between without renumbering.
 enum class LockRank : int {
-  kUnranked = -1,   ///< exempt from ordering (leaf locks in tests/tools only)
-  kNetConn = 10,    ///< net front door: the completion-notify list
-  kShard = 20,      ///< stream shard locks
-  kTableCache = 40, ///< common::Memo and the ISA/CRC dispatch state
+  kUnranked = -1,    ///< exempt from ordering (leaf locks in tests/tools only)
+  kNetConn = 10,     ///< net front door: the completion-notify list
+  kShard = 20,       ///< stream shard locks
+  kTableCache = 40,  ///< common::Memo and the ISA/CRC dispatch state
+  kRecordShare = 50, ///< an Algorithm 1 batch's record share (explore/parallel.cpp)
 };
 
 /// Human-readable level name for diagnostics ("shard", "table-cache", ...).
@@ -122,7 +124,8 @@ void rank_release(const void* mu, LockRank rank) noexcept;
 void rank_wait(const void* mu, LockRank rank) noexcept;
 void rank_assert_held(const void* mu, LockRank rank) noexcept;
 /// Ranked locks the calling thread currently holds (test observability, and
-/// the explore batch's Debug assert that a worker sleeps holding none).
+/// the explore batch's Debug assert that a worker helps or sleeps holding
+/// none).
 [[nodiscard]] int held_rank_count() noexcept;
 }  // namespace detail
 

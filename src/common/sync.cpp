@@ -15,6 +15,8 @@ const char* to_string(LockRank r) noexcept {
       return "shard";
     case LockRank::kTableCache:
       return "table-cache";
+    case LockRank::kRecordShare:
+      return "record-share";
   }
   return "?";
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "xbs/explore/parallel.hpp"
 #include "xbs/metrics/peaks.hpp"
 #include "xbs/metrics/signal_quality.hpp"
 #include "xbs/pantompkins/pipeline.hpp"
@@ -30,6 +31,7 @@ SharedPsnrReference make_psnr_reference(const std::vector<ecg::DigitizedRecord>&
 struct PreprocPsnrEvaluator::Impl {
   MemoizedPipelineRunner runner;
   SharedPsnrReference ref_hpf;  ///< accurate HPF output per record (shared)
+  StageCacheStats stats;        ///< the runner's counters as last read
 
   Impl(SharedRecords recs, SharedPsnrReference ref)
       : runner(std::move(recs)),
@@ -68,13 +70,15 @@ double PreprocPsnrEvaluator::ssim_of(const Design& d) const {
 }
 
 const StageCacheStats* PreprocPsnrEvaluator::cache_stats() const noexcept {
-  return &impl_->runner.stats();
+  impl_->stats = impl_->runner.stats();
+  return &impl_->stats;
 }
 
 struct AccuracyEvaluator::Impl {
   MemoizedPipelineRunner runner;
   Design base;
   Counts last{};
+  StageCacheStats stats;  ///< the runner's counters as last read
 
   Impl(SharedRecords recs, Design b) : runner(std::move(recs)), base(std::move(b)) {}
 };
@@ -88,18 +92,24 @@ AccuracyEvaluator::AccuracyEvaluator(SharedRecords records, Design base)
 AccuracyEvaluator::~AccuracyEvaluator() = default;
 
 double AccuracyEvaluator::evaluate_impl(const Design& d) {
-  const Design full = merge(impl_->base, d);
-  const pantompkins::PipelineConfig cfg = to_pipeline_config(full);
-  Counts c{};
-  for (std::size_t i = 0; i < impl_->runner.num_records(); ++i) {
-    const ecg::DigitizedRecord& rec = impl_->runner.record(i);
-    const auto& out = impl_->runner.run(i, cfg);
-    const auto m = metrics::match_peaks(rec.r_peaks, out.detection.peaks,
+  const pantompkins::PipelineConfig cfg = to_pipeline_config(merge(impl_->base, d));
+  MemoizedPipelineRunner& runner = impl_->runner;
+  // One slot per record, summed in record order: the counts do not depend on
+  // which thread ran which record.
+  std::vector<Counts> per_record(runner.num_records());
+  for_each_record(per_record.size(), [&](std::size_t i) {
+    const ecg::DigitizedRecord& rec = runner.record(i);
+    const auto m = metrics::match_peaks(rec.r_peaks, runner.run(i, cfg).detection.peaks,
                                         metrics::default_tolerance_samples(rec.fs_hz));
-    c.true_positives += m.true_positives;
-    c.false_positives += m.false_positives;
-    c.false_negatives += m.false_negatives;
-    c.truth += m.truth_count();
+    per_record[i] = Counts{m.true_positives, m.false_positives, m.false_negatives,
+                           m.truth_count()};
+  });
+  Counts c{};
+  for (const Counts& r : per_record) {
+    c.true_positives += r.true_positives;
+    c.false_positives += r.false_positives;
+    c.false_negatives += r.false_negatives;
+    c.truth += r.truth;
   }
   impl_->last = c;
   if (c.truth == 0) return c.false_positives == 0 ? 100.0 : 0.0;
@@ -108,7 +118,8 @@ double AccuracyEvaluator::evaluate_impl(const Design& d) {
 }
 
 const StageCacheStats* AccuracyEvaluator::cache_stats() const noexcept {
-  return &impl_->runner.stats();
+  impl_->stats = impl_->runner.stats();
+  return &impl_->stats;
 }
 
 AccuracyEvaluator::Counts AccuracyEvaluator::last_counts() const noexcept { return impl_->last; }

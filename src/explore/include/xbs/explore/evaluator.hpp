@@ -38,7 +38,9 @@ class QualityEvaluator {
   void reset_evaluations() noexcept { evaluations_ = 0; }
 
   /// Stage-cache activity, when this evaluator memoizes pipeline stages
-  /// (both built-in evaluators do); nullptr otherwise.
+  /// (both built-in evaluators do); nullptr otherwise. The built-in
+  /// evaluators sum their runner's per-record counters on each call, so read
+  /// through the pointer at once, between evaluations.
   [[nodiscard]] virtual const StageCacheStats* cache_stats() const noexcept {
     return nullptr;
   }
@@ -89,6 +91,14 @@ class PreprocPsnrEvaluator final : public QualityEvaluator {
 /// Final quality stage: aggregate peak-detection accuracy (%) across the
 /// workload records, with an optional fixed base design (the pre-processing
 /// configuration chosen earlier) merged under every candidate.
+///
+/// An evaluation runs its records through for_each_record (parallel.hpp):
+/// on a thread of a multi-thread design_generation_batch the batch's other
+/// threads may run some of them, each on this evaluator's runner, and
+/// everywhere else they run in order on the calling thread. Each record's
+/// counts go to their own slot and are summed in record order, so the
+/// quality, last_counts() and cache_stats() do not depend on which thread
+/// ran which record.
 class AccuracyEvaluator final : public QualityEvaluator {
  public:
   AccuracyEvaluator(std::vector<ecg::DigitizedRecord> records, Design base = {});

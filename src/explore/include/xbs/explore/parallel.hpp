@@ -17,8 +17,11 @@
 ///
 /// Algorithm 1 batches: one evaluator per job, and one memo per call, shared
 /// by the jobs, from candidate design to quality, so each distinct design is
-/// evaluated once per batch. Every job's result is bit-identical across
-/// thread counts and to serial design_generation, except
+/// evaluated once per batch. The batch's threads also share the work inside
+/// an evaluation: its records go out through for_each_record, and a thread
+/// that waits on another job's design, or has no job left, runs records of
+/// the batch's in-flight evaluations. Every job's result is bit-identical
+/// across thread counts and to serial design_generation, except
 /// Algorithm1Result::cache (see design_generation_batch).
 #pragma once
 
@@ -99,19 +102,26 @@ struct Algorithm1Job {
 };
 
 /// Run a batch of Algorithm 1 problems across the pool, one evaluator per
-/// job, results in job order. Algorithm 1 itself is inherently sequential
-/// (each phase depends on the previous accept/reject), so the engine
-/// parallelizes across problems, not within one.
+/// job, results in job order. Algorithm 1 itself is sequential (each phase
+/// depends on the previous accept/reject), so the batch runs its jobs side
+/// by side and shares out the records of each evaluation.
 ///
 /// The call owns one memo, shared by its jobs, from the pipeline
 /// configuration a candidate runs (to_pipeline_config) to its quality. The
 /// first job to ask for a design evaluates it with no lock held; a job that
-/// asks for a design another job is evaluating waits for that quality. The
-/// memo dies with the call, so consecutive batches each do their own work,
-/// and it assumes that every evaluator \p factory makes is interchangeable
-/// (same records, same AccuracyEvaluator base design). An evaluation that
-/// throws reaches every job that asked for the design, and the batch
-/// rethrows it.
+/// asks for a design another job is evaluating gets that quality instead of
+/// scoring the design again. The memo dies with the call, so consecutive
+/// batches each do their own work, and it assumes that every evaluator
+/// \p factory makes is interchangeable (same records, same AccuracyEvaluator
+/// base design). An evaluation that throws reaches every job that asked for
+/// the design, and the batch rethrows it.
+///
+/// With more than one thread, the call also shares out records. An
+/// evaluation's for_each_record loop is open to every thread of the call:
+/// its owner claims records one at a time, and so does a thread that waits
+/// on another job's design or has no job left, until no job is running.
+/// Each record runs on the owning job's evaluator, so a job's stage cache
+/// sees every record of its designs. A 1-thread batch shares nothing.
 ///
 /// Every field of every job's result is bit-identical across thread counts
 /// and to serial design_generation, with evaluations() and the log still
@@ -122,5 +132,16 @@ struct Algorithm1Job {
 [[nodiscard]] std::vector<Algorithm1Result> design_generation_batch(
     const std::vector<Algorithm1Job>& jobs, const EvaluatorFactory& factory,
     const StageEnergyModel& energy, unsigned threads = 0);
+
+/// The per-record loop of one evaluation: runs fn(0) .. fn(n-1) and returns
+/// once every call it started has returned, rethrowing the first exception a
+/// call threw. On a thread of a multi-thread design_generation_batch, the
+/// batch's other threads may run some of the records at the same time;
+/// everywhere else (grid shards, serial design_generation, a 1-thread batch)
+/// the records run in order on the calling thread. So \p fn must write each
+/// record's result to its own slot, touch no state another record writes
+/// (MemoizedPipelineRunner keeps each record's apart), and not wait on
+/// another thread.
+void for_each_record(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace xbs::explore

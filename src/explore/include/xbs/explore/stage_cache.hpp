@@ -74,6 +74,11 @@ struct StageCacheStats {
 /// per-stage prefix memoization. Results are bit-identical to a fresh
 /// PanTompkinsPipeline run (the stages are deterministic block transforms;
 /// asserted in tests/test_stage_cache.cpp).
+///
+/// Thread contract: each record has its own cache and its own counters, so
+/// runs of *distinct* records may overlap (an Algorithm 1 batch runs one
+/// evaluation's records on several threads, parallel.hpp). Runs of the same
+/// record, and stats(), must not overlap any run.
 class MemoizedPipelineRunner {
  public:
   explicit MemoizedPipelineRunner(std::vector<ecg::DigitizedRecord> records);
@@ -97,7 +102,8 @@ class MemoizedPipelineRunner {
   [[nodiscard]] const pantompkins::PipelineResult& run(
       std::size_t i, const pantompkins::PipelineConfig& cfg);
 
-  [[nodiscard]] const StageCacheStats& stats() const noexcept { return stats_; }
+  /// The counters of every record, summed.
+  [[nodiscard]] StageCacheStats stats() const noexcept;
 
  private:
   struct RecordCache {
@@ -106,11 +112,11 @@ class MemoizedPipelineRunner {
     bool detect_valid = false;
     pantompkins::DetectorParams detect_params{};
     pantompkins::PipelineResult result;
+    StageCacheStats stats;  ///< this record's runs
   };
 
   SharedRecords records_;
   std::vector<RecordCache> cache_;
-  StageCacheStats stats_;
 };
 
 }  // namespace xbs::explore

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <exception>
 #include <future>
 #include <span>
@@ -10,6 +11,7 @@
 #include <utility>
 
 #include "xbs/common/memo.hpp"
+#include "xbs/common/sync.hpp"
 
 namespace xbs::explore {
 
@@ -111,6 +113,144 @@ GridResult heuristic_explore_parallel(const std::vector<StageSpace>& spaces,
 
 namespace {
 
+/// One evaluation's per-record loop, open to the threads of its batch. `fn`
+/// and `n` are fixed; the other fields are guarded by the RecordShare's
+/// mutex (a lock in another object, so they carry no annotation).
+struct RecordLoop {
+  RecordLoop(const std::function<void(std::size_t)>& f, std::size_t count) : fn(f), n(count) {}
+  RecordLoop(const RecordLoop&) = delete;
+  RecordLoop& operator=(const RecordLoop&) = delete;
+
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t n;
+  std::size_t next = 0;      ///< the next record to claim
+  std::size_t running = 0;   ///< records claimed and not yet finished
+  std::exception_ptr error;  ///< the first record error
+};
+
+bool is_ready(const std::shared_future<double>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+class RecordShare;
+
+/// The batch the calling thread works for; null outside a multi-thread
+/// batch, and while the thread runs a record.
+thread_local RecordShare* t_share = nullptr;
+
+/// Puts the calling thread in \p share's scope (or in none) until it leaves,
+/// even by an exception.
+class ShareScope {
+ public:
+  explicit ShareScope(RecordShare* share) noexcept : prev_(std::exchange(t_share, share)) {}
+  ~ShareScope() { t_share = prev_; }
+  ShareScope(const ShareScope&) = delete;
+  ShareScope& operator=(const ShareScope&) = delete;
+
+ private:
+  RecordShare* prev_;
+};
+
+/// Runs one record with the thread outside any batch, so whatever the record
+/// does runs inline and never waits: returns its exception, if any.
+std::exception_ptr run_record(const RecordLoop& loop, std::size_t i) noexcept {
+  const ShareScope outside(nullptr);
+  try {
+    loop.fn(i);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+/// The records of a batch's in-flight evaluations, shared by the batch's
+/// threads. An evaluation's owner opens its loop here and claims records from
+/// it; a thread that waits on another job's design, or has no job left,
+/// claims records of any open loop. Records are claimed one at a time under
+/// one leaf lock, which is never held while a record runs.
+///
+/// No wait can cycle: an owner waits only for records other threads claimed
+/// from its own loop, a record never waits (run_record), and a thread that
+/// helps owns no unfilled design.
+class RecordShare {
+ public:
+  explicit RecordShare(std::size_t jobs) : jobs_left_(jobs) {}
+
+  /// The owner's side of for_each_record.
+  void run(std::size_t n, const std::function<void(std::size_t)>& fn) XBS_EXCLUDES(mu_) {
+    assert(common::detail::held_rank_count() == 0);
+    RecordLoop loop(fn, n);
+    common::MutexLock lock(mu_);
+    open_.push_back(&loop);
+    cv_.notify_all();
+    while (loop.next < loop.n) {
+      const std::size_t i = claim_locked(loop);
+      lock.unlock();
+      std::exception_ptr error = run_record(loop, i);
+      lock.lock();
+      settle_locked(loop, std::move(error));
+    }
+    while (loop.running > 0) cv_.wait(lock);
+    lock.unlock();
+    if (loop.error != nullptr) std::rethrow_exception(loop.error);
+  }
+
+  /// Runs records of open loops until \p awaited is ready or, with no
+  /// design awaited, until no job is left (none can then open a loop).
+  void help(const std::shared_future<double>* awaited) XBS_EXCLUDES(mu_) {
+    assert(common::detail::held_rank_count() == 0);
+    common::MutexLock lock(mu_);
+    for (;;) {
+      if (awaited != nullptr ? is_ready(*awaited) : jobs_left_ == 0) return;
+      if (open_.empty()) {
+        cv_.wait(lock);
+        continue;
+      }
+      RecordLoop& loop = *open_.front();
+      const std::size_t i = claim_locked(loop);
+      lock.unlock();
+      std::exception_ptr error = run_record(loop, i);
+      lock.lock();
+      settle_locked(loop, std::move(error));
+      if (loop.running == 0 && loop.next == loop.n) cv_.notify_all();  // wakes its owner
+    }
+  }
+
+  /// A design's quality (or error) is in: wake the threads waiting on it.
+  void published() XBS_EXCLUDES(mu_) {
+    {
+      const common::MutexLock lock(mu_);  // a waiter's next check sees the entry
+    }
+    cv_.notify_all();
+  }
+
+  /// A job returned or threw.
+  void job_done() XBS_EXCLUDES(mu_) {
+    {
+      const common::MutexLock lock(mu_);
+      --jobs_left_;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::size_t claim_locked(RecordLoop& loop) XBS_REQUIRES(mu_) {
+    ++loop.running;
+    if (loop.next + 1 == loop.n) std::erase(open_, &loop);  // its last record
+    return loop.next++;
+  }
+
+  void settle_locked(RecordLoop& loop, std::exception_ptr error) XBS_REQUIRES(mu_) {
+    --loop.running;
+    if (loop.error == nullptr) loop.error = std::move(error);
+  }
+
+  common::Mutex mu_{common::LockRank::kRecordShare};
+  common::CondVar cv_;
+  std::vector<RecordLoop*> open_ XBS_GUARDED_BY(mu_);  ///< loops with records to claim
+  std::size_t jobs_left_ XBS_GUARDED_BY(mu_);
+};
+
 /// A batch's memo from the pipeline configuration a candidate runs to its
 /// quality. The entry is published in flight, before the quality exists, so a
 /// job that asks for a design another job is evaluating finds it.
@@ -118,10 +258,11 @@ using DesignMemo = common::Memo<pantompkins::PipelineConfig, std::shared_future<
 
 /// One job's evaluator in a batch: the factory's evaluator behind the batch's
 /// DesignMemo. The first job to ask for a design evaluates it with no lock
-/// held; every other job that asks waits for that quality instead of scoring
-/// the design again. evaluations() stays logical — every request counts, as
-/// in serial design_generation — while cache_stats() is the work this job's
-/// own evaluator did.
+/// held; every other job that asks runs records of the batch's open loops
+/// until that quality is in, instead of scoring the design again.
+/// evaluations() stays logical — every request counts, as in serial
+/// design_generation — while cache_stats() is the work this job's own
+/// evaluator did.
 ///
 /// The key assumes that every evaluator one factory makes is interchangeable:
 /// the same records and, for an AccuracyEvaluator, the same base design. The
@@ -130,8 +271,9 @@ using DesignMemo = common::Memo<pantompkins::PipelineConfig, std::shared_future<
 /// mean equal qualities.
 class SharedDesignEvaluator final : public QualityEvaluator {
  public:
-  SharedDesignEvaluator(std::unique_ptr<QualityEvaluator> inner, DesignMemo& memo)
-      : inner_(std::move(inner)), memo_(memo) {}
+  SharedDesignEvaluator(std::unique_ptr<QualityEvaluator> inner, DesignMemo& memo,
+                        RecordShare& share)
+      : inner_(std::move(inner)), memo_(memo), share_(share) {}
 
   [[nodiscard]] std::string_view metric_name() const noexcept override {
     return inner_->metric_name();
@@ -142,10 +284,6 @@ class SharedDesignEvaluator final : public QualityEvaluator {
 
  protected:
   [[nodiscard]] double evaluate_impl(const Design& d) override {
-    // The owner's promise is the entry's guard: if the owner leaves without
-    // filling it, its destructor stores broken_promise, so no waiter waits
-    // forever. An evaluation that throws is stored, and the owner and every
-    // waiter rethrow it from get().
     std::promise<double> promise;
     DesignMemo::Ptr mine;
     const DesignMemo::Ptr entry = memo_.get(to_pipeline_config(d), [&] {
@@ -153,35 +291,67 @@ class SharedDesignEvaluator final : public QualityEvaluator {
       return mine;
     });
     if (entry == mine) {
+      // The entry is always filled, so no waiter waits forever. An
+      // evaluation that throws is stored, and the owner and every waiter
+      // rethrow it from get().
       try {
         promise.set_value(inner_->evaluate(d));
       } catch (...) {
         promise.set_exception(std::current_exception());
       }
+      share_.published();
+    } else {
+      share_.help(entry.get());
     }
-    // A worker may sleep here on another job's design, never holding a lock.
-    assert(common::detail::held_rank_count() == 0);
     return entry->get();
   }
 
  private:
   std::unique_ptr<QualityEvaluator> inner_;
   DesignMemo& memo_;
+  RecordShare& share_;
 };
 
 }  // namespace
+
+void for_each_record(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (t_share == nullptr || n < 2) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  t_share->run(n, fn);
+}
 
 std::vector<Algorithm1Result> design_generation_batch(const std::vector<Algorithm1Job>& jobs,
                                                       const EvaluatorFactory& factory,
                                                       const StageEnergyModel& energy,
                                                       unsigned threads) {
+  const WorkerPool pool(threads);
   DesignMemo memo;
+  RecordShare share(jobs.size());
+  // Tasks past the jobs keep a thread that ran out of jobs helping until the
+  // last job is done; a 1-thread batch has none and shares nothing. The pool
+  // hands out indices in order and runs every index it hands out, so once a
+  // helper task starts, every job has started and will count itself done,
+  // even after a job throws and the pool stops handing out tasks.
+  const bool sharing = pool.size() > 1 && !jobs.empty();
+  const std::size_t helpers = sharing ? pool.size() - 1 : 0;
   std::vector<Algorithm1Result> results(jobs.size());
-  WorkerPool pool(threads);
-  pool.parallel_for(jobs.size(), [&](std::size_t j) {
-    SharedDesignEvaluator evaluator(factory(), memo);
-    results[j] = design_generation(jobs[j].spaces, jobs[j].lists, evaluator, energy,
-                                   jobs[j].quality_constraint);
+  pool.parallel_for(jobs.size() + helpers, [&](std::size_t j) {
+    const ShareScope scope(sharing ? &share : nullptr);
+    if (j >= jobs.size()) {
+      share.help(nullptr);
+      return;
+    }
+    try {
+      SharedDesignEvaluator evaluator(factory(), memo, share);
+      results[j] = design_generation(jobs[j].spaces, jobs[j].lists, evaluator, energy,
+                                     jobs[j].quality_constraint);
+    } catch (...) {
+      share.job_done();
+      throw;
+    }
+    share.job_done();
   });
   return results;
 }

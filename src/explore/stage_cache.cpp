@@ -35,9 +35,9 @@ const PipelineResult& MemoizedPipelineRunner::run_filters(
              rc.cfg[static_cast<std::size_t>(first_dirty)]) {
     ++first_dirty;
   }
-  ++stats_.runs;
-  stats_.stage_hits += static_cast<u64>(first_dirty);
-  stats_.stage_recomputes += static_cast<u64>(pantompkins::kNumStages - first_dirty);
+  ++rc.stats.runs;
+  rc.stats.stage_hits += static_cast<u64>(first_dirty);
+  rc.stats.stage_recomputes += static_cast<u64>(pantompkins::kNumStages - first_dirty);
   if (first_dirty < pantompkins::kNumStages) {
     rc.detect_valid = false;
     for (int s = first_dirty; s < pantompkins::kNumStages; ++s) {
@@ -60,15 +60,21 @@ const PipelineResult& MemoizedPipelineRunner::run(std::size_t i,
   RecordCache& rc = cache_[i];
   (void)run_filters(i, cfg);
   if (rc.detect_valid && rc.detect_params == cfg.detector) {
-    ++stats_.detect_hits;
+    ++rc.stats.detect_hits;
   } else {
     rc.result.detection =
         pantompkins::detect_qrs(rc.result.mwi, rc.result.hpf, (*records_)[i].adu, cfg.detector);
     rc.detect_valid = true;
     rc.detect_params = cfg.detector;
-    ++stats_.detect_recomputes;
+    ++rc.stats.detect_recomputes;
   }
   return rc.result;
+}
+
+StageCacheStats MemoizedPipelineRunner::stats() const noexcept {
+  StageCacheStats sum;
+  for (const RecordCache& rc : cache_) sum = sum + rc.stats;
+  return sum;
 }
 
 }  // namespace xbs::explore

@@ -2,16 +2,20 @@
 // points, evaluation counts AND stage-cache counters — must be bit-identical
 // for any thread count, and the parallel grids must agree point-for-point
 // with the serial explorers. An Algorithm 1 batch matches serial
-// design_generation in every field but the per-job cache counters, and
-// evaluates each distinct design exactly once.
+// design_generation in every field but the per-job cache counters, evaluates
+// each distinct design exactly once, and shares each evaluation's records
+// out among its threads; nothing else does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "xbs/ecg/dataset.hpp"
@@ -22,10 +26,7 @@ namespace {
 
 using pantompkins::Stage;
 
-SharedRecords small_workload() {
-  std::vector<ecg::DigitizedRecord> recs = {ecg::nsrdb_like_digitized(0, 3000)};
-  return share_records(std::move(recs));
-}
+SharedRecords small_workload() { return share_records(ecg::nsrdb_like_dataset(3, 3000)); }
 
 void expect_same_points(const GridResult& a, const GridResult& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
@@ -247,9 +248,18 @@ TEST(DesignGenerationBatch, BitIdenticalAcrossThreadCountsAndToSerial) {
   }
 }
 
-/// A cheap stand-in for the pipeline evaluators: quality falls with the LSBs
-/// a design approximates, and every call counts in a counter shared by all
-/// the evaluators of one factory. A call on `poison` throws.
+/// A synthetic quality that falls with the LSBs a design approximates.
+double synthetic_quality(const Design& d) {
+  double q = 100.0;
+  for (const StageDesign& sd : d) {
+    q -= 0.01 * (1 + static_cast<int>(sd.stage)) * sd.lsbs * sd.lsbs;
+  }
+  return q;
+}
+
+/// A cheap stand-in for the pipeline evaluators: every call counts in a
+/// counter shared by all the evaluators of one factory. A call on `poison`
+/// throws.
 class CountingEvaluator final : public QualityEvaluator {
  public:
   explicit CountingEvaluator(std::atomic<int>& calls, Design poison = {})
@@ -262,11 +272,7 @@ class CountingEvaluator final : public QualityEvaluator {
     // Long enough for the batch's jobs to meet on an in-flight design.
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     if (!poison_.empty() && d == poison_) throw std::runtime_error("poisoned design");
-    double q = 100.0;
-    for (const StageDesign& sd : d) {
-      q -= 0.01 * (1 + static_cast<int>(sd.stage)) * sd.lsbs * sd.lsbs;
-    }
-    return q;
+    return synthetic_quality(d);
   }
 
  private:
@@ -326,19 +332,24 @@ TEST(DesignGenerationBatch, MemoDoesNotOutliveItsCall) {
   EXPECT_EQ(calls.load(), 2 * once);
 }
 
+/// The design every job of \p jobs opens phase 1 on.
+Design shared_first_design(const std::vector<Algorithm1Job>& jobs,
+                           const StageEnergyModel& energy) {
+  std::atomic<int> calls{0};
+  CountingEvaluator eval(calls);
+  return design_generation(jobs[0].spaces, jobs[0].lists, eval, energy,
+                           jobs[0].quality_constraint)
+      .log.front()
+      .design;
+}
+
 TEST(DesignGenerationBatch, RethrowsAnEvaluationErrorEveryJobShares) {
   const StageEnergyModel energy;
   const std::vector<Algorithm1Job> jobs = eight_jobs(energy);
   std::atomic<int> calls{0};
   // Every job opens phase 1 on the same design, so all of them reach it:
   // the owner throws and the jobs waiting on its entry rethrow.
-  const Design shared_first = [&] {
-    CountingEvaluator eval(calls);
-    return design_generation(jobs[0].spaces, jobs[0].lists, eval, energy,
-                             jobs[0].quality_constraint)
-        .log.front()
-        .design;
-  }();
+  const Design shared_first = shared_first_design(jobs, energy);
   const EvaluatorFactory factory = [&calls, &shared_first] {
     return std::make_unique<CountingEvaluator>(calls, shared_first);
   };
@@ -349,6 +360,172 @@ TEST(DesignGenerationBatch, RethrowsAnEvaluationErrorEveryJobShares) {
         << threads << " threads";
     EXPECT_EQ(calls.load(), 1) << threads << " threads";
   }
+}
+
+/// A stand-in whose designs have three records, run through
+/// for_each_record as AccuracyEvaluator's are. Every record run calls
+/// `on_record` with the thread that called evaluate().
+class RecordEvaluator final : public QualityEvaluator {
+ public:
+  using OnRecord = std::function<void(const Design&, std::size_t, std::thread::id)>;
+  static constexpr std::size_t kRecords = 3;
+
+  explicit RecordEvaluator(OnRecord on_record) : on_record_(std::move(on_record)) {}
+  [[nodiscard]] std::string_view metric_name() const noexcept override { return "synthetic"; }
+
+ protected:
+  [[nodiscard]] double evaluate_impl(const Design& d) override {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<double> q(kRecords);
+    for_each_record(q.size(), [&](std::size_t i) {
+      on_record_(d, i, caller);
+      q[i] = synthetic_quality(d) - 0.001 * static_cast<double>(i);
+    });
+    return (q[0] + q[1] + q[2]) / 3.0;
+  }
+
+ private:
+  OnRecord on_record_;
+};
+
+/// The (design, record) runs of one test, from any thread.
+class RecordLedger {
+ public:
+  void add(const Design& d, std::size_t record) {
+    const std::lock_guard lock(mu_);
+    runs_.emplace_back(to_pipeline_config(d), record);
+  }
+  [[nodiscard]] std::size_t runs() const {
+    const std::lock_guard lock(mu_);
+    return runs_.size();
+  }
+  [[nodiscard]] std::size_t runs_of(const Design& d, std::size_t record) const {
+    const std::lock_guard lock(mu_);
+    return static_cast<std::size_t>(
+        std::count(runs_.begin(), runs_.end(), std::pair(to_pipeline_config(d), record)));
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::pair<pantompkins::PipelineConfig, std::size_t>> runs_;
+};
+
+TEST(DesignGenerationBatch, RunsOneEvaluationsRecordsOnSeveralThreads) {
+  const StageEnergyModel energy;
+  const std::vector<Algorithm1Job> jobs = eight_jobs(energy);
+  const Design first = shared_first_design(jobs, energy);
+  for (const unsigned threads : {2u, 8u}) {
+    RecordLedger ledger;
+    std::thread::id record1_thread;
+    std::atomic<bool> record1_started{false};
+    bool overlapped = false;
+    // Record 0 of the design every job opens on waits until record 1 of it
+    // has started, which only another thread of the batch can do.
+    const RecordEvaluator::OnRecord on_record = [&](const Design& d, std::size_t i,
+                                                     std::thread::id) {
+      ledger.add(d, i);
+      if (!(d == first)) return;
+      if (i == 1) {
+        record1_thread = std::this_thread::get_id();
+        record1_started = true;
+      } else if (i == 0) {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!record1_started && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        overlapped = record1_started && record1_thread != std::this_thread::get_id();
+      }
+    };
+    const EvaluatorFactory factory = [&on_record] {
+      return std::make_unique<RecordEvaluator>(on_record);
+    };
+    const std::vector<Algorithm1Result> batch =
+        design_generation_batch(jobs, factory, energy, threads);
+    EXPECT_TRUE(overlapped) << threads << " threads";
+
+    // Each (design, record) pair ran exactly once.
+    EXPECT_EQ(ledger.runs(), RecordEvaluator::kRecords * distinct_designs(batch));
+    for (const Algorithm1Result& r : batch) {
+      for (const ExploredPoint& p : r.log) {
+        for (std::size_t i = 0; i < RecordEvaluator::kRecords; ++i) {
+          EXPECT_EQ(ledger.runs_of(p.design, i), 1u) << threads << " threads, record " << i;
+        }
+      }
+    }
+
+    const RecordEvaluator::OnRecord quiet = [](const Design&, std::size_t, std::thread::id) {};
+    const std::vector<Algorithm1Result> serial = design_generation_batch(
+        jobs, [&quiet] { return std::make_unique<RecordEvaluator>(quiet); }, energy, 1);
+    for (std::size_t j = 0; j < jobs.size(); ++j) expect_same_alg1(serial[j], batch[j]);
+  }
+}
+
+TEST(DesignGenerationBatch, RethrowsARecordErrorEveryJobShares) {
+  const StageEnergyModel energy;
+  const std::vector<Algorithm1Job> eight = eight_jobs(energy);
+  const Design first = shared_first_design(eight, energy);
+  // Two jobs leave most of 8 threads with no job: they must stop helping
+  // once the jobs have thrown.
+  for (const int n_jobs : {8, 2}) {
+    const std::vector<Algorithm1Job> jobs(eight.begin(), eight.begin() + n_jobs);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << n_jobs << " jobs, " << threads << " threads");
+      RecordLedger ledger;
+      // Record 1 of the design every job opens on throws, whichever thread
+      // runs it.
+      const RecordEvaluator::OnRecord on_record = [&](const Design& d, std::size_t i,
+                                                       std::thread::id) {
+        ledger.add(d, i);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        if (d == first && i == 1) throw std::runtime_error("poisoned record");
+      };
+      const EvaluatorFactory factory = [&on_record] {
+        return std::make_unique<RecordEvaluator>(on_record);
+      };
+      EXPECT_THROW((void)design_generation_batch(jobs, factory, energy, threads),
+                   std::runtime_error);
+      // No job got past the shared design, and none of its records ran twice.
+      EXPECT_EQ(ledger.runs_of(first, 0) + ledger.runs_of(first, 1) + ledger.runs_of(first, 2),
+                ledger.runs());
+      for (std::size_t i = 0; i < RecordEvaluator::kRecords; ++i) {
+        EXPECT_LE(ledger.runs_of(first, i), 1u) << "record " << i;
+      }
+      EXPECT_EQ(ledger.runs_of(first, 1), 1u);
+    }
+  }
+}
+
+TEST(ForEachRecord, GridShardsAndSerialRunsKeepRecordsOnTheCallingThread) {
+  std::atomic<int> runs{0};
+  std::atomic<int> elsewhere{0};
+  const RecordEvaluator::OnRecord on_record = [&](const Design&, std::size_t,
+                                                   std::thread::id caller) {
+    ++runs;
+    if (caller != std::this_thread::get_id()) ++elsewhere;
+  };
+  const EvaluatorFactory factory = [&on_record] {
+    return std::make_unique<RecordEvaluator>(on_record);
+  };
+  const StageEnergyModel energy;
+
+  ParallelExploreOptions opts;
+  opts.threads = 4;
+  opts.shard_designs = 2;
+  const std::vector<StageSpace> spaces = {StageSpace{Stage::Lpf, {0, 8, 16}, 1.0},
+                                          StageSpace{Stage::Hpf, {0, 8, 16}, 1.0}};
+  (void)exhaustive_explore_parallel(spaces, ModuleLists{}, factory, energy, 99.0, opts);
+  (void)heuristic_explore_parallel(spaces, ModuleLists{}, factory, energy, 99.0, opts);
+  EXPECT_GT(runs.load(), 0);
+  EXPECT_EQ(elsewhere.load(), 0) << "grid shards";
+
+  const std::vector<Algorithm1Job> jobs = eight_jobs(energy);
+  runs = 0;
+  RecordEvaluator serial_eval(on_record);
+  (void)design_generation(jobs[0].spaces, jobs[0].lists, serial_eval, energy,
+                          jobs[0].quality_constraint);
+  (void)design_generation_batch(jobs, factory, energy, 1);
+  EXPECT_GT(runs.load(), 0);
+  EXPECT_EQ(elsewhere.load(), 0) << "serial design_generation, 1-thread batch";
 }
 
 TEST(DesignGenerationBatch, BaseDesignMatchesSerial) {

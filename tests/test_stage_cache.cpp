@@ -1,7 +1,10 @@
 // Tests for the per-stage memoized pipeline runner used by the design-space
 // explorers: cached evaluations must be bit-identical to fresh pipeline runs,
-// and unchanged pipeline prefixes must be served from cache.
+// unchanged pipeline prefixes must be served from cache, and distinct records
+// may run on several threads at once.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "xbs/ecg/dataset.hpp"
 #include "xbs/explore/evaluator.hpp"
@@ -87,6 +90,46 @@ TEST(StageCache, RecordsAreCachedIndependently) {
   (void)runner.run_filters(1, cfg);  // different record: its own five recomputes
   EXPECT_EQ(runner.stats().stage_recomputes, 10u);
   EXPECT_EQ(runner.stats().stage_hits, 0u);
+}
+
+TEST(StageCache, DistinctRecordsRunConcurrentlyAsSerially) {
+  const SharedRecords recs = share_records(ecg::nsrdb_like_dataset(4, 4000));
+  const std::vector<PipelineConfig> configs = {
+      PipelineConfig::from_lsbs({10, 12, 2, 8, 16}),
+      PipelineConfig::from_lsbs({10, 12, 2, 8, 12}),
+      PipelineConfig::from_lsbs({0, 12, 2, 8, 12}),
+      PipelineConfig::uniform(4),
+  };
+  // The serial runs, copied out per record and config.
+  MemoizedPipelineRunner serial(recs);
+  std::vector<std::vector<pantompkins::PipelineResult>> want(recs->size());
+  for (const PipelineConfig& cfg : configs) {
+    for (std::size_t i = 0; i < recs->size(); ++i) want[i].push_back(serial.run(i, cfg));
+  }
+
+  // The same runs on one runner, one thread per record.
+  MemoizedPipelineRunner shared(recs);
+  std::vector<std::vector<pantompkins::PipelineResult>> got(recs->size());
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t i = 0; i < recs->size(); ++i) {
+      threads.emplace_back([&, i] {
+        for (const PipelineConfig& cfg : configs) got[i].push_back(shared.run(i, cfg));
+      });
+    }
+  }
+  for (std::size_t i = 0; i < recs->size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size());
+    for (std::size_t k = 0; k < want[i].size(); ++k) {
+      EXPECT_EQ(got[i][k].mwi, want[i][k].mwi) << "record " << i << ", config " << k;
+      EXPECT_EQ(got[i][k].hpf, want[i][k].hpf) << "record " << i << ", config " << k;
+      EXPECT_EQ(got[i][k].ops, want[i][k].ops) << "record " << i << ", config " << k;
+      EXPECT_EQ(got[i][k].detection.peaks, want[i][k].detection.peaks)
+          << "record " << i << ", config " << k;
+    }
+  }
+  EXPECT_EQ(shared.stats(), serial.stats());
+  EXPECT_EQ(shared.stats().runs, configs.size() * recs->size());
 }
 
 TEST(Evaluators, ExposeCacheStats) {
