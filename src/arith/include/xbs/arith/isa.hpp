@@ -4,18 +4,22 @@
 /// The table-driven approximate kernels (kernel.hpp) spend their time in
 /// two loop shapes: gathered LUT walks (square table, signed
 /// per-coefficient product rows) and the carry-free wired-add closed forms
-/// (AMA4/AMA5). Each shape has one implementation per instruction-set tier — portable scalar baseline,
-/// AVX2 (4 x i64 lanes, `vpgatherqq`), AVX-512F (8 x i64 lanes) — compiled
-/// in separate translation units so only those TUs carry `-mavx2` /
-/// `-mavx512f`. A function-pointer table (`KernelOps`) is selected once at
-/// startup from CPUID, overridable with the `XBS_KERNEL_ISA` environment
-/// variable (`baseline` | `avx2` | `avx512`) for testing and CI.
+/// (AMA4/AMA5). There are three instruction-set tiers — portable baseline,
+/// AVX2 (4 x i64 lanes), AVX-512F (8 x i64 lanes) — each its own
+/// translation unit, so only those TUs carry `-mavx2` / `-mavx512f`. The
+/// wired-add loop has one source, which every tier's TU compiles and the
+/// compiler vectorizes under that tier's flag; the AVX tiers write their
+/// table walks as `vpgatherqq` intrinsics, which the compiler does not emit
+/// from the portable loop. A function-pointer table (`KernelOps`) is
+/// selected once at startup from CPUID, overridable with the
+/// `XBS_KERNEL_ISA` environment variable (`baseline` | `avx2` | `avx512`)
+/// for testing and CI.
 ///
-/// Every tier is bit-identical by construction: the vector loops perform
-/// exactly the baseline's 64-bit integer arithmetic per lane, and gathers
-/// load exactly the entries the scalar walk loads. Identity is asserted
-/// per Fig. 12 configuration, forced per ISA, in
-/// tests/test_kernel_dispatch.cpp.
+/// Every tier is bit-identical by construction: each runs the same
+/// wired-add source, and gathers load exactly the entries the scalar walk
+/// loads. tests/test_kernel_dispatch.cpp checks every usable tier's ops
+/// against the adder model, and whole pipelines per Fig. 12 configuration
+/// under each forced tier.
 #pragma once
 
 #include <optional>
@@ -90,7 +94,7 @@ IsaSelection force_kernel_isa_auto();
 // ----------------------------------------------------------- dispatch seam
 
 /// Parameters of the carry-free wired-add closed form, decoded once per
-/// kernel construction (see ApproxKernel::AddFastPath in kernel.hpp).
+/// kernel construction (see ApproxKernel in kernel.hpp).
 struct WiredAddParams {
   int width = 32;        ///< adder width w
   int approx_bits = 0;   ///< k: approximate LSB region, in [0, w] (0 = exact add)

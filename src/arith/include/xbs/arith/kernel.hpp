@@ -17,6 +17,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -212,10 +213,11 @@ class ExactKernel final : public Kernel {
 ///    one masked load per sample;
 ///  - window_sum_n evaluates the MWI tree level by level, one batched add
 ///    per pair of terms.
-/// The table walks and the AMA4/AMA5 wired-add loops run through the
-/// runtime-dispatched vector tier (isa.hpp): gathered LUT loads and 4/8-lane
-/// closed-form adds on AVX2/AVX-512 hardware, the scalar loops elsewhere —
-/// every tier bit-identical by construction. Tables live in the process-wide
+/// The table walks and the AMA4/AMA5 wired-add loop run through the
+/// runtime-dispatched tier (isa.hpp): one wired-add source that each tier
+/// compiles under its own flags (4/8 lanes on AVX2/AVX-512 hardware), and
+/// `vpgatherqq` table walks on those tiers — every tier bit-identical to the
+/// adder model by construction. Tables live in the process-wide
 /// table store next to the get_multiplier() models, keyed by
 /// (MultiplierConfig, coefficient): each kind is a common::Memo, internally
 /// synchronized with immutable published tables, so kernels in different
@@ -256,19 +258,15 @@ class ApproxKernel final : public Kernel {
   /// that tap set.
   FirPlan& fir_plan(std::span<const int> taps);
 
-  /// Which loop serves the batched adds, decoded once at construction.
-  /// AMA5 (Sum=B, Cout=A) and AMA4 (Sum=NOT A, Cout=A) have no carry chain
-  /// through the approximated LSBs, so the dispatched vector tiers evaluate
-  /// them as masks plus one native add (WiredAddParams); every other adder
-  /// is Generic: RippleCarryAdder's closed form per element.
-  enum class AddFastPath { Generic, SumIsB, SumIsNotA };
-
   StageArithConfig cfg_;
   RippleCarryAdder adder_;
-  AddFastPath add_path_ = AddFastPath::Generic;
-  /// Decoded wired-add parameters handed to the dispatched vector loops
-  /// (valid only when add_path_ != Generic).
-  WiredAddParams wired_params_{};
+  /// The batched adds' wired-add parameters, decoded once at construction.
+  /// Engaged exactly when the adder is AMA5 (Sum=B, Cout=A) or AMA4
+  /// (Sum=NOT A, Cout=A) with approximate bits and width <= 63: those have
+  /// no carry chain through the approximated LSBs, so the dispatched tier
+  /// evaluates them as masks plus one native add. Every other adder runs
+  /// RippleCarryAdder's closed form per element.
+  std::optional<WiredAddParams> wired_;
   FirPlan plan_;
   std::shared_ptr<const TableVec> square_;  ///< resolved on first square_n
   /// window_sum_n scratch of the tree (reused across chunks). Level outputs

@@ -177,28 +177,25 @@ void ExactKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pad
 
 ApproxKernel::ApproxKernel(const StageArithConfig& cfg) : cfg_(cfg), adder_(cfg.adder) {
   // Decode the adder once: the carry-free mirror adders take the dispatched
-  // wired-add loops (see AddFastPath). Positions below `approx_bits` are
+  // wired-add loop (see wired_). Positions below `approx_bits` are
   // approximate.
-  const int approx_bits = std::clamp(cfg.adder.approx_lsbs - cfg.adder.weight_offset, 0,
-                                     cfg.adder.width);
-  if (approx_bits > 0 && cfg.adder.width <= 63) {
-    if (cfg.adder.kind == AdderKind::Approx5) add_path_ = AddFastPath::SumIsB;
-    if (cfg.adder.kind == AdderKind::Approx4) add_path_ = AddFastPath::SumIsNotA;
+  const AdderConfig& add = cfg.adder;
+  const int approx_bits = std::clamp(add.approx_lsbs - add.weight_offset, 0, add.width);
+  const bool wired = add.kind == AdderKind::Approx5 || add.kind == AdderKind::Approx4;
+  if (wired && approx_bits > 0 && add.width <= 63) {
+    wired_ = WiredAddParams{add.width, approx_bits, add.kind == AdderKind::Approx5};
   }
-  wired_params_.width = cfg.adder.width;
-  wired_params_.approx_bits = approx_bits;
-  wired_params_.sum_is_b = add_path_ == AddFastPath::SumIsB;
 }
 
 // The batched loop bodies live behind the runtime ISA dispatch (isa.hpp):
-// one atomic table-pointer load per *_n call selects the scalar baseline or
-// the AVX2/AVX-512 vector loops, all bit-identical to the adder's closed
-// form (asserted per forced ISA in tests/test_kernel_dispatch.cpp).
+// one atomic table-pointer load per *_n call selects the tier, every one
+// bit-identical to the adder's closed form (asserted per forced ISA in
+// tests/test_kernel_dispatch.cpp).
 
 void ApproxKernel::add_n(std::span<const i64> a, std::span<const i64> b, std::span<i64> out) {
   const std::size_t n = out.size();
-  if (add_path_ != AddFastPath::Generic) {
-    kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, wired_params_);
+  if (wired_) {
+    kernel_ops().wired_add_n(a.data(), b.data(), out.data(), n, *wired_);
     return;
   }
   for (std::size_t i = 0; i < n; ++i) out[i] = adder_.add_signed(a[i], b[i]);

@@ -1,6 +1,6 @@
 // The runtime kernel-ISA dispatch: selection and forcing never crash (an
 // unavailable request falls back visibly to a usable tier), every compiled
-// vector tier is bit-identical to the baseline loops op by op, whole
+// tier's ops match the baseline loops and the adder and table models, whole
 // pipelines are bit-identical per Fig. 12 configuration under every forced
 // tier, StreamServer output is shard- AND tier-invariant, and the streaming
 // hot path never builds a table lazily once the configuration is warmed.
@@ -13,6 +13,7 @@
 
 #include "xbs/arith/isa.hpp"
 #include "xbs/arith/kernel.hpp"
+#include "xbs/arith/rca.hpp"
 #include "xbs/common/rng.hpp"
 #include "xbs/core/paper_configs.hpp"
 #include "xbs/ecg/dataset.hpp"
@@ -99,9 +100,15 @@ TEST_F(KernelDispatchTest, EnvOverrideSelectsAndUnknownValueFallsBack) {
   }
 }
 
-/// The raw dispatch-table ops, tier vs baseline, across ragged lengths,
-/// aliasing, and the wired-add parameter space (both operand-port
-/// conventions and the k >= w low-only closed form).
+/// The raw dispatch-table ops of every usable tier, baseline included,
+/// against baseline and against the models: each gather against
+/// `table[x & mask]`, each wired add against RippleCarryAdder's AMA5/AMA4.
+/// The tiers share one wired-add source, so agreeing with baseline alone
+/// could not catch a fault in it. Ragged lengths straddle the vector loops'
+/// remainders and the wire's 64-sample chunk; aliasing covers `out == x` for
+/// the gather and `out == a` / `out == b` for the add; the wired-add
+/// parameter space covers both operand-port conventions and the k >= w
+/// low-only closed form.
 TEST_F(KernelDispatchTest, VectorTiersBitIdenticalToBaselineOps) {
   const KernelOps& base = *kernel_ops_for(Isa::Baseline);
   Rng rng(2026);
@@ -110,17 +117,21 @@ TEST_F(KernelDispatchTest, VectorTiersBitIdenticalToBaselineOps) {
   for (i64& t : table) t = rng.uniform_int(-(1 << 30), 1 << 30);
   const u64 mask = (1u << 16) - 1;
 
-  const std::vector<std::size_t> lens{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 700};
-  for (const Isa isa : {Isa::Avx2, Isa::Avx512}) {
+  const std::size_t lens[] = {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 700};
+  for (const Isa isa : kAllIsas) {
     const KernelOps* ops = kernel_ops_for(isa);
     if (ops == nullptr) continue;  // covered by the skip-notice pipeline test
     for (const std::size_t n : lens) {
+      SCOPED_TRACE(::testing::Message() << to_string(isa) << " n=" << n);
       std::vector<i64> x(n), want(n), got(n);
       for (i64& v : x) v = rng.uniform_int(-(1 << 20), 1 << 20);
 
       base.gather_lut_n(table.data(), mask, x.data(), want.data(), n);
       ops->gather_lut_n(table.data(), mask, x.data(), got.data(), n);
       EXPECT_EQ(got, want) << to_string(isa) << " gather n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], table[static_cast<u64>(x[i]) & mask]) << "gather i=" << i;
+      }
 
       // In-place gather (out aliases x) — the SQR stage's calling shape.
       std::vector<i64> inplace = x;
@@ -137,6 +148,20 @@ TEST_F(KernelDispatchTest, VectorTiersBitIdenticalToBaselineOps) {
           ops->wired_add_n(a.data(), b.data(), got.data(), n, p);
           EXPECT_EQ(got, want) << to_string(isa) << " add n=" << n << " k=" << k
                                << " sum_is_b=" << sum_is_b;
+          SCOPED_TRACE(::testing::Message() << "k=" << k << " sum_is_b=" << sum_is_b);
+          const AdderKind kind = sum_is_b ? AdderKind::Approx5 : AdderKind::Approx4;
+          const RippleCarryAdder model(AdderConfig{32, k, kind, 0});
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got[i], model.add_signed(a[i], b[i])) << "add i=" << i;
+          }
+
+          // In place on either port — the FIR row accumulate's shape.
+          std::vector<i64> on_a = a;
+          ops->wired_add_n(on_a.data(), b.data(), on_a.data(), n, p);
+          EXPECT_EQ(on_a, got) << "add out==a";
+          std::vector<i64> on_b = b;
+          ops->wired_add_n(a.data(), on_b.data(), on_b.data(), n, p);
+          EXPECT_EQ(on_b, got) << "add out==b";
         }
       }
     }
