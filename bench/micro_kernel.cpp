@@ -6,6 +6,9 @@
 // The `configs` array additionally reports the batched exact-vs-approximate
 // per-op gap for every elementary MultKind x ApproxPolicy combination, so
 // regressions in any table-compilation path are visible per configuration.
+// The `stages` array runs the HPF and MWI stages, whose AMA5 sums the
+// approximate kernel evaluates in closed form, scalar and batched at 8 and
+// 16 approximate LSBs, plus one AMA4 HPF row that keeps the wired-add chain.
 //
 //   ./bench_micro_kernel [--samples N] [--iters K] [--lsbs L]
 //
@@ -19,6 +22,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "scalar_unit.hpp"
@@ -60,17 +64,19 @@ u64 checksum_of(const std::vector<i64>& y) {
   return h;
 }
 
-/// Run the signal through the FIR stage over a scalar unit (the per-op
-/// virtual-dispatch datapath: every add and multiply is one unit call).
-PathResult run_scalar(oracle::ArithmeticUnit& unit, const std::vector<i32>& x, int iters) {
+/// Run the signal through a stage (the LPF unless given) over a scalar unit
+/// (the per-op virtual-dispatch datapath: every add and multiply is one unit
+/// call).
+PathResult run_scalar(oracle::ArithmeticUnit& unit, const std::vector<i32>& x, int iters,
+                      pantompkins::Stage stage = pantompkins::Stage::Lpf) {
   PathResult r;
   double best = 1e300;
   std::vector<i32> y;
   for (int it = 0; it < iters; ++it) {
     oracle::UnitKernel kernel(unit);
-    pantompkins::FirStage fir(pantompkins::kLpfTaps, pantompkins::kLpfShift, kernel);
+    pantompkins::StageProcessor st(stage, kernel);
     const double t0 = now_s();
-    fir.process_chunk(x, y);
+    st.process_chunk(x, y);
     best = std::min(best, now_s() - t0);
   }
   r.samples_per_sec = static_cast<double>(x.size()) / best;
@@ -78,16 +84,17 @@ PathResult run_scalar(oracle::ArithmeticUnit& unit, const std::vector<i32>& x, i
   return r;
 }
 
-/// Run the signal through the batched block transform (one fir_n over the
-/// whole record).
-PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int iters) {
+/// Run the signal through the batched block transform of a stage (the LPF
+/// unless given: one kernel call over the whole record).
+PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int iters,
+                       pantompkins::Stage stage = pantompkins::Stage::Lpf) {
   PathResult r;
   double best = 1e300;
   std::vector<i32> y;
   for (int it = 0; it < iters; ++it) {
-    pantompkins::FirStage fir(pantompkins::kLpfTaps, pantompkins::kLpfShift, kernel);
+    pantompkins::StageProcessor st(stage, kernel);
     const double t0 = now_s();
-    fir.process_chunk(x, y);
+    st.process_chunk(x, y);
     best = std::min(best, now_s() - t0);
   }
   r.samples_per_sec = static_cast<double>(x.size()) / best;
@@ -163,6 +170,35 @@ int main(int argc, char** argv) {
       row.checksum_match = run_scalar(unit, x, 1).checksum == batched.checksum;
       rows.push_back(row);
     }
+  }
+
+  // Scalar-vs-batched rows of the stages whose AMA5 sums fold (HPF, MWI) at
+  // k = 8 and 16, plus the AMA4 HPF as the control that keeps the wired-add
+  // chain.
+  struct StageRow {
+    pantompkins::Stage stage;
+    AdderKind kind;
+    int lsbs = 0;
+    double scalar_sps = 0.0;
+    double batched_sps = 0.0;
+    bool checksum_match = false;
+  };
+  std::vector<StageRow> stage_rows;
+  for (const auto& [stage, kind, row_lsbs] :
+       {std::tuple{pantompkins::Stage::Hpf, AdderKind::Approx5, 8},
+        std::tuple{pantompkins::Stage::Hpf, AdderKind::Approx5, 16},
+        std::tuple{pantompkins::Stage::Mwi, AdderKind::Approx5, 8},
+        std::tuple{pantompkins::Stage::Mwi, AdderKind::Approx5, 16},
+        std::tuple{pantompkins::Stage::Hpf, AdderKind::Approx4, 8}}) {
+    const arith::StageArithConfig cfg = arith::StageArithConfig::uniform(row_lsbs, kind);
+    const std::unique_ptr<arith::Kernel> kernel = arith::make_kernel(cfg);
+    (void)run_batched(*kernel, x, 1, stage);  // untimed table warm-up
+    const PathResult batched = run_batched(*kernel, x, iters, stage);
+    oracle::ApproxUnit unit(cfg);
+    const PathResult scalar = run_scalar(unit, x, 1, stage);
+    stage_rows.push_back(StageRow{stage, kind, row_lsbs, scalar.samples_per_sec,
+                                  batched.samples_per_sec,
+                                  scalar.checksum == batched.checksum});
   }
 
   // Per-(op x ISA) dispatch-table rows: each compiled-and-usable kernel tier
@@ -278,6 +314,19 @@ int main(int argc, char** argv) {
         static_cast<int>(to_string(r.policy).size()), to_string(r.policy).data(), r.sps,
         r.gap, r.checksum_match ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
+  std::printf("  ],\n  \"stages\": [\n");
+  bool stage_rows_match = true;
+  for (std::size_t i = 0; i < stage_rows.size(); ++i) {
+    const StageRow& r = stage_rows[i];
+    stage_rows_match = stage_rows_match && r.checksum_match;
+    std::printf(
+        "    {\"stage\": \"%.*s\", \"adder_kind\": \"%.*s\", \"approx_lsbs\": %d, "
+        "\"scalar_sps\": %.0f, \"batched_sps\": %.0f, \"checksum_match\": %s}%s\n",
+        static_cast<int>(to_string(r.stage).size()), to_string(r.stage).data(),
+        static_cast<int>(to_string(r.kind).size()), to_string(r.kind).data(), r.lsbs,
+        r.scalar_sps, r.batched_sps, r.checksum_match ? "true" : "false",
+        i + 1 < stage_rows.size() ? "," : "");
+  }
   std::printf("  ],\n  \"isa_ops\": [\n");
   bool isa_rows_match = true;
   for (std::size_t i = 0; i < isa_rows.size(); ++i) {
@@ -297,7 +346,7 @@ int main(int argc, char** argv) {
   // CI smoke runs catch it.
   return (scalar_exact.checksum == batched_exact.checksum &&
           scalar_approx.checksum == batched_approx.checksum && rows_match &&
-          isa_rows_match)
+          stage_rows_match && isa_rows_match)
              ? 0
              : 1;
 }

@@ -122,9 +122,10 @@ class Kernel {
   /// padded[i .. i+w-1] through the balanced pairwise tree of
   /// netlist::build_mwi_stage: each level adds adjacent terms in pairs,
   /// oldest first, and carries an odd leftover to the end of the next level.
-  /// Counted as the tree's w-1 adds per output. An approximate adder needs
-  /// that exact tree — its adds are not associative; a backend whose add is
-  /// associative may evaluate the same sum in any order.
+  /// Counted as the tree's w-1 adds per output. An approximate adder's adds
+  /// are not associative, so in general it needs that exact tree; a backend
+  /// whose add is associative may evaluate the same sum in any order. AMA5
+  /// is the exception: its tree has a closed form (see ApproxKernel).
   /// Requires w >= 1; \p padded must not alias \p out.
   void window_sum_n(std::size_t w, std::span<const i64> padded, std::span<i64> out) {
     counts_.adds += out.size() * (w - 1);
@@ -213,6 +214,33 @@ class ExactKernel final : public Kernel {
 ///    one masked load per sample;
 ///  - window_sum_n evaluates the MWI tree level by level, one batched add
 ///    per pair of terms.
+///
+/// The AMA5 fold. An AMA5 add (Sum = B, Cout = A) of w-bit operands with k
+/// approximate LSBs (0 < k <= w) passes B's low k bits through and carries
+/// only A's bit k-1 into one native add of the high parts:
+///   add(A, B) = (hi(A) + hi(B) + bit_{k-1}(A)) mod 2^(w-k) : lo(B),
+/// with hi(u) = u >> k and lo(u) = u mod 2^k (u the operand's low w bits).
+/// In the chain acc = add(acc, t_j) the accumulator's low bits are those of
+/// the previous term, so the carry of step j is bit_{k-1}(t_{j-1}); in the
+/// MWI tree every node takes its carry from the rightmost leaf of its left
+/// subtree, and as the tree keeps its leaves in order (an odd leftover
+/// moves to the end of the next level), that leaf is a different one for
+/// every node: every leaf but the last. Either way, a sum of terms
+/// t_0 .. t_m is
+///   (g(t_0) + ... + g(t_{m-1}) + hi(t_m)) mod 2^(w-k) : lo(t_m),
+///   g(u) = hi(u) + bit_{k-1}(u),
+/// sign-extended from w bits. At k = w the high part is empty and the sum is
+/// t_m itself. No associativity is assumed: this is the wired adds
+/// unrolled. Terms at
+/// consecutive offsets of one row then sum to one difference of a prefix
+/// sum of g, so window_sum_n folds every AMA5 window in O(1) per output
+/// (one run over the padded input), and fir_n folds a tap set whose runs
+/// of equal coefficients make it need fewer passes than the chain (the
+/// HPF: 31 adds become one prefix pass and four short ones; the LPF and DER
+/// keep the chain). The sums stay in u64 without wrapping: g <= 2^31 at
+/// w <= 32, the widths the fold is taken at, over blocks of fewer than 2^32
+/// samples.
+///
 /// The table walks and the AMA4/AMA5 wired-add loop run through the
 /// runtime-dispatched tier (isa.hpp): one wired-add source that each tier
 /// compiles under its own flags (4/8 lanes on AVX2/AVX-512 hardware), and
@@ -244,6 +272,13 @@ class ApproxKernel final : public Kernel {
     std::size_t row = 0;     ///< index into FirPlan::tables / rows
     std::size_t offset = 0;  ///< T-1-j: tap j of output i reads row[offset + i]
   };
+  /// Terms of an AMA5 fold at `len` consecutive offsets of one row: term s
+  /// of output i reads row[offset + s + i], s in [0, len).
+  struct FoldRun {
+    std::size_t row = 0;
+    std::size_t offset = 0;
+    std::size_t len = 1;
+  };
   /// fir_n's evaluation plan for the last tap set seen, and its scratch
   /// (reused across chunks).
   struct FirPlan {
@@ -253,10 +288,18 @@ class ApproxKernel final : public Kernel {
     std::vector<std::shared_ptr<const TableVec>> tables;
     std::vector<PlanTap> chain;          ///< the non-zero taps, in tap order
     std::vector<std::vector<i64>> rows;  ///< one product row per table
+    /// Every tap but the last as AMA5 fold runs, or empty to run the chain.
+    std::vector<FoldRun> fold;
   };
   /// The plan of \p taps, derived (and its tables built) on first use of
   /// that tap set.
   FirPlan& fir_plan(std::span<const int> taps);
+
+  /// out[i] = the AMA5 fold (see the class doc) of the terms of \p runs in
+  /// order, then of `rows[last.row][last.offset + i]`. Requires folds_ and
+  /// at least one run.
+  void ama5_fold_n(std::span<const FoldRun> runs, PlanTap last,
+                   std::span<const std::span<const i64>> rows, std::span<i64> out);
 
   StageArithConfig cfg_;
   RippleCarryAdder adder_;
@@ -267,6 +310,8 @@ class ApproxKernel final : public Kernel {
   /// evaluates them as masks plus one native add. Every other adder runs
   /// RippleCarryAdder's closed form per element.
   std::optional<WiredAddParams> wired_;
+  /// Whether sums of adds take the AMA5 fold: an AMA5 wired_ of width <= 32.
+  bool folds_ = false;
   FirPlan plan_;
   std::shared_ptr<const TableVec> square_;  ///< resolved on first square_n
   /// window_sum_n scratch of the tree (reused across chunks). Level outputs
@@ -281,6 +326,14 @@ class ApproxKernel final : public Kernel {
     std::vector<std::span<const i64>> next;
   };
   TreeScratch tree_;
+  /// ama5_fold_n scratch (reused across chunks): the prefix sums of g per
+  /// row, the per-output sums and the FIR's row views.
+  struct FoldScratch {
+    std::vector<std::vector<u64>> prefix;
+    std::vector<u64> acc;
+    std::vector<std::span<const i64>> rows;
+  };
+  FoldScratch fold_;
 };
 
 /// Build the right backend for a stage configuration: the exact native kernel

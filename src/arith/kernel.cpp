@@ -185,6 +185,7 @@ ApproxKernel::ApproxKernel(const StageArithConfig& cfg) : cfg_(cfg), adder_(cfg.
   if (wired && approx_bits > 0 && add.width <= 63) {
     wired_ = WiredAddParams{add.width, approx_bits, add.kind == AdderKind::Approx5};
   }
+  folds_ = wired_ && wired_->sum_is_b && add.width <= 32;
 }
 
 // The batched loop bodies live behind the runtime ISA dispatch (isa.hpp):
@@ -220,6 +221,28 @@ ApproxKernel::FirPlan& ApproxKernel::fir_plan(std::span<const int> taps) {
     }
   }
   p.rows.resize(p.tables.size());
+  // The AMA5 fold merges adjacent taps on one row into runs. Take it when
+  // its passes (one prefix pass per row that a run of two or more taps
+  // reads, one per run, one for the last tap) are fewer than the chain's
+  // wired adds.
+  p.fold.clear();
+  if (folds_) {
+    for (std::size_t j = 0; j + 1 < p.chain.size(); ++j) {
+      const PlanTap& t = p.chain[j];
+      if (!p.fold.empty() && p.fold.back().row == t.row && p.fold.back().offset == t.offset + 1) {
+        --p.fold.back().offset;
+        ++p.fold.back().len;
+      } else {
+        p.fold.push_back(FoldRun{t.row, t.offset, 1});
+      }
+    }
+    std::size_t passes = p.fold.size() + 1;
+    for (std::size_t r = 0; r < p.rows.size(); ++r) {
+      passes += std::any_of(p.fold.begin(), p.fold.end(),
+                            [r](const FoldRun& run) { return run.row == r && run.len > 1; });
+    }
+    if (passes >= p.chain.size()) p.fold.clear();
+  }
   p.taps.assign(taps.begin(), taps.end());
   return p;
 }
@@ -243,6 +266,11 @@ void ApproxKernel::fir_n_impl(std::span<const int> taps, std::span<const i64> pa
     std::vector<i64>& row = p.rows[r];
     row.resize(padded.size());
     ops.gather_lut_n(p.tables[r]->data(), mmask, padded.data(), row.data(), padded.size());
+  }
+  if (!p.fold.empty()) {
+    fold_.rows.assign(p.rows.begin(), p.rows.end());
+    ama5_fold_n(p.fold, p.chain.back(), fold_.rows, acc);
+    return;
   }
   const auto view = [&](const PlanTap& tap) {
     return std::span<const i64>(p.rows[tap.row]).subspan(tap.offset, acc.size());
@@ -273,6 +301,11 @@ void ApproxKernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
     std::copy_n(padded.begin(), n, out.begin());
     return;
   }
+  if (folds_) {  // the tree's leaves in order: one run, then the newest sample
+    const FoldRun run{0, 0, w - 1};
+    ama5_fold_n({&run, 1}, PlanTap{0, w - 1}, {&padded, 1}, out);
+    return;
+  }
   tree_.terms.clear();
   for (std::size_t k = 0; k < w; ++k) tree_.terms.push_back(padded.subspan(k, n));
   std::size_t parity = 0;
@@ -293,6 +326,61 @@ void ApproxKernel::window_sum_n_impl(std::size_t w, std::span<const i64> padded,
     parity ^= 1;
   }
   add_n(tree_.terms[0], tree_.terms[1], out);
+}
+
+void ApproxKernel::ama5_fold_n(std::span<const FoldRun> runs, PlanTap last,
+                               std::span<const std::span<const i64>> rows, std::span<i64> out) {
+  const int w = wired_->width;
+  const int k = wired_->approx_bits;
+  const std::size_t n = out.size();
+  const u64 wmask = low_mask(w);
+  const auto g = [wmask, k](i64 v) {
+    const u64 u = static_cast<u64>(v) & wmask;
+    return (u >> k) + ((u >> (k - 1)) & 1u);
+  };
+  // G[t] = g(row[0]) + ... + g(row[t-1]) of each row that a run of two or
+  // more terms reads.
+  fold_.prefix.resize(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (std::none_of(runs.begin(), runs.end(),
+                     [r](const FoldRun& run) { return run.row == r && run.len > 1; })) {
+      continue;
+    }
+    const std::span<const i64> row = rows[r];
+    std::vector<u64>& prefix = fold_.prefix[r];
+    prefix.resize(row.size() + 1);
+    u64* XBS_RESTRICT pg = prefix.data();
+    u64 s = 0;
+    pg[0] = 0;
+    for (std::size_t t = 0; t < row.size(); ++t) {
+      s += g(row[t]);
+      pg[t + 1] = s;
+    }
+  }
+  // acc[i] sums g over every term but the last: a run of one term adds it,
+  // a longer run one difference of its row's prefix sums.
+  fold_.acc.assign(n, 0);
+  u64* XBS_RESTRICT pa = fold_.acc.data();
+  for (const FoldRun& run : runs) {
+    if (run.len == 1) {
+      const i64* XBS_RESTRICT x = rows[run.row].data() + run.offset;
+      for (std::size_t i = 0; i < n; ++i) pa[i] += g(x[i]);
+    } else {
+      const u64* XBS_RESTRICT lo = fold_.prefix[run.row].data() + run.offset;
+      const u64* XBS_RESTRICT hi = lo + run.len;
+      for (std::size_t i = 0; i < n; ++i) pa[i] += hi[i] - lo[i];
+    }
+  }
+  // The last term adds its high part and keeps its low k bits. At k = w
+  // there is no high part (himask = 0): the sum is the last term itself.
+  const u64 kmask = low_mask(k);
+  const u64 himask = low_mask(w - k);
+  const i64* XBS_RESTRICT pl = rows[last.row].data() + last.offset;
+  i64* XBS_RESTRICT po = out.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 u = static_cast<u64>(pl[i]) & wmask;
+    po[i] = sign_extend((((pa[i] + (u >> k)) & himask) << k) | (u & kmask), w);
+  }
 }
 
 // -------------------------------------------------------------------- factory

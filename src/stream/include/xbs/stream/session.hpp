@@ -87,6 +87,8 @@ class Session {
 
   /// Feed one chunk of digitized samples (any size, zero included). Returns
   /// the events finalized by this chunk (valid until the next push/flush).
+  /// A chunk above pantompkins::kStageBlock samples runs as consecutive
+  /// slices of that size, so the cost per sample does not grow with it.
   std::span<const Event> push(std::span<const i32> chunk);
 
   /// End-of-record: finalize and emit everything still pending. Idempotent;

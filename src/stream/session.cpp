@@ -1,5 +1,6 @@
 #include "xbs/stream/session.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -41,23 +42,32 @@ void Session::deliver(std::span<const pantompkins::PeakEvent> evs) {
 std::span<const Event> Session::push(std::span<const i32> chunk) {
   if (flushed_) throw std::logic_error("stream::Session: push after flush");
   fresh_.clear();
-  // One resumable chunk through each stage, in pipeline order, into reused
-  // per-session buffers. Every stage is one-in-one-out, so the chunk
+  // Slices of at most kStageBlock samples, as run_stage's blocks, so the
+  // stage buffers and kernel scratch stay cache-sized whatever the chunk
+  // size; a chunk that fits (empty included) is one slice. Each slice goes
+  // through each stage, in pipeline order, into reused per-session buffers,
+  // then through the detector. Every stage is one-in-one-out, so the slice
   // outputs stay index-aligned with the raw input — exactly the alignment
   // the detector's lag constants assume.
-  stages_[0].process_chunk(chunk, chain_[0]);
-  for (int s = 1; s < pantompkins::kNumStages; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    stages_[su].process_chunk(chain_[su - 1], chain_[su]);
-  }
-  n_ += chunk.size();
-  if (spec_.keep_signals) {
-    for (int s = 0; s < pantompkins::kNumStages; ++s) {
+  std::size_t at = 0;
+  do {
+    const std::span<const i32> slice =
+        chunk.subspan(at, std::min(pantompkins::kStageBlock, chunk.size() - at));
+    stages_[0].process_chunk(slice, chain_[0]);
+    for (int s = 1; s < pantompkins::kNumStages; ++s) {
       const auto su = static_cast<std::size_t>(s);
-      signals_[su].insert(signals_[su].end(), chain_[su].begin(), chain_[su].end());
+      stages_[su].process_chunk(chain_[su - 1], chain_[su]);
     }
-  }
-  deliver(detector_.push(chain_[4], chain_[1], chunk));  // MWI, HPF, raw
+    if (spec_.keep_signals) {
+      for (int s = 0; s < pantompkins::kNumStages; ++s) {
+        const auto su = static_cast<std::size_t>(s);
+        signals_[su].insert(signals_[su].end(), chain_[su].begin(), chain_[su].end());
+      }
+    }
+    deliver(detector_.push(chain_[4], chain_[1], slice));  // MWI, HPF, raw
+    at += slice.size();
+  } while (at < chunk.size());
+  n_ += chunk.size();
   return fresh_;
 }
 

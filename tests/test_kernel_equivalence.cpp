@@ -2,8 +2,9 @@
 // window_sum_n; exact and approximate backends) are bit-identical to the
 // scalar ExactUnit/ApproxUnit oracle (scalar_unit.hpp) across random
 // operands and every (AdderKind, MultKind, approx_lsbs) combination, cold and
-// warm, the exact kernel's fast fir_n/window_sum_n paths equal the hardware chain
-// and tree over full-range operands, and the stage chunk transforms are
+// warm, the exact kernel's fast fir_n/window_sum_n paths and the approximate
+// kernel's AMA5 fold equal the hardware chain and tree over full-range
+// operands, and the stage chunk transforms are
 // bit-identical to streaming the same samples through the per-sample scalar
 // oracle (pt_oracle.hpp) — including operation counts.
 #include <gtest/gtest.h>
@@ -282,8 +283,9 @@ TEST(ExactFastPaths, LongBlocksCrossTheUnwrappedStretches) {
 }
 
 TEST(ExactFastPaths, ApproxWindowSumIsTheScalarTree) {
-  // The approximate kernel keeps the tree (its adds are not associative);
-  // its batched wired adds must reproduce the scalar tree at every window.
+  // The approximate adds are not associative, so the approximate kernel
+  // must reproduce the scalar tree at every window: AMA5 (this config)
+  // through its closed-form fold, the other kinds through batched adds.
   const StageArithConfig cfg = StageArithConfig::uniform(8);
   Rng rng(2026);
   for (std::size_t w = 2; w <= 40; ++w) {
@@ -297,6 +299,94 @@ TEST(ExactFastPaths, ApproxWindowSumIsTheScalarTree) {
     tree.window_sum_n(w, padded, want);
     ASSERT_EQ(first_mismatch(got, want), -1) << "w=" << w;
     EXPECT_EQ(kernel.counts(), unit.counts()) << "w=" << w;
+  }
+}
+
+// The approximate kernel's AMA5 fold (see ApproxKernel) against the scalar
+// chain and tree over full-range operands, so the high-part sums wrap: every
+// approximate-LSB count from the lowest to the whole 32-bit word, outputs and
+// OpCounts.
+
+constexpr std::array<int, 7> kFoldLsbs = {1, 2, 8, 16, 30, 31, 32};
+constexpr std::array<std::size_t, 3> kFoldBlocks = {1, 7, 1024};
+
+/// An AMA5 adder with \p lsbs approximate LSBs and the accurate multiplier:
+/// the fold is the adder's, and accurate products span [-2^30, 2^30] at
+/// every k (at k >= 30 an approximate multiplier leaves a few small values).
+/// The product tables are then shared by every k.
+StageArithConfig fold_config(int lsbs) {
+  StageArithConfig cfg;
+  cfg.adder = AdderConfig{32, lsbs, AdderKind::Approx5, 0};
+  return cfg;
+}
+
+/// The three stage tap sets, then sets made of runs of equal coefficients
+/// from a small palette (so few product tables), one of them ending in a
+/// run on the last tap. The palette is [-4, 4] plus the 16-bit extremes,
+/// whose products reach bits 30 and 31.
+std::vector<std::vector<int>> fold_tap_sets(Rng& rng) {
+  constexpr std::array<int, 11> kPalette = {-32768, -4, -3, -2, -1, 0, 1, 2, 3, 4, 32767};
+  std::vector<std::vector<int>> sets;
+  sets.emplace_back(pantompkins::kLpfTaps.begin(), pantompkins::kLpfTaps.end());
+  sets.emplace_back(pantompkins::kHpfTaps.begin(), pantompkins::kHpfTaps.end());
+  sets.emplace_back(pantompkins::kDerTaps.begin(), pantompkins::kDerTaps.end());
+  sets.push_back({3, -2, -2, -2, -2, -2});
+  for (int t = 0; t < 40; ++t) {
+    std::vector<int> s;
+    const auto size = static_cast<std::size_t>(rng.uniform_int(2, 40));
+    while (s.size() < size) {
+      const int c = kPalette[static_cast<std::size_t>(rng.uniform_int(0, kPalette.size() - 1))];
+      for (i64 k = rng.uniform_int(1, 16); k > 0 && s.size() < size; --k) s.push_back(c);
+    }
+    sets.push_back(std::move(s));
+  }
+  return sets;
+}
+
+TEST(Ama5Fold, FirMatchesScalarChainFullRange) {
+  Rng rng(2028);
+  const std::vector<std::vector<int>> tap_sets = fold_tap_sets(rng);
+  for (const int lsbs : kFoldLsbs) {
+    const StageArithConfig cfg = fold_config(lsbs);
+    for (const std::vector<int>& taps : tap_sets) {
+      ApproxKernel kernel(cfg);  // one kernel per tap set, as one per stage
+      for (const std::size_t n : kFoldBlocks) {
+        const std::vector<i64> padded = full_range_operands(rng, n + taps.size() - 1);
+        ApproxUnit unit(cfg);
+        UnitKernel chain(unit);
+        std::vector<i64> got(n), want(n);
+        kernel.reset_counts();
+        kernel.fir_n(taps, padded, got);
+        chain.fir_n(taps, padded, want);
+        ASSERT_EQ(first_mismatch(got, want), -1)
+            << "k=" << lsbs << " taps=" << taps.size() << " first=" << taps.front() << " n=" << n;
+        EXPECT_EQ(kernel.counts(), unit.counts()) << "k=" << lsbs << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Ama5Fold, WindowSumMatchesScalarTreeFullRange) {
+  Rng rng(2029);
+  for (const int lsbs : kFoldLsbs) {
+    const StageArithConfig cfg = fold_config(lsbs);
+    const auto check = [&](ApproxKernel& kernel, std::size_t w, std::size_t n) {
+      const std::vector<i64> padded = full_range_operands(rng, n + w - 1);
+      ApproxUnit unit(cfg);
+      UnitKernel tree(unit);
+      std::vector<i64> got(n), want(n);
+      kernel.reset_counts();
+      kernel.window_sum_n(w, padded, got);
+      tree.window_sum_n(w, padded, want);
+      ASSERT_EQ(first_mismatch(got, want), -1) << "k=" << lsbs << " w=" << w << " n=" << n;
+      EXPECT_EQ(kernel.counts(), unit.counts()) << "k=" << lsbs << " w=" << w << " n=" << n;
+    };
+    for (std::size_t w = 1; w <= 40; ++w) {
+      ApproxKernel kernel(cfg);
+      for (const std::size_t n : kFoldBlocks) check(kernel, w, n);
+    }
+    ApproxKernel kernel(cfg);
+    check(kernel, 30, 150000);  // one long block: the prefix sums grow large
   }
 }
 
