@@ -9,6 +9,11 @@
 // The `stages` array runs the HPF and MWI stages, whose AMA5 sums the
 // approximate kernel evaluates in closed form, scalar and batched at 8 and
 // 16 approximate LSBs, plus one AMA4 HPF row that keeps the wired-add chain.
+// The `detector` array runs the QRS decision logic over one seeded record's
+// exact and B9 pipeline outputs, as one whole-record push and as 64-sample
+// pushes, through the test oracle's reference detector
+// (tests/detector_oracle.hpp) and the library's OnlineDetector; it reports
+// the median ns/sample of the iterations and whether both traces match.
 //
 //   ./bench_micro_kernel [--samples N] [--iters K] [--lsbs L]
 //
@@ -21,14 +26,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "detector_oracle.hpp"
 #include "scalar_unit.hpp"
 #include "xbs/arith/isa.hpp"
 #include "xbs/arith/kernel.hpp"
 #include "xbs/common/rng.hpp"
+#include "xbs/core/paper_configs.hpp"
+#include "xbs/ecg/dataset.hpp"
+#include "xbs/pantompkins/pipeline.hpp"
 #include "xbs/pantompkins/stages.hpp"
 
 namespace {
@@ -100,6 +111,50 @@ PathResult run_batched(arith::Kernel& kernel, const std::vector<i32>& x, int ite
   r.samples_per_sec = static_cast<double>(x.size()) / best;
   r.checksum = checksum_of(y);
   return r;
+}
+
+/// FNV-1a over every field of a detection trace and the peak list.
+u64 checksum_of(const pantompkins::DetectionResult& r) {
+  u64 h = 1469598103934665603ull;
+  const auto mix = [&h](u64 v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const pantompkins::PeakEvent& e : r.trace) {
+    mix(e.mwi_index);
+    mix(e.hpf_index);
+    mix(e.raw_index);
+    mix(static_cast<u64>(e.mwi_value));
+    mix(static_cast<u64>(e.hpf_value));
+    mix(static_cast<u64>(e.decision));
+  }
+  for (const std::size_t p : r.peaks) mix(p);
+  return h;
+}
+
+/// One detection over aligned streams, whole (push == 0) or in pushes of
+/// \p push samples, then flush: the run's seconds and trace checksum.
+template <class Detector>
+std::pair<double, u64> detect_once(const pantompkins::PipelineResult& sig,
+                                   const std::vector<i32>& raw, std::size_t push) {
+  const double t0 = now_s();
+  Detector det;
+  const std::size_t n = raw.size();
+  const std::size_t step = push == 0 ? std::max<std::size_t>(n, 1) : push;
+  for (std::size_t at = 0; at < n; at += step) {
+    const std::size_t len = std::min(step, n - at);
+    (void)det.push(std::span<const i32>(sig.mwi).subspan(at, len),
+                   std::span<const i32>(sig.hpf).subspan(at, len),
+                   std::span<const i32>(raw).subspan(at, len));
+  }
+  (void)det.flush();
+  const pantompkins::DetectionResult r = det.take_result();
+  return {now_s() - t0, checksum_of(r)};
+}
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 int arg_int(int argc, char** argv, const char* name, int fallback) {
@@ -279,6 +334,40 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The QRS decision logic, reference vs library, interleaved per
+  // iteration, over one seeded record's exact and B9 pipeline outputs.
+  struct DetectorRow {
+    const char* config;
+    std::size_t push = 0;  ///< 0 = one whole-record push
+    double oracle_ns = 0.0;
+    double detector_ns = 0.0;
+    bool checksum_match = false;
+  };
+  std::vector<DetectorRow> detector_rows;
+  {
+    const ecg::DigitizedRecord rec = ecg::nsrdb_like_digitized(0, static_cast<std::size_t>(samples));
+    const std::pair<const char*, pantompkins::PipelineConfig> cfgs[] = {
+        {"exact", pantompkins::PipelineConfig::accurate()},
+        {"B9", pantompkins::PipelineConfig::from_lsbs(core::fig12_b_configs()[8].lsbs)}};
+    const double per_sample = 1e9 / static_cast<double>(std::max<std::size_t>(rec.adu.size(), 1));
+    for (const auto& [name, cfg] : cfgs) {
+      const pantompkins::PipelineResult sig = pantompkins::PanTompkinsPipeline(cfg).run(rec.adu);
+      for (const std::size_t push : {std::size_t{0}, std::size_t{64}}) {
+        std::vector<double> ref_ns, lib_ns;
+        bool match = true;
+        for (int it = 0; it < iters; ++it) {
+          const auto ref = detect_once<oracle::ReferenceDetector>(sig, rec.adu, push);
+          const auto lib = detect_once<pantompkins::OnlineDetector>(sig, rec.adu, push);
+          ref_ns.push_back(ref.first * per_sample);
+          lib_ns.push_back(lib.first * per_sample);
+          match = match && ref.second == lib.second;
+        }
+        detector_rows.push_back(
+            DetectorRow{name, push, median_of(ref_ns), median_of(lib_ns), match});
+      }
+    }
+  }
+
   std::printf(
       "{\n"
       "  \"bench\": \"micro_kernel\",\n"
@@ -339,14 +428,26 @@ int main(int argc, char** argv) {
         r.sps, r.speedup, r.checksum_match ? "true" : "false",
         i + 1 < isa_rows.size() ? "," : "");
   }
+  std::printf("  ],\n  \"detector\": [\n");
+  bool detector_rows_match = true;
+  for (std::size_t i = 0; i < detector_rows.size(); ++i) {
+    const DetectorRow& r = detector_rows[i];
+    detector_rows_match = detector_rows_match && r.checksum_match;
+    std::printf(
+        "    {\"config\": \"%s\", \"push\": \"%s\", \"oracle_ns_per_sample\": %.3f, "
+        "\"detector_ns_per_sample\": %.3f, \"speedup\": %.2f, \"checksum_match\": %s}%s\n",
+        r.config, r.push == 0 ? "whole" : "64", r.oracle_ns, r.detector_ns,
+        r.oracle_ns / r.detector_ns, r.checksum_match ? "true" : "false",
+        i + 1 < detector_rows.size() ? "," : "");
+  }
   std::printf("  ]\n}\n");
 
   // Non-zero exit when the bit-identity invariant is violated — between the
-  // scalar and batched paths, or between any vector tier and baseline — so
-  // CI smoke runs catch it.
+  // scalar and batched paths, between any vector tier and baseline, or
+  // between the reference and library detectors — so CI smoke runs catch it.
   return (scalar_exact.checksum == batched_exact.checksum &&
           scalar_approx.checksum == batched_approx.checksum && rows_match &&
-          stage_rows_match && isa_rows_match)
+          stage_rows_match && isa_rows_match && detector_rows_match)
              ? 0
              : 1;
 }

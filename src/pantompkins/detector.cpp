@@ -1,18 +1,42 @@
 #include "xbs/pantompkins/detector.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace xbs::pantompkins {
 
+namespace {
+
+/// Samples per block of the local-maximum pass: a multiple of the 64 flags
+/// that one candidate word holds.
+constexpr std::size_t kScanBlock = 256;
+static_assert(kScanBlock % 64 == 0);
+
+/// Eight 0/1 flag bytes packed into bits 0-7, flag k to bit k. The byte
+/// expression compiles to one load on little-endian hosts; each fold step
+/// halves the distance between neighbouring flags.
+u64 pack_flags8(const u8* f) noexcept {
+  u64 g = u64{f[0]} | u64{f[1]} << 8 | u64{f[2]} << 16 | u64{f[3]} << 24 | u64{f[4]} << 32 |
+          u64{f[5]} << 40 | u64{f[6]} << 48 | u64{f[7]} << 56;
+  g = (g | g >> 7) & 0x0003000300030003u;
+  g = (g | g >> 14) & 0x0000000F0000000Fu;
+  return (g | g >> 28) & 0xFFu;
+}
+
+}  // namespace
+
 bool DetectorParams::valid() const noexcept {
-  return std::isfinite(fs_hz) && fs_hz > 0.0 && refractory_samples >= 0 &&
-         t_wave_window_samples >= 0 && t_wave_slope_ratio >= 0.0 && threshold_coeff >= 0.0 &&
+  const auto samples = [](int n) { return n >= 0 && n <= kMaxWindowSamples; };
+  return std::isfinite(fs_hz) && fs_hz > 0.0 && samples(refractory_samples) &&
+         samples(t_wave_window_samples) && t_wave_slope_ratio >= 0.0 && threshold_coeff >= 0.0 &&
          search_back_factor >= 0.0 && search_back_threshold >= 0.0 &&
-         mwi_hpf_lag_samples >= 0 && alignment_tolerance >= 0 && hpf_search_halfwidth >= 0 &&
-         raw_delay_samples >= 0 && raw_refine_halfwidth >= 0;
+         samples(mwi_hpf_lag_samples) && samples(alignment_tolerance) &&
+         samples(hpf_search_halfwidth) && samples(raw_delay_samples) &&
+         samples(raw_refine_halfwidth);
 }
 
 // ------------------------------------------------------------ OnlineDetector
@@ -41,36 +65,66 @@ OnlineDetector::OnlineDetector(const DetectorParams& params, bool keep_result)
       static_cast<std::ptrdiff_t>(p_.hpf_search_halfwidth) - p_.mwi_hpf_lag_samples;
   const std::ptrdiff_t rel_raw = rel_hpf - p_.raw_delay_samples + p_.raw_refine_halfwidth;
   lookahead_ = static_cast<std::size_t>(std::max<std::ptrdiff_t>({0, rel_hpf, rel_raw}));
+  // Summed in ptrdiff_t; valid() bounds each term by kMaxWindowSamples.
+  const std::ptrdiff_t hpf_back =
+      static_cast<std::ptrdiff_t>(p_.mwi_hpf_lag_samples) + p_.hpf_search_halfwidth;
   const std::ptrdiff_t back = std::max<std::ptrdiff_t>(
-      {1, p_.mwi_hpf_lag_samples + p_.hpf_search_halfwidth,
-       p_.mwi_hpf_lag_samples + p_.hpf_search_halfwidth + p_.raw_delay_samples +
-           p_.raw_refine_halfwidth,
+      {1, hpf_back, hpf_back + p_.raw_delay_samples + p_.raw_refine_halfwidth,
        p_.refractory_samples / 2 + 1});
   back_need_ = static_cast<std::size_t>(back) + 4;
 }
 
-std::size_t OnlineDetector::argmax_in(const std::vector<i32>& v, std::ptrdiff_t lo,
-                                      std::ptrdiff_t hi) const {
+OnlineDetector::Window OnlineDetector::window(const std::vector<i32>& v, std::ptrdiff_t lo,
+                                              std::ptrdiff_t hi) const {
   lo = std::max<std::ptrdiff_t>(lo, 0);
   hi = std::min<std::ptrdiff_t>(hi, static_cast<std::ptrdiff_t>(n_) - 1);
-  std::size_t best = static_cast<std::size_t>(std::max<std::ptrdiff_t>(lo, 0));
-  for (std::ptrdiff_t i = lo; i <= hi; ++i) {
-    if (v[static_cast<std::size_t>(i) - base_] > v[best - base_]) {
-      best = static_cast<std::size_t>(i);
-    }
-  }
-  return best;
+  const auto first = static_cast<std::size_t>(lo);
+  return {first, v.data() + (first - base_), hi < lo ? 0 : static_cast<std::size_t>(hi - lo) + 1};
 }
 
-double OnlineDetector::rising_slope(std::size_t peak, int lookback) const {
-  double slope = 0.0;
-  const std::ptrdiff_t lo =
-      std::max<std::ptrdiff_t>(1, static_cast<std::ptrdiff_t>(peak) - lookback);
-  for (std::ptrdiff_t i = lo; i <= static_cast<std::ptrdiff_t>(peak); ++i) {
-    slope = std::max(slope, static_cast<double>(mwi_at(static_cast<std::size_t>(i))) -
-                                static_cast<double>(mwi_at(static_cast<std::size_t>(i) - 1)));
+i32 OnlineDetector::max_in(const std::vector<i32>& v, std::ptrdiff_t lo, std::ptrdiff_t hi) const {
+  // The value argmax_in's index holds, as a max-reduction.
+  const Window w = window(v, lo, hi);
+  i32 top = w.x[0];
+  for (std::size_t j = 1; j < w.len; ++j) top = std::max(top, w.x[j]);
+  return top;
+}
+
+std::size_t OnlineDetector::argmax_in(const std::vector<i32>& v, std::ptrdiff_t lo,
+                                      std::ptrdiff_t hi) const {
+  // The earliest index holding the maximum of the clamped window, in one
+  // branch-free pass (only a strictly higher sample moves it); an empty
+  // window yields its first index.
+  const Window w = window(v, lo, hi);
+  const i32* x = w.x;
+  const std::size_t len = w.len;
+  if (len == 0) return w.first;
+  i32 top = x[0];
+  std::size_t k = 0;
+  for (std::size_t j = 1; j < len; ++j) {
+    const bool higher = x[j] > top;
+    k = higher ? j : k;
+    top = higher ? x[j] : top;
   }
-  return slope;
+  return w.first + k;
+}
+
+double OnlineDetector::rising_slope(std::size_t peak) const {
+  // The largest MWI rise over the refractory / 2 samples up to the peak,
+  // floored at zero. double(a) - double(b) is exact for i32 a and b, so the
+  // maximum of the i64 differences, converted once, is the same double as
+  // the maximum of the differences taken in double.
+  const std::size_t lookback = static_cast<std::size_t>(p_.refractory_samples / 2);
+  const std::size_t lo = peak > lookback ? peak - lookback : 1;
+  if (lo > peak) return 0.0;
+  const i32* x = mwi_.data() + (lo - base_);
+  const i32* prev = x - 1;
+  const std::size_t len = peak - lo + 1;
+  i64 slope = 0;
+  for (std::size_t j = 0; j < len; ++j) {
+    slope = std::max(slope, static_cast<i64>(x[j]) - static_cast<i64>(prev[j]));
+  }
+  return static_cast<double>(slope);
 }
 
 double OnlineDetector::rr_mean() const {
@@ -103,19 +157,34 @@ void OnlineDetector::train_now() {
   trained_ = true;
 }
 
-int OnlineDetector::locate(std::size_t mark, std::size_t& hpf_idx, std::size_t& raw_idx) const {
+void OnlineDetector::locate(MarkContext& m) const {
+  if (m.located) return;
   const std::ptrdiff_t expect =
-      static_cast<std::ptrdiff_t>(mark) - p_.mwi_hpf_lag_samples;
-  hpf_idx = argmax_in(hpf_, expect - p_.hpf_search_halfwidth, expect + p_.hpf_search_halfwidth);
+      static_cast<std::ptrdiff_t>(m.mark) - p_.mwi_hpf_lag_samples;
+  m.hpf_idx = argmax_in(hpf_, expect - p_.hpf_search_halfwidth, expect + p_.hpf_search_halfwidth);
   const std::ptrdiff_t est =
-      static_cast<std::ptrdiff_t>(hpf_idx) - p_.raw_delay_samples;
-  raw_idx = argmax_in(raw_, est - p_.raw_refine_halfwidth, est + p_.raw_refine_halfwidth);
-  return static_cast<int>(std::abs(static_cast<std::ptrdiff_t>(hpf_idx) - expect));
+      static_cast<std::ptrdiff_t>(m.hpf_idx) - p_.raw_delay_samples;
+  m.raw_idx = argmax_in(raw_, est - p_.raw_refine_halfwidth, est + p_.raw_refine_halfwidth);
+  m.misalign = static_cast<int>(std::abs(static_cast<std::ptrdiff_t>(m.hpf_idx) - expect));
+  m.located = true;
+}
+
+double OnlineDetector::slope_of(MarkContext& m) const {
+  if (!m.sloped) {
+    m.slope = rising_slope(m.mark);
+    m.sloped = true;
+  }
+  return m.slope;
 }
 
 void OnlineDetector::emit(const PeakEvent& ev) {
-  fresh_.push_back(ev);
-  if (keep_result_) result_.trace.push_back(ev);
+  // With keep_result on, a call's events are the tail of the trace it grows.
+  (keep_result_ ? result_.trace : fresh_).push_back(ev);
+}
+
+std::span<const PeakEvent> OnlineDetector::emitted(std::size_t first) const noexcept {
+  if (keep_result_) return std::span<const PeakEvent>(result_.trace).subspan(first);
+  return fresh_;
 }
 
 void OnlineDetector::accept(PeakEvent ev, double slope) {
@@ -143,27 +212,30 @@ void OnlineDetector::accept(PeakEvent ev, double slope) {
   pending_.active = false;
 }
 
-void OnlineDetector::note_rejected(std::size_t mark) {
+void OnlineDetector::note_rejected(MarkContext& m) {
   // Maintain the argmax over the rejected marks since the last accepted
   // beat (strict > mirrors the batch scan: earliest wins ties), snapshotting
   // everything a later search-back acceptance would read — the values are
   // pure functions of the signal around the mark, which is fully resident
   // right now, so recomputing them later would yield the same bits.
-  const i64 v = mwi_at(mark);
-  if (pending_.active && v <= pending_.mwi_value) return;
+  const i64 v = mwi_at(m.mark);
+  if (!outranks_pending(v)) return;
+  locate(m);
   pending_.active = true;
-  pending_.mark = mark;
+  pending_.mark = m.mark;
   pending_.mwi_value = v;
-  pending_.slope = rising_slope(mark, p_.refractory_samples / 2);
-  pending_.misalign = locate(mark, pending_.hpf_idx, pending_.raw_idx);
-  pending_.hpf_value = hpf_at(pending_.hpf_idx);
+  pending_.slope = slope_of(m);
+  pending_.hpf_idx = m.hpf_idx;
+  pending_.raw_idx = m.raw_idx;
+  pending_.misalign = m.misalign;
+  pending_.hpf_value = hpf_at(m.hpf_idx);
 }
 
 void OnlineDetector::on_candidate(std::size_t c) {
   // The separation merge: among candidates closer than min_sep the taller
   // survives; a candidate min_sep or further away finalizes its predecessor.
   if (have_cand_ && c - cand_ < static_cast<std::size_t>(min_sep_)) {
-    if (mwi_at(c) > mwi_at(cand_)) cand_ = c;
+    cand_ = mwi_at(c) > mwi_at(cand_) ? c : cand_;
   } else {
     if (have_cand_) marks_.push_back(cand_);
     cand_ = c;
@@ -182,45 +254,54 @@ void OnlineDetector::process_mark(std::size_t mark) {
     return;  // inside the absolute refractory: physiologically impossible
   }
 
+  MarkContext m;
+  m.mark = mark;
   const double thr1 = th_i_.threshold1(p_.threshold_coeff);
   if (static_cast<double>(ev.mwi_value) > thr1) {
     // T-wave discrimination inside the 360 ms zone.
     if (last_accept_ >= 0 &&
         static_cast<std::ptrdiff_t>(mark) - last_accept_ <
             static_cast<std::ptrdiff_t>(p_.t_wave_window_samples)) {
-      const double slope = rising_slope(mark, p_.refractory_samples / 2);
-      if (slope < p_.t_wave_slope_ratio * last_slope_) {
+      if (slope_of(m) < p_.t_wave_slope_ratio * last_slope_) {
         ev.decision = PeakDecision::TWave;
         th_i_.noise_update(static_cast<double>(ev.mwi_value));
         emit(ev);
-        note_rejected(mark);
+        note_rejected(m);
         return;
       }
     }
     // HPF/MWI alignment consistency (Fig. 13).
-    std::size_t hpf_idx = 0, raw_idx = 0;
-    const int misalign = locate(mark, hpf_idx, raw_idx);
-    ev.hpf_index = hpf_idx;
-    ev.raw_index = raw_idx;
-    ev.hpf_value = hpf_at(hpf_idx);
+    locate(m);
+    ev.hpf_index = m.hpf_idx;
+    ev.raw_index = m.raw_idx;
+    ev.hpf_value = hpf_at(m.hpf_idx);
     const double thrf = th_f_.threshold1(p_.threshold_coeff);
-    if (misalign > p_.alignment_tolerance ||
+    if (m.misalign > p_.alignment_tolerance ||
         static_cast<double>(ev.hpf_value) <= thrf) {
       ev.decision = PeakDecision::MisalignedOmitted;
       emit(ev);
-      note_rejected(mark);
+      note_rejected(m);
       return;
     }
     ev.decision = PeakDecision::Accepted;
-    accept(ev, rising_slope(mark, p_.refractory_samples / 2));
+    accept(ev, slope_of(m));
   } else {
     ev.decision = PeakDecision::BelowThreshold;
     th_i_.noise_update(static_cast<double>(ev.mwi_value));
-    std::size_t hpf_idx = 0, raw_idx = 0;
-    (void)locate(mark, hpf_idx, raw_idx);
-    th_f_.noise_update(static_cast<double>(hpf_at(hpf_idx)));
+    // The noise update reads the HPF peak's height; only a mark that becomes
+    // the search-back candidate needs the peaks' positions.
+    i32 hpf_peak = 0;
+    if (outranks_pending(ev.mwi_value)) {
+      locate(m);
+      hpf_peak = hpf_at(m.hpf_idx);
+    } else {
+      const std::ptrdiff_t expect =
+          static_cast<std::ptrdiff_t>(mark) - p_.mwi_hpf_lag_samples;
+      hpf_peak = max_in(hpf_, expect - p_.hpf_search_halfwidth, expect + p_.hpf_search_halfwidth);
+    }
+    th_f_.noise_update(static_cast<double>(hpf_peak));
     emit(ev);
-    note_rejected(mark);
+    note_rejected(m);
   }
 
   // RR search-back: if the gap since the last beat exceeds the missed-beat
@@ -247,15 +328,40 @@ void OnlineDetector::process_mark(std::size_t mark) {
   }
 }
 
-void OnlineDetector::advance(bool flushing) {
-  // 1. Scan newly covered indices for candidate fiducial marks (strict local
-  //    maxima need the right neighbour, hence the i+1 < n guard).
+void OnlineDetector::scan_candidates() {
+  // Index i is a candidate fiducial mark when it rises, mwi[i] > mwi[i-1],
+  // and i+1 does not, mwi[i] >= mwi[i+1]; so i runs from scan_ >= 1 to
+  // n_ - 2 (the right neighbour must have arrived), and the trim floor keeps
+  // scan_ - 1 resident. Branch-free byte passes test each index once; the
+  // flags are packed 64 to a word, and only the set ones, visited in index
+  // order, reach the separation merge.
+  std::array<u8, kScanBlock + 1> rises;
+  std::array<u8, kScanBlock> flags;
   while (scan_ + 1 < n_) {
-    if (mwi_at(scan_) > mwi_at(scan_ - 1) && mwi_at(scan_) >= mwi_at(scan_ + 1)) {
-      on_candidate(scan_);
+    const std::size_t len = std::min(kScanBlock, n_ - 1 - scan_);
+    const i32* x = mwi_.data() + (scan_ - base_);
+    const i32* prev = x - 1;
+    for (std::size_t j = 0; j <= len; ++j) rises[j] = static_cast<u8>(x[j] > prev[j]);
+    for (std::size_t j = 0; j < len; ++j) {
+      flags[j] = static_cast<u8>(rises[j] & (rises[j + 1] ^ 1u));
     }
-    ++scan_;
+    const std::size_t padded = (len + 63) & ~std::size_t{63};
+    std::fill(flags.begin() + static_cast<std::ptrdiff_t>(len),
+              flags.begin() + static_cast<std::ptrdiff_t>(padded), u8{0});
+    for (std::size_t w = 0; w < padded; w += 64) {
+      u64 word = 0;
+      for (std::size_t g = 0; g < 64; g += 8) word |= pack_flags8(flags.data() + w + g) << g;
+      for (; word != 0; word &= word - 1) {
+        on_candidate(scan_ + w + static_cast<std::size_t>(std::countr_zero(word)));
+      }
+    }
+    scan_ += len;
   }
+}
+
+void OnlineDetector::advance(bool flushing) {
+  // 1. Test newly covered indices for candidate fiducial marks.
+  scan_candidates();
   // 2. Finalize the merged candidate once no future candidate can replace it
   //    (all future candidates are at >= scan_), or unconditionally at flush.
   if (have_cand_ &&
@@ -266,12 +372,13 @@ void OnlineDetector::advance(bool flushing) {
   // 3. Judge finalized marks in order. The batch path does nothing on
   //    records shorter than 8 samples, and trains before the first mark.
   if (!trained_ || n_ < 8) return;
-  while (!marks_.empty()) {
-    const std::size_t mark = marks_.front();
+  std::size_t judged = 0;
+  for (; judged < marks_.size(); ++judged) {
+    const std::size_t mark = marks_[judged];
     if (!flushing && n_ < mark + lookahead_ + 1) break;  // search window not covered yet
-    marks_.pop_front();
     process_mark(mark);
   }
+  marks_.erase(marks_.begin(), marks_.begin() + static_cast<std::ptrdiff_t>(judged));
 }
 
 void OnlineDetector::maybe_trim() {
@@ -298,6 +405,7 @@ std::span<const PeakEvent> OnlineDetector::push(std::span<const i32> mwi,
     throw std::invalid_argument("OnlineDetector: chunk size mismatch");
   }
   fresh_.clear();
+  const std::size_t first = result_.trace.size();
   mwi_.insert(mwi_.end(), mwi.begin(), mwi.end());
   hpf_.insert(hpf_.end(), hpf.begin(), hpf.end());
   raw_.insert(raw_.end(), raw.begin(), raw.end());
@@ -305,7 +413,7 @@ std::span<const PeakEvent> OnlineDetector::push(std::span<const i32> mwi,
   if (!trained_ && n_ >= train_target_) train_now();
   advance(/*flushing=*/false);
   maybe_trim();
-  return fresh_;
+  return emitted(first);
 }
 
 void OnlineDetector::reset(WarmStart warm) noexcept {
@@ -336,12 +444,13 @@ void OnlineDetector::reset(WarmStart warm) noexcept {
 
 std::span<const PeakEvent> OnlineDetector::flush() {
   fresh_.clear();
-  if (flushed_) return fresh_;
+  const std::size_t first = result_.trace.size();
+  if (flushed_) return emitted(first);
   flushed_ = true;
-  if (n_ < 8) return fresh_;  // batch: records this short yield nothing
+  if (n_ < 8) return emitted(first);  // batch: records this short yield nothing
   if (!trained_) train_now();
   advance(/*flushing=*/true);
-  return fresh_;
+  return emitted(first);
 }
 
 DetectionResult detect_qrs(std::span<const i32> mwi, std::span<const i32> hpf,

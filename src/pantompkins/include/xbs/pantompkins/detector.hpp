@@ -15,10 +15,29 @@
 /// once the stream has advanced past its separation/search windows). The
 /// whole-record detect_qrs() is a thin one-chunk wrapper over it, so both
 /// entry points are bit-identical by construction.
+///
+/// Cost model. Per pushed sample: one copy into each of the three history
+/// streams, and one branch-free local-maximum test (vectorizable byte passes
+/// over the span whose flags are packed 64 to a word), so only candidates
+/// branch. Per judged fiducial mark, bounded work: its HPF window (2 x
+/// hpf_search_halfwidth + 1 samples), raw window (2 x raw_refine_halfwidth +
+/// 1) and rising-slope window (refractory / 2 + 1 differences) are each read
+/// at most once, in one branch-free pass over contiguous samples; a rejected
+/// mark that cannot become the search-back candidate reads only its HPF
+/// window, for the peak height. The history is trimmed in blocks behind the
+/// earliest index a future decision can read, so it costs amortized O(1) per
+/// sample and O(window) memory.
+///
+/// Tie rules (pinned against a reference copy of the decision logic in
+/// tests/detector_oracle.hpp): index i is a candidate when mwi[i] >
+/// mwi[i-1] and mwi[i] >= mwi[i+1]; in the separation merge, a later
+/// candidate replaces the held one only when strictly taller; the HPF and raw
+/// peak searches return the earliest index holding the window's maximum, and
+/// the clamped window's first index when the window is empty; the
+/// search-back candidate is the earliest of the tallest rejected marks.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -42,9 +61,16 @@ struct DetectorParams {
   int raw_delay_samples = 20;         ///< HPF index -> raw index compensation
   int raw_refine_halfwidth = 8;       ///< local-max refinement on the raw signal
 
-  /// Structural sanity of the constants: a positive finite sampling rate and
-  /// non-negative windows/ratios. Checked by both the batch (detect_qrs) and
-  /// streaming (OnlineDetector, stream::Session) entry points.
+  /// Largest accepted value of every sample-count constant above (the
+  /// refractory, T-wave window, lag, tolerance, half-widths and delay): 2^20
+  /// samples, 87 minutes at 200 Hz. It keeps the detector's window sums far
+  /// inside int and its sample history bounded.
+  static constexpr int kMaxWindowSamples = 1 << 20;
+
+  /// Structural sanity of the constants: a positive finite sampling rate,
+  /// non-negative ratios, and sample counts in [0, kMaxWindowSamples].
+  /// Checked by both the batch (detect_qrs) and streaming (OnlineDetector,
+  /// stream::Session) entry points.
   [[nodiscard]] bool valid() const noexcept;
 
   /// Equality is what lets the exploration stage cache reuse a cached
@@ -116,7 +142,8 @@ class OnlineDetector {
   explicit OnlineDetector(const DetectorParams& params = {}, bool keep_result = true);
 
   /// Consume one chunk of aligned MWI/HPF/raw samples. Returns the events
-  /// finalized by this chunk (valid until the next push/flush call).
+  /// finalized by this chunk (valid until the next push, flush, reset or
+  /// take_result call).
   std::span<const PeakEvent> push(std::span<const i32> mwi, std::span<const i32> hpf,
                                   std::span<const i32> raw);
 
@@ -154,23 +181,54 @@ class OnlineDetector {
     void noise_update(double peak) noexcept { npk = 0.125 * peak + 0.875 * npk; }
   };
 
+  /// What the rules read around one judged mark: its located HPF/raw peaks
+  /// and its rising slope, each computed on first use and at most once
+  /// (process_mark, then note_rejected).
+  struct MarkContext {
+    std::size_t mark = 0;
+    bool located = false;
+    std::size_t hpf_idx = 0;
+    std::size_t raw_idx = 0;
+    int misalign = 0;  ///< |HPF peak - expected HPF index|
+    bool sloped = false;
+    double slope = 0.0;
+  };
+
   // --- history access (absolute stream indices over the trimmed window) ---
   [[nodiscard]] i32 mwi_at(std::size_t i) const noexcept { return mwi_[i - base_]; }
   [[nodiscard]] i32 hpf_at(std::size_t i) const noexcept { return hpf_[i - base_]; }
-  [[nodiscard]] i32 raw_at(std::size_t i) const noexcept { return raw_[i - base_]; }
+
+  /// A search window [lo, hi] clamped to the samples seen so far.
+  struct Window {
+    std::size_t first;  ///< absolute index of the clamped window's start
+    const i32* x;       ///< its samples
+    std::size_t len;    ///< 0 when empty
+  };
+  [[nodiscard]] Window window(const std::vector<i32>& v, std::ptrdiff_t lo,
+                              std::ptrdiff_t hi) const;
+  [[nodiscard]] i32 max_in(const std::vector<i32>& v, std::ptrdiff_t lo, std::ptrdiff_t hi) const;
   [[nodiscard]] std::size_t argmax_in(const std::vector<i32>& v, std::ptrdiff_t lo,
                                       std::ptrdiff_t hi) const;
-  [[nodiscard]] double rising_slope(std::size_t peak, int lookback) const;
+  /// Whether a rejected mark of MWI height \p v becomes the search-back
+  /// candidate (strictly taller than the current one, or the first).
+  [[nodiscard]] bool outranks_pending(i64 v) const noexcept {
+    return !pending_.active || v > pending_.mwi_value;
+  }
+  [[nodiscard]] double rising_slope(std::size_t peak) const;
   [[nodiscard]] double rr_mean() const;
 
   void train_now();
   void advance(bool flushing);
+  void scan_candidates();
   void on_candidate(std::size_t c);
   void process_mark(std::size_t mark);
-  [[nodiscard]] int locate(std::size_t mark, std::size_t& hpf_idx, std::size_t& raw_idx) const;
+  void locate(MarkContext& m) const;
+  [[nodiscard]] double slope_of(MarkContext& m) const;
   void emit(const PeakEvent& ev);
+  /// The events emitted since the trace held \p first events.
+  [[nodiscard]] std::span<const PeakEvent> emitted(std::size_t first) const noexcept;
   void accept(PeakEvent ev, double slope);
-  void note_rejected(std::size_t mark);
+  void note_rejected(MarkContext& m);
   void maybe_trim();
 
   DetectorParams p_;
@@ -188,7 +246,7 @@ class OnlineDetector {
   std::size_t scan_ = 1;     ///< next index to test as a local maximum
   bool have_cand_ = false;   ///< an unfinalized (possibly still replaceable) mark
   std::size_t cand_ = 0;
-  std::deque<std::size_t> marks_;  ///< finalized marks awaiting judgement
+  std::vector<std::size_t> marks_;  ///< finalized marks awaiting judgement, in order
 
   // Decision state (the batch loop's locals, made persistent).
   bool trained_ = false;
@@ -218,7 +276,9 @@ class OnlineDetector {
 
   bool keep_result_ = true;
   DetectionResult result_;
-  std::vector<PeakEvent> fresh_;  ///< events finalized by the current call
+  /// Events finalized by the current call when keep_result is off; with it
+  /// on they are the tail of result_.trace, so no event is stored twice.
+  std::vector<PeakEvent> fresh_;
   bool flushed_ = false;
 };
 

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -1484,6 +1485,46 @@ TEST(DetectorParamsValidation, RejectsNonPositiveRatesAndNegativeWindows) {
   bad.fs_hz = 0.0;
   EXPECT_THROW((void)pantompkins::detect_qrs(sig, sig, sig, bad), std::invalid_argument);
   EXPECT_THROW(pantompkins::OnlineDetector{bad}, std::invalid_argument);
+}
+
+TEST(DetectorParamsValidation, RejectsWindowsAboveTheBoundAtEveryEntryPoint) {
+  // Windows whose sums overflow int (and a history no stream could trim)
+  // are refused before anything is built.
+  constexpr int kMax = pantompkins::DetectorParams::kMaxWindowSamples;
+  pantompkins::DetectorParams huge;
+  huge.mwi_hpf_lag_samples = std::numeric_limits<int>::max();
+  huge.hpf_search_halfwidth = std::numeric_limits<int>::max();
+  EXPECT_FALSE(huge.valid());
+  for (int pantompkins::DetectorParams::*field :
+       {&pantompkins::DetectorParams::refractory_samples,
+        &pantompkins::DetectorParams::t_wave_window_samples,
+        &pantompkins::DetectorParams::mwi_hpf_lag_samples,
+        &pantompkins::DetectorParams::alignment_tolerance,
+        &pantompkins::DetectorParams::hpf_search_halfwidth,
+        &pantompkins::DetectorParams::raw_delay_samples,
+        &pantompkins::DetectorParams::raw_refine_halfwidth}) {
+    pantompkins::DetectorParams p;
+    p.*field = kMax;
+    EXPECT_TRUE(p.valid());
+    p.*field = kMax + 1;
+    EXPECT_FALSE(p.valid());
+  }
+
+  std::vector<i32> sig(100, 0);
+  EXPECT_THROW((void)pantompkins::detect_qrs(sig, sig, sig, huge), std::invalid_argument);
+  EXPECT_THROW(pantompkins::OnlineDetector{huge}, std::invalid_argument);
+  SessionSpec bad;
+  bad.config.detector = huge;
+  EXPECT_THROW(Session{bad}, std::invalid_argument);
+
+  // The server refuses the spec without consuming its only slot.
+  StreamServer server({.max_sessions = 1, .workers = 1});
+  EXPECT_THROW((void)server.open(bad), std::invalid_argument);
+  SessionSpec good;
+  good.keep_detection = false;
+  const SessionId id = server.open(good);
+  EXPECT_EQ(server.push(id, std::vector<i32>(16, 0)), PushResult::Ok);
+  EXPECT_EQ(server.close(id), SessionState::Closed);
 }
 
 TEST(StreamServer, DeepSessionCannotMonopolizeAWorker) {
